@@ -27,7 +27,9 @@ from . import __version__, coeffexpr, eigen, freeboundary, semiwave, thresholds
 from .coeffmodel import CoefficientField, ProblemSpec, validate
 from .errors import (BoundViolated, BracketInvalid, ConfigError,
                      DomainNotLargeEnough, ExpressionError, ExprError,
-                     MissingKey, NoConvergence, NoSignChange, NotSpreading,
+                     FrontRetreat, HypothesisHFailed, MissingKey,
+                     NoConvergence, NonPositive, NonPositiveIterate,
+                     NoSignChange, NotSpreading, SolverSingular,
                      StefanLabError, StepSizeTooLarge, TooManyUndecided,
                      TruncationTooSmall, TypeMismatch, UnknownKey)
 from .thresholds import ScaledProfile
@@ -367,7 +369,7 @@ def _cmd_speed(config, spec, arts):
     arts.json("speed.json", {
         "c": res.c, "bound": res.bound, "iterations": res.iterations,
         "residual": res.residual, "r_far": r_far,
-        "k0": [float(x) for x in res.k0_phases]})
+        "k0": [float(x) for x in res.k0]})
 
 
 def _cmd_mu_star(config, spec, arts):
@@ -438,7 +440,9 @@ def _cmd_criteria(config, spec, arts):
 
 _NUMERIC_ERRORS = (NoConvergence, TooManyUndecided, NoSignChange,
                    BracketInvalid, DomainNotLargeEnough, TruncationTooSmall,
-                   BoundViolated, NotSpreading, StepSizeTooLarge)
+                   BoundViolated, NotSpreading, StepSizeTooLarge,
+                   SolverSingular, FrontRetreat, NonPositiveIterate,
+                   NonPositive, HypothesisHFailed)
 
 
 def run(config, out_dir=None, jobs=None, horizon_scale=1.0):

@@ -316,7 +316,15 @@ class ExprFunction:
         self.ast = parse(text, params=self.params.keys())
 
     def __call__(self, t, r=0.0):
-        return evaluate(self.ast, t=t, r=r, params=self.params)
+        """Value at (t, r) with the broadcast shape of t and r, also when
+        the expression does not depend on one (or both) of them."""
+        out = evaluate(self.ast, t=t, r=r, params=self.params)
+        shape = np.broadcast(t, r).shape
+        if getattr(out, "shape", ()) != shape:
+            full = np.empty(shape)
+            full[...] = out
+            out = full
+        return out
 
     def __repr__(self):
         return "ExprFunction(%r)" % self.text

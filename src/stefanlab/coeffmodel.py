@@ -115,8 +115,17 @@ class CoefficientField:
         return np.asarray(self.alpha(t, r)) - np.asarray(self.gamma(t, r))
 
     def alpha2_max(self):
-        t = np.linspace(0.0, self.T, 257)
-        return float(np.max(self.alpha2(t, 0.0)))
+        """Max over one period of the birth upper envelope (257 samples).
+
+        Sampled on the first call and cached on the instance: the field is
+        immutable, and the steppers check it on every step.
+        """
+        cached = self.__dict__.get("_alpha2_max")
+        if cached is None:
+            t = np.linspace(0.0, self.T, 257)
+            cached = float(np.max(self.alpha2(t, 0.0)))
+            object.__setattr__(self, "_alpha2_max", cached)
+        return cached
 
     def beta1_min(self):
         t = np.linspace(0.0, self.T, 257)
@@ -136,7 +145,7 @@ class _SampledEnvelope:
         t = np.asarray(t, dtype=float)
         vals = np.asarray(self.fn(t[..., None] if t.ndim else t, self.r_grid),
                           dtype=float)
-        # constant expressions evaluate to bare scalars
+        # a plain callable may return a bare scalar
         vals = np.broadcast_to(vals, t.shape + self.r_grid.shape)
         red = np.min(vals, axis=-1) if self.which == "min" else np.max(vals, axis=-1)
         out = red - self.pad if self.which == "min" else red + self.pad

@@ -22,6 +22,7 @@ from .errors import BracketInvalid, NoConvergence, NonPositiveIterate, NoSignCha
 from .radialcore import DiffusionSolver, RadialGrid
 
 H_STAR_INFINITE = math.inf
+POTENTIAL_BLOCK = 64      # substeps per coefficient evaluation in period_map
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,13 @@ def period_map(psi, grid, field, d, T, substeps, solver=None, record=None):
     """Evolve the linear problem over one period and return psi(T).
 
     Each substep multiplies by exp(dt*(alpha-gamma)) at the interval
-    midpoint and then applies the implicit diffusion sweep.  If ``record``
-    is an integer P, snapshots at P evenly spaced phases are appended to
-    the returned list.
+    midpoint and then applies the implicit diffusion sweep with the
+    solver's once-factored operator.  The potential factors are evaluated
+    for POTENTIAL_BLOCK substeps per coefficient call (midpoint times as a
+    column, radii as a row), so memory stays O(POTENTIAL_BLOCK * n) and
+    every factor equals its one-substep evaluation.  If ``record`` is an
+    integer P, snapshots at P evenly spaced phases are appended to the
+    returned list.
     """
     dt = T / substeps
     if solver is None:
@@ -50,13 +55,16 @@ def period_map(psi, grid, field, d, T, substeps, solver=None, record=None):
     u = np.array(psi, dtype=float)
     shots = [u.copy()] if record else None
     per_phase = substeps // record if record else 0
-    for k in range(substeps):
-        t_mid = (k + 0.5) * dt
-        pot = np.asarray(field.growth(t_mid, r), dtype=float)
-        u = solver.solve(u * np.exp(dt * pot))
-        u[-1] = 0.0
-        if record and (k + 1) % per_phase == 0 and (k + 1) < substeps:
-            shots.append(u.copy())
+    for k0 in range(0, substeps, POTENTIAL_BLOCK):
+        k1 = min(k0 + POTENTIAL_BLOCK, substeps)
+        t_mid = ((np.arange(k0, k1) + 0.5) * dt)[:, None]
+        pot = np.broadcast_to(np.asarray(field.growth(t_mid, r), dtype=float),
+                              (k1 - k0, r.size))
+        for k, factor in zip(range(k0, k1), np.exp(dt * pot)):
+            u = solver.solve(u * factor)
+            u[-1] = 0.0
+            if record and (k + 1) % per_phase == 0 and (k + 1) < substeps:
+                shots.append(u.copy())
     if record:
         return u, shots
     return u

@@ -15,6 +15,7 @@ trajectory into a Spreading / Vanishing / Undecided verdict.
 
 from dataclasses import dataclass, field as dc_field
 
+import functools
 import math
 
 import numpy as np
@@ -62,6 +63,12 @@ def initial_state(spec):
     return FreeBoundaryState(u=u, h=spec.h0, t=0.0, n=n)
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_grid(n, N):
+    """The fixed xi-grid on [0, 1]; shared by every step of a run."""
+    return RadialGrid(n=n, R=1.0, N=N)
+
+
 def step_free(state, spec, dt):
     """Advance the front-fixed system by one step of size dt.
 
@@ -97,8 +104,8 @@ def step_free(state, spec, dt):
     adv[:-1] = xi[:-1] * (h_prime / state.h) * (u[1:] - u[:-1]) / dxi
     rhs = u + dt * (adv + u * (growth - crowd * u))
 
-    xi_grid = RadialGrid(n=n, R=1.0, N=spec.N)
-    solver = DiffusionSolver(xi_grid, spec.d / state.h ** 2, dt, "dirichlet")
+    solver = DiffusionSolver(_unit_grid(n, spec.N), spec.d / state.h ** 2, dt,
+                             "dirichlet")
     u_new = solver.solve(rhs)
     u_new[-1] = 0.0
     u_new[(u_new > NEG_CLIP) & (u_new < 0.0)] = 0.0

@@ -10,7 +10,7 @@ reaction-diffusion problem on a ball.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (DomainNotLargeEnough, NoConvergence, SolverSingular,
                      StepSizeTooLarge)
@@ -35,23 +35,25 @@ class RadialGrid:
 
 
 def solve_tridiag(lower, diag, upper, rhs):
-    """Solve a tridiagonal system by forward elimination / back substitution.
+    """Solve a tridiagonal system by Gaussian elimination with partial pivoting.
 
     ``lower[i]`` multiplies x[i-1] in row i (lower[0] unused), ``upper[i]``
-    multiplies x[i+1] (upper[-1] unused).  LAPACK's gtsv does the
-    elimination; a singular pivot is reported as SolverSingular.
+    multiplies x[i+1] (upper[-1] unused).  LAPACK's gtsv is called
+    directly: it is the routine scipy's solve_banded runs for one sub- and
+    one superdiagonal, without the band assembly and input validation
+    around it.  A diagonal entry below PIVOT_EPS or an exactly singular
+    elimination is reported as SolverSingular.
     """
-    m = diag.size
-    ab = np.zeros((3, m))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
+    diag = np.asarray(diag, dtype=float)
     if np.min(np.abs(diag)) < PIVOT_EPS:
         raise SolverSingular("tridiagonal pivot below %g" % PIVOT_EPS)
-    try:
-        return scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SolverSingular(str(exc)) from exc
+    if diag.size == 1:
+        # the LAPACK wrapper rejects a 1x1 system
+        return np.asarray(rhs, dtype=float) / diag
+    _, _, _, x, info = lapack.dgtsv(lower[1:], diag, upper[:-1], rhs)
+    if info != 0:
+        raise SolverSingular("gtsv: zero pivot at row %d" % info)
+    return x
 
 
 def thomas_reference(lower, diag, upper, rhs):
@@ -98,7 +100,13 @@ class DiffusionSolver:
 
     boundary "dirichlet": u(R) = 0, unknowns are nodes 0..n-1.
     boundary "neumann": reflected ghost at r = R, unknowns 0..n.
-    The banded matrix is assembled once per (grid, d, dt).
+    The operator is assembled and LU-factored (LAPACK gttrf) once per
+    (grid, d, dt); each solve() is only the gttrs forward/back
+    substitution.  The operator is diagonally dominant, so no rows are
+    interchanged and a solve does the same arithmetic as a fresh gtsv
+    elimination (solve_tridiag).  Raises SolverSingular at construction
+    for a diagonal entry below PIVOT_EPS or an exactly singular
+    factorization.
     """
 
     def __init__(self, grid, d, dt, boundary="dirichlet"):
@@ -123,13 +131,23 @@ class DiffusionSolver:
             # reflection at r = R keeps only u_rr (u_r = 0 kills the 1/r term)
             diag[n] = 1.0 + 2.0 * s
             lower[n] = -2.0 * s
-        self._bands = (lower, diag, upper)
+        if np.min(np.abs(diag)) < PIVOT_EPS:
+            raise SolverSingular("tridiagonal pivot below %g" % PIVOT_EPS)
         self._m = m
+        self._bands = (lower, diag, upper)
+        self._lu = None
+        if m >= 3:      # the LAPACK wrapper rejects factoring smaller systems
+            *lu, info = lapack.dgttrf(lower[1:], diag, upper[:-1])
+            if info != 0:
+                raise SolverSingular("gttrf: zero pivot at row %d" % info)
+            self._lu = lu
 
     def solve(self, rhs):
-        lower, diag, upper = self._bands
         out = np.zeros(self.grid.n + 1)
-        out[:self._m] = solve_tridiag(lower, diag, upper, rhs[:self._m])
+        if self._lu is None:
+            out[:self._m] = solve_tridiag(*self._bands, rhs[:self._m])
+        else:
+            out[:self._m] = lapack.dgttrs(*self._lu, rhs[:self._m])[0]
         return out
 
 

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from stefanlab import cli
-from stefanlab.errors import (ConfigError, ExpressionError, MissingKey,
-                              TypeMismatch, UnknownKey)
+from stefanlab.errors import (ConfigError, ExpressionError, FrontRetreat,
+                              HypothesisHFailed, MissingKey, NonPositive,
+                              NonPositiveIterate, SolverSingular, TypeMismatch,
+                              UnknownKey)
 
 MINIMAL = """
 [run]
@@ -172,6 +174,20 @@ class TestRun:
         assert row[0] == "h_star"
         assert float(row[1]) == pytest.approx(2.4048, abs=2e-3)
 
+    def test_speed_reports_drift_values(self, tmp_path):
+        # a constant alpha once crashed the period means; k0 must hold
+        # the drift per phase (its mean is c), not the phase times
+        text = MINIMAL.replace("command=simulate", "command=speed")
+        text += "\n[speed]\ntol=1e-4\n"
+        out = str(tmp_path / "speed")
+        assert cli.run(cli.loads_config(text), out_dir=out) == 0
+        with open(os.path.join(out, "speed.json")) as fh:
+            speed = json.load(fh)
+        k0 = np.array(speed["k0"])
+        assert k0.size == 64
+        assert np.all(k0 > 0.0)
+        assert float(np.mean(k0)) == pytest.approx(speed["c"], rel=1e-12)
+
 
 class TestMain:
     def test_config_error_exit(self, tmp_path, capsys):
@@ -186,3 +202,16 @@ class TestMain:
         out = str(tmp_path / "out")
         assert cli.main(["--config", path, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "outcome.json"))
+
+    @pytest.mark.parametrize("error", [SolverSingular, FrontRetreat,
+                                       NonPositiveIterate, NonPositive,
+                                       HypothesisHFailed])
+    def test_numerical_failure_exit(self, tmp_path, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("forced")
+
+        monkeypatch.setattr(cli.freeboundary, "simulate", fail)
+        path = write(tmp_path, MINIMAL)
+        out = str(tmp_path / "out")
+        assert cli.main(["--config", path, "--out", out]) == 3
+        assert not os.path.exists(os.path.join(out, "outcome.json"))

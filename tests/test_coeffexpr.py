@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from stefanlab import coeffexpr
 from stefanlab.coeffexpr import (Bin, Call, Const, Num, Param, Unary, Var,
                                  ExprFunction, evaluate, parse, pretty)
+from stefanlab.coeffmodel import ConstantFn
 from stefanlab.errors import (EvalDomainError, ExprSyntaxError,
                               UnboundParameter, UnknownIdentifier)
 
@@ -170,3 +171,23 @@ def test_expr_function_pickles():
     clone = pickle.loads(pickle.dumps(fn))
     t = np.linspace(0, 1, 7)
     assert np.array_equal(np.asarray(fn(t)), np.asarray(clone(t)))
+
+
+class TestExprFunctionShape:
+    @pytest.mark.parametrize("text", ["1.5", "2*pi", "1 + 0.5*sin(2*pi*t)",
+                                      "exp(-(r^2))", "t*r"])
+    def test_broadcast_shape(self, text):
+        fn = ExprFunction(text)
+        t = np.linspace(0.0, 1.0, 5)
+        r = np.linspace(0.0, 2.0, 7)
+        assert np.shape(fn(t[:, None], r)) == (5, 7)
+        assert np.shape(fn(t)) == (5,)
+        assert np.shape(fn(0.3, r)) == (7,)
+        assert np.ndim(fn(0.3, 0.2)) == 0
+
+    def test_constant_matches_constant_fn(self):
+        t = np.linspace(0.0, 1.0, 6)[:, None]
+        r = np.linspace(0.0, 3.0, 4)
+        out = ExprFunction("1.5")(t, r)
+        assert np.array_equal(out, ConstantFn(1.5)(t, r))
+        out[0, 0] = 0.0     # a fresh array, not a read-only broadcast view

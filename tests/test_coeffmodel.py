@@ -37,6 +37,22 @@ class TestField:
         assert fld.alpha2_max() == pytest.approx(3.0, abs=1e-6)
         assert fld.beta1_min() == pytest.approx(0.5, abs=1e-6)
 
+    def test_alpha2_max_sampled_once(self):
+        calls = []
+
+        def alpha2(t, r=0.0):
+            calls.append(1)
+            return 2.0 + np.sin(2 * np.pi * np.asarray(t))
+
+        fld = CoefficientField(alpha=ConstantFn(2.0), gamma=ConstantFn(0.0),
+                               beta=ConstantFn(1.0), T=1.0, alpha2=alpha2)
+        assert fld.alpha2_max() == pytest.approx(3.0, abs=1e-6)
+        assert fld.alpha2_max() == fld.alpha2_max()
+        assert len(calls) == 1
+        # the cache is not part of the field's value
+        assert fld == CoefficientField(alpha=fld.alpha, gamma=fld.gamma,
+                                       beta=fld.beta, T=1.0, alpha2=alpha2)
+
     def test_tabulated_periodic_wrap(self):
         fn = TabulatedFn([0.0, 0.5, 1.0], [0.0, 1.0],
                          [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]], period=1.0)

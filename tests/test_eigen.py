@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from stefanlab.coeffmodel import CoefficientField, constant_field
-from stefanlab.eigen import (H_STAR_INFINITE, d_thresholds, h_star,
-                             period_map, principal_eigenvalue)
+from stefanlab.eigen import (H_STAR_INFINITE, POTENTIAL_BLOCK, d_thresholds,
+                             h_star, period_map, principal_eigenvalue)
 from stefanlab.errors import BracketInvalid, NoSignChange
 from stefanlab.radialcore import DiffusionSolver, RadialGrid
 
@@ -82,6 +82,76 @@ class TestPeriodMap:
         out = period_map(psi, grid, fld, d, T, substeps=16384)
         ratio = np.max(out) / np.max(psi)
         assert ratio == pytest.approx(math.exp((c - lam_D) * T), rel=2e-3)
+
+
+def per_substep_period_map(psi, grid, field, d, T, substeps, record=None):
+    """period_map written with one coefficient evaluation per substep."""
+    dt = T / substeps
+    solver = DiffusionSolver(grid, d, dt)
+    u = np.array(psi, dtype=float)
+    shots = [u.copy()]
+    per_phase = substeps // record if record else 0
+    for k in range(substeps):
+        pot = np.asarray(field.growth((k + 0.5) * dt, grid.r), dtype=float)
+        u = solver.solve(u * np.exp(dt * pot))
+        u[-1] = 0.0
+        if record and (k + 1) % per_phase == 0 and (k + 1) < substeps:
+            shots.append(u.copy())
+    return u, shots
+
+
+BLOCK_FIELDS = {
+    "constant": constant_field(0.7),
+    "constant-expr": CoefficientField.from_expressions(
+        alpha="1", gamma="0.5", beta="1", T=1.0),
+    "t-only": CoefficientField.from_expressions(
+        alpha="1 + 0.5*sin(2*pi*t)", gamma="0", beta="1", T=1.0),
+    "t-and-r": CoefficientField.from_expressions(
+        alpha="1.2 + 0.5*sin(2*pi*t)", gamma="0.2 + 0.3*exp(-(r^2))",
+        beta="1", T=1.0),
+}
+
+
+class TestBlockedPotential:
+    """period_map evaluates the potential for a block of substeps per
+    call; every output must equal the per-substep loop bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_FIELDS))
+    @pytest.mark.parametrize("substeps", [128, 200])   # 200: partial block
+    def test_bit_equal_without_record(self, name, substeps):
+        fld = BLOCK_FIELDS[name]
+        grid = RadialGrid(n=48, R=2.5, N=2)
+        psi = 1.0 - (grid.r / 2.5) ** 2
+        out = period_map(psi, grid, fld, 1.0, 1.0, substeps)
+        ref, _ = per_substep_period_map(psi, grid, fld, 1.0, 1.0, substeps)
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_FIELDS))
+    def test_bit_equal_with_record(self, name):
+        fld = BLOCK_FIELDS[name]
+        grid = RadialGrid(n=48, R=2.5, N=3)
+        psi = np.cos(np.pi * grid.r / 5.0)
+        out, shots = period_map(psi, grid, fld, 0.7, 1.0, 200, record=8)
+        ref, ref_shots = per_substep_period_map(psi, grid, fld, 0.7, 1.0, 200,
+                                                record=8)
+        assert np.array_equal(out, ref)
+        assert len(shots) == len(ref_shots) == 8
+        assert all(np.array_equal(a, b) for a, b in zip(shots, ref_shots))
+
+    def test_coefficient_calls_per_block(self):
+        calls = []
+
+        class Counting:
+            T = 1.0
+
+            def growth(self, t, r):
+                calls.append(np.shape(t))
+                return 0.5 + 0.0 * t * r
+
+        grid = RadialGrid(n=16, R=1.0, N=2)
+        period_map(np.ones(17), grid, Counting(), 1.0, 1.0,
+                   3 * POTENTIAL_BLOCK + 8)
+        assert [c[0] for c in calls] == [POTENTIAL_BLOCK] * 3 + [8]
 
 
 class TestPrincipalEigenvalue:

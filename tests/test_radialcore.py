@@ -51,6 +51,87 @@ class TestTridiag:
             thomas_reference(np.zeros(n), diag, np.zeros(n), np.ones(n))
 
 
+    def test_singular_elimination(self):
+        # rows 0 and 1 coincide: every diagonal entry is 1 but the
+        # elimination produces an exactly zero pivot
+        lower = np.array([0.0, 1.0, 0.0])
+        upper = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(SolverSingular):
+            solve_tridiag(lower, np.ones(3), upper, np.ones(3))
+
+    def test_one_by_one(self):
+        x = solve_tridiag(np.zeros(1), np.array([4.0]), np.zeros(1),
+                          np.array([2.0]))
+        assert np.array_equal(x, [0.5])
+
+
+def diffusion_bands(grid, d, dt, boundary):
+    """Bands of (I - dt*d*L) written out row by row, independently of
+    DiffusionSolver's vectorized assembly."""
+    n, N = grid.n, grid.N
+    s = dt * d / grid.dr ** 2
+    m = n if boundary == "dirichlet" else n + 1
+    lower, diag, upper = np.zeros(m), np.zeros(m), np.zeros(m)
+    diag[0], upper[0] = 1.0 + 2.0 * N * s, -2.0 * N * s
+    for j in range(1, n):
+        w = (N - 1) / (2.0 * j)
+        diag[j] = 1.0 + 2.0 * s
+        lower[j] = -s * (1.0 - w)
+        upper[j] = -s * (1.0 + w)
+    if boundary == "neumann":
+        diag[n] = 1.0 + 2.0 * s
+        lower[n] = -2.0 * s
+    return lower, diag, upper
+
+
+class TestPrefactoredSolver:
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_matches_thomas_reference(self, boundary, N):
+        grid = RadialGrid(n=60, R=3.0, N=N)
+        d, dt = 0.8, 1e-2
+        solver = DiffusionSolver(grid, d, dt, boundary)
+        bands = diffusion_bands(grid, d, dt, boundary)
+        m = bands[1].size
+        rng = np.random.default_rng(11)
+        # the factorization is reused: every solve must match a fresh one
+        for _ in range(3):
+            rhs = rng.standard_normal(grid.n + 1)
+            out = solver.solve(rhs)
+            ref = thomas_reference(*bands, rhs[:m])
+            assert np.allclose(out[:m], ref, rtol=1e-12, atol=1e-12)
+            assert np.all(out[m:] == 0.0)
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    def test_bit_equal_to_fresh_elimination(self, boundary):
+        # gttrf/gttrs perform the same operations as one gtsv call on a
+        # diagonally dominant system, so prefactoring changes no output
+        grid = RadialGrid(n=128, R=5.0, N=2)
+        solver = DiffusionSolver(grid, 1.3, 2e-3, boundary)
+        bands = diffusion_bands(grid, 1.3, 2e-3, boundary)
+        m = bands[1].size
+        rhs = np.random.default_rng(5).standard_normal(grid.n + 1)
+        assert np.array_equal(solver.solve(rhs)[:m],
+                              solve_tridiag(*bands, rhs[:m]))
+
+    @pytest.mark.parametrize("n,boundary", [(1, "dirichlet"), (2, "dirichlet"),
+                                            (1, "neumann")])
+    def test_tiny_grids(self, n, boundary):
+        grid = RadialGrid(n=n, R=1.0, N=2)
+        bands = diffusion_bands(grid, 1.0, 0.1, boundary)
+        m = bands[1].size
+        rhs = np.arange(1.0, n + 2.0)
+        out = DiffusionSolver(grid, 1.0, 0.1, boundary).solve(rhs)
+        assert np.allclose(out[:m], thomas_reference(*bands, rhs[:m]),
+                           rtol=1e-12)
+
+    def test_singular_at_construction(self):
+        # s = dt*d/dr^2 = -1/(2N) zeroes the first diagonal entry
+        grid = RadialGrid(n=8, R=8.0, N=2)
+        with pytest.raises(SolverSingular):
+            DiffusionSolver(grid, -0.25, 1.0)
+
+
 class TestLaplacian:
     def test_constant_is_zero(self):
         grid = RadialGrid(n=64, R=2.0, N=2)

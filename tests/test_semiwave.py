@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from stefanlab.coeffexpr import ExprFunction
 from stefanlab.coeffmodel import CoefficientField, constant_field
 from stefanlab.errors import HypothesisHFailed, NotSpreading
 from stefanlab.semiwave import (envelope_speeds, k0_fixed_point,
@@ -103,6 +104,14 @@ class TestK0FixedPoint:
     def test_small_mu_limit(self):
         res = k0_fixed_point(1e-3, 1.0, 1.0, 1.0, 1.0)
         assert res.c < 0.1
+
+    def test_constant_expression_coefficients(self):
+        # constant expressions evaluate to arrays like numeric constants do
+        res = k0_fixed_point(1.0, ExprFunction("1"), ExprFunction("1"), 1.0, 1.0,
+                             tol=1e-4)
+        ref = k0_fixed_point(1.0, 1.0, 1.0, 1.0, 1.0, tol=1e-4)
+        assert res.c == pytest.approx(ref.c, rel=1e-12)
+        assert np.allclose(res.k0, ref.k0, rtol=1e-12)
 
     def test_profile_consistency(self):
         # at the fixed point, mu*U_r(t,0) reproduces k0
