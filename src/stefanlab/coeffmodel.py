@@ -64,12 +64,6 @@ def _as_fn(spec, params=None):
     return ConstantFn(spec)
 
 
-def _as_tfn(spec, params=None):
-    """Coerce into a function of t only (still called as f(t))."""
-    fn = _as_fn(spec, params)
-    return fn
-
-
 PERIODICITY_RTOL = 1e-10
 
 
@@ -101,8 +95,8 @@ class CoefficientField:
         for name, fn in (("alpha", fa), ("gamma", fg), ("beta", fb)):
             lo_key, hi_key = name + "1", name + "2"
             if lo_key in env and hi_key in env:
-                out[lo_key] = _as_tfn(env[lo_key], params)
-                out[hi_key] = _as_tfn(env[hi_key], params)
+                out[lo_key] = _as_fn(env[lo_key], params)
+                out[hi_key] = _as_fn(env[hi_key], params)
             else:
                 out[lo_key], out[hi_key] = _sampled_envelopes(fn, T, r_max, samples)
         return CoefficientField(alpha=fa, gamma=fg, beta=fb, T=float(T),

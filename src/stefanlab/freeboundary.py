@@ -210,11 +210,10 @@ def simulate(spec, t_max=None, sample_every=None):
 
 @dataclass(frozen=True)
 class Evidence:
-    criterion: str            # "eigenvalue" | "radius_threshold" | "decay" | "nearest-miss"
+    criterion: str            # "eigenvalue" | "decay" | "nearest-miss"
     h_star: float
     h_final: float
     u_sup_final: float
-    lambda1: float = math.nan
 
 
 @dataclass(frozen=True)

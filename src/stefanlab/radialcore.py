@@ -7,6 +7,7 @@ period-map iteration that locates T-periodic attractors of the logistic
 reaction-diffusion problem on a ball.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,18 +96,70 @@ def radial_laplacian(grid, u):
     return out
 
 
+class FactoredTridiag:
+    """A tridiagonal matrix LU-factored once for many right-hand sides.
+
+    Bands follow solve_tridiag's convention.  The matrix is factored with
+    LAPACK gttrf at construction and each solve() is one gttrs
+    forward/back substitution.  On a diagonally dominant matrix no rows
+    are interchanged, so a solve does the same arithmetic as a fresh gtsv
+    elimination (solve_tridiag).  Raises SolverSingular at construction
+    for a diagonal entry below PIVOT_EPS or an exactly singular
+    factorization.  Systems under 3 unknowns, which the LAPACK wrapper
+    does not factor, are solved by solve_tridiag.
+    """
+
+    def __init__(self, lower, diag, upper):
+        diag = np.asarray(diag, dtype=float)
+        if np.min(np.abs(diag)) < PIVOT_EPS:
+            raise SolverSingular("tridiagonal pivot below %g" % PIVOT_EPS)
+        self.size = diag.size
+        self._bands = (lower, diag, upper)
+        self._lu = None
+        if self.size >= 3:
+            *lu, info = lapack.dgttrf(lower[1:], diag, upper[:-1])
+            if info != 0:
+                raise SolverSingular("gttrf: zero pivot at row %d" % info)
+            self._lu = lu
+
+    def solve(self, rhs):
+        if self._lu is None:
+            return solve_tridiag(*self._bands, rhs)
+        return lapack.dgttrs(*self._lu, rhs)[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _band_pattern(n, N, boundary):
+    """Bands of (I - dt*d*L) divided by s = dt*d/dr^2, without the identity:
+    the operator is (-s*lower, 1 + s*diag, -s*upper).  Each scaled entry is
+    the same product as in a row-by-row assembly (-s*(1 - w), 1 + 2*s,
+    -2*N*s), so the operator is bit-identical.  Read-only; shared by every
+    solver on an (n, N, boundary) grid."""
+    m = n if boundary == "dirichlet" else n + 1
+    lower = np.zeros(m)
+    diag = np.full(m, 2.0)
+    upper = np.zeros(m)
+    diag[0] = 2.0 * N
+    upper[0] = 2.0 * N
+    w = (N - 1) / (2.0 * np.arange(1, n))
+    lower[1:n] = 1.0 - w
+    upper[1:n] = 1.0 + w
+    if boundary == "neumann":
+        # reflection at r = R keeps only u_rr (u_r = 0 kills the 1/r term)
+        lower[n] = 2.0
+    for band in (lower, diag, upper):
+        band.flags.writeable = False
+    return lower, diag, upper
+
+
 class DiffusionSolver:
     """Implicit-Euler diffusion step (I - dt*d*L) u+ = rhs on a RadialGrid.
 
     boundary "dirichlet": u(R) = 0, unknowns are nodes 0..n-1.
     boundary "neumann": reflected ghost at r = R, unknowns 0..n.
-    The operator is assembled and LU-factored (LAPACK gttrf) once per
-    (grid, d, dt); each solve() is only the gttrs forward/back
-    substitution.  The operator is diagonally dominant, so no rows are
-    interchanged and a solve does the same arithmetic as a fresh gtsv
-    elimination (solve_tridiag).  Raises SolverSingular at construction
-    for a diagonal entry below PIVOT_EPS or an exactly singular
-    factorization.
+    The operator is the cached band pattern of the grid scaled by
+    s = dt*d/dr^2, factored once per (grid, d, dt) as a FactoredTridiag.
+    Raises SolverSingular at construction.
     """
 
     def __init__(self, grid, d, dt, boundary="dirichlet"):
@@ -114,40 +167,14 @@ class DiffusionSolver:
         self.d = d
         self.dt = dt
         self.boundary = boundary
-        n, dr, N = grid.n, grid.dr, grid.N
-        s = dt * d / dr ** 2
-        m = n if boundary == "dirichlet" else n + 1
-        lower = np.zeros(m)
-        diag = np.zeros(m)
-        upper = np.zeros(m)
-        diag[0] = 1.0 + 2.0 * N * s
-        upper[0] = -2.0 * N * s
-        j = np.arange(1, n)
-        w = (N - 1) / (2.0 * j)
-        diag[1:n] = 1.0 + 2.0 * s
-        lower[1:n] = -s * (1.0 - w)
-        upper[1:n] = -s * (1.0 + w)
-        if boundary == "neumann":
-            # reflection at r = R keeps only u_rr (u_r = 0 kills the 1/r term)
-            diag[n] = 1.0 + 2.0 * s
-            lower[n] = -2.0 * s
-        if np.min(np.abs(diag)) < PIVOT_EPS:
-            raise SolverSingular("tridiagonal pivot below %g" % PIVOT_EPS)
-        self._m = m
-        self._bands = (lower, diag, upper)
-        self._lu = None
-        if m >= 3:      # the LAPACK wrapper rejects factoring smaller systems
-            *lu, info = lapack.dgttrf(lower[1:], diag, upper[:-1])
-            if info != 0:
-                raise SolverSingular("gttrf: zero pivot at row %d" % info)
-            self._lu = lu
+        s = dt * d / grid.dr ** 2
+        lower, diag, upper = _band_pattern(grid.n, grid.N, boundary)
+        self._op = FactoredTridiag(-s * lower, 1.0 + s * diag, -s * upper)
 
     def solve(self, rhs):
+        m = self._op.size
         out = np.zeros(self.grid.n + 1)
-        if self._lu is None:
-            out[:self._m] = solve_tridiag(*self._bands, rhs[:self._m])
-        else:
-            out[:self._m] = lapack.dgttrs(*self._lu, rhs[:self._m])[0]
+        out[:m] = self._op.solve(rhs[:m])
         return out
 
 

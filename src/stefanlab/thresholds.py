@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen, freeboundary
-from .errors import BracketInvalid, TooManyUndecided
+from .errors import (BracketInvalid, NoConvergence, NonPositiveIterate,
+                     NoSignChange, SolverSingular, TooManyUndecided)
 
 HORIZON_START = 50.0     # in periods
 HORIZON_CAP = 400.0
@@ -238,7 +239,8 @@ def criteria_experiment(kind, spec, amplitudes=(0.05, 0.5, 5.0)):
         dth = eigen.d_thresholds(fld, spec.h0, fld.T, d_lo=1e-2 * spec.d,
                                  d_hi=1e2 * spec.d, N=spec.N, n=96)
         d_star, d_upper = dth.d_star, dth.d_upper
-    except Exception:
+    except (NoSignChange, NoConvergence, NonPositiveIterate, SolverSingular):
+        # no d-threshold to report: the diffusion regimes get NaN
         d_star = d_upper = math.nan
     chosen = {}
     if kind == "SlowDiffusion":

@@ -189,6 +189,16 @@ class TestRun:
         assert float(np.mean(k0)) == pytest.approx(speed["c"], rel=1e-12)
 
 
+    def test_speed_nonpositive_mean_growth_exit(self, tmp_path):
+        # alpha - gamma has mean -0.3 in the far field: no semi-wave
+        text = MINIMAL.replace("command=simulate", "command=speed")
+        text = text.replace("gamma=0", "gamma=0.5").replace("alpha=1", "alpha=0.2")
+        path = write(tmp_path, text)
+        out = str(tmp_path / "speed")
+        assert cli.main(["--config", path, "--out", out]) == 3
+        assert not os.path.exists(os.path.join(out, "speed.json"))
+
+
 class TestMain:
     def test_config_error_exit(self, tmp_path, capsys):
         path = write(tmp_path, MINIMAL.replace("mu=1\n", ""))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from stefanlab import freeboundary
 from stefanlab.coeffmodel import (CoefficientField, ProblemSpec,
                                   constant_field)
 from stefanlab.freeboundary import (FreeBoundaryState, classify_outcome,
                                     front_gradient, initial_state, simulate,
                                     step_free)
+from stefanlab.radialcore import solve_tridiag
 
 J01 = 2.4048255576957724
 
@@ -46,6 +48,46 @@ class TestStepFree:
         for _ in range(500):
             state, _ = step_free(state, spec, 1e-3)
             assert np.all(state.u >= 0.0)
+
+
+class FreshSolver:
+    """Dirichlet diffusion step assembled row by row and eliminated from
+    scratch (gtsv) on every solve: no cached band pattern, no factors."""
+
+    def __init__(self, grid, d, dt, boundary):
+        n, N = grid.n, grid.N
+        s = dt * d / grid.dr ** 2
+        self.n = n
+        self.bands = np.zeros((3, n))
+        lower, diag, upper = self.bands
+        diag[0], upper[0] = 1.0 + 2.0 * N * s, -2.0 * N * s
+        for j in range(1, n):
+            w = (N - 1) / (2.0 * j)
+            diag[j] = 1.0 + 2.0 * s
+            lower[j] = -s * (1.0 - w)
+            upper[j] = -s * (1.0 + w)
+
+    def solve(self, rhs):
+        out = np.zeros(self.n + 1)
+        out[:self.n] = solve_tridiag(*self.bands, rhs[:self.n])
+        return out
+
+
+class TestCachedOperator:
+    def test_bit_equal_to_fresh_solver(self, monkeypatch):
+        # h changes every step, so every step rescales the cached pattern;
+        # two dimensions on one grid size check the cache key
+        fld = CoefficientField.from_expressions(
+            alpha="1 + 0.5*sin(2*pi*t)", gamma="0.2*exp(-r)", beta="1", T=1.0)
+        specs = [ProblemSpec.build(fld, N=N, d=1.0, mu=4.0, h0=2.0, n=96,
+                                   t_max=1.5) for N in (2, 3, 2)]
+        cached = [simulate(spec) for spec in specs]
+        monkeypatch.setattr(freeboundary, "DiffusionSolver", FreshSolver)
+        for spec, traj in zip(specs, cached):
+            fresh = simulate(spec)
+            assert traj.h[-1] > spec.h0
+            assert np.array_equal(traj.h, fresh.h)
+            assert np.array_equal(traj.final.u, fresh.final.u)
 
 
 class TestSimulate:

@@ -4,7 +4,7 @@ import pytest
 from stefanlab.coeffmodel import CoefficientField, constant_field
 from stefanlab.errors import (DomainNotLargeEnough, SolverSingular,
                               StepSizeTooLarge)
-from stefanlab.radialcore import (DiffusionSolver, RadialGrid,
+from stefanlab.radialcore import (DiffusionSolver, FactoredTridiag, RadialGrid,
                                   entire_space_periodic, periodic_attractor,
                                   radial_laplacian, solve_tridiag,
                                   step_reaction_diffusion, thomas_reference)
@@ -63,6 +63,46 @@ class TestTridiag:
         x = solve_tridiag(np.zeros(1), np.array([4.0]), np.zeros(1),
                           np.array([2.0]))
         assert np.array_equal(x, [0.5])
+
+
+class TestFactoredTridiag:
+    @pytest.mark.parametrize("m", [1, 2, 3, 40])
+    def test_matches_thomas_reference(self, m):
+        rng = np.random.default_rng(m)
+        lower = rng.uniform(-1, 0, m)
+        upper = rng.uniform(-1, 0, m)
+        diag = 2.5 + rng.uniform(0, 1, m)  # diagonally dominant
+        op = FactoredTridiag(lower, diag, upper)
+        assert op.size == m
+        # one factorization serves every right-hand side
+        for _ in range(3):
+            rhs = rng.standard_normal(m)
+            assert np.allclose(op.solve(rhs),
+                               thomas_reference(lower, diag, upper, rhs),
+                               rtol=1e-12, atol=1e-12)
+
+    def test_bit_equal_to_fresh_elimination(self):
+        m = 1023
+        s = 0.37
+        bands = (np.full(m, -s), np.full(m, 1.0 + 2.0 * s), np.full(m, -s))
+        op = FactoredTridiag(*bands)
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            rhs = rng.standard_normal(m)
+            assert np.array_equal(op.solve(rhs), solve_tridiag(*bands, rhs))
+
+    def test_small_pivot_at_construction(self):
+        diag = np.ones(5)
+        diag[2] = 1e-15
+        with pytest.raises(SolverSingular):
+            FactoredTridiag(np.zeros(5), diag, np.zeros(5))
+
+    def test_singular_elimination_at_construction(self):
+        # the matrix of TestTridiag.test_singular_elimination
+        lower = np.array([0.0, 1.0, 0.0])
+        upper = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(SolverSingular):
+            FactoredTridiag(lower, np.ones(3), upper)
 
 
 def diffusion_bands(grid, d, dt, boundary):

@@ -1,11 +1,13 @@
+import math
 import pickle
 
 import numpy as np
 import pytest
 
+from stefanlab import eigen, thresholds
 from stefanlab.coeffmodel import (CoefficientField, ProblemSpec,
                                   constant_field)
-from stefanlab.errors import BracketInvalid
+from stefanlab.errors import BracketInvalid, NoSignChange
 from stefanlab.thresholds import (ScaledProfile, ThresholdResult,
                                   criteria_experiment, ladder_is_sorted,
                                   mu_star, sigma0, verdict_ladder)
@@ -105,3 +107,27 @@ class TestCriteriaExperiment:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             criteria_experiment("Bogus", favorable_spec())
+
+    @staticmethod
+    def _stub_probes(monkeypatch, d_thresholds):
+        monkeypatch.setattr(eigen, "d_thresholds", d_thresholds)
+        monkeypatch.setattr(thresholds, "_hstar_for", lambda spec: J01)
+        monkeypatch.setattr(thresholds._Prober, "verdict",
+                            lambda self, **kw: "Spreading")
+
+    def test_no_sign_change_gives_nan_thresholds(self, monkeypatch):
+        def one_signed(*args, **kwargs):
+            raise NoSignChange(+1)
+
+        self._stub_probes(monkeypatch, one_signed)
+        rep = criteria_experiment("LargeHabitat", favorable_spec())
+        assert math.isnan(rep.d_star) and math.isnan(rep.d_upper)
+        assert rep.matches
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bad call")
+
+        self._stub_probes(monkeypatch, broken)
+        with pytest.raises(TypeError):
+            criteria_experiment("LargeHabitat", favorable_spec())
