@@ -32,7 +32,6 @@ from .errors import (BoundViolated, BracketInvalid, ConfigError,
                      NoSignChange, NotSpreading, SolverSingular,
                      StefanLabError, StepSizeTooLarge, TooManyUndecided,
                      TruncationTooSmall, TypeMismatch, UnknownKey)
-from .thresholds import ScaledProfile
 
 log = logging.getLogger("stefanlab")
 
@@ -44,7 +43,7 @@ COMMANDS = ("simulate", "eigen", "hstar", "speed", "mu-star", "sigma0",
 # schema: section -> key -> (type, default); default None means required
 # when the section is active for the chosen command
 _SCHEMA = {
-    "run": {"command": ("str", None), "seed": ("int", 0), "out": ("str", ".")},
+    "run": {"command": ("str", None), "out": ("str", ".")},
     "field": {"alpha": ("expr", None), "gamma": ("expr", "0"),
               "beta": ("expr", "1"), "T": ("float", 1.0)},
     "problem": {"d": ("float", None), "mu": ("float", None),
@@ -298,15 +297,6 @@ def _eigen_point(args):
     return (R, res.lambda1, res.rho, res.iterations, res.residual)
 
 
-def _cell_spec(spec, axis, value):
-    if axis == "sigma":
-        return spec.with_(u0=ScaledProfile(spec.u0, value))
-    if axis == "h0":
-        # stretch the profile so it stays admissible on the new span
-        return thresholds.respan_initial_profile(spec, value)
-    return spec.with_(**{axis: value})
-
-
 # --- command implementations ---
 
 def _cmd_simulate(config, spec, arts, horizon_scale):
@@ -402,7 +392,7 @@ def _cmd_sweep(config, spec, arts, jobs, horizon_scale):
     work = []
     for v1 in v["axis1_values"]:
         for v2 in v["axis2_values"]:
-            cell = _cell_spec(_cell_spec(spec, a1, v1), a2, v2)
+            cell = thresholds.spec_at(thresholds.spec_at(spec, a1, v1), a2, v2)
             work.append((cell, t_max, v1, v2))
     if jobs and jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -451,7 +441,6 @@ def run(config, out_dir=None, jobs=None, horizon_scale=1.0):
         out_dir = config.get("run", "out")
     if jobs is None:
         jobs = os.cpu_count() or 1
-    np.random.seed(config.get("run", "seed") & 0x7FFFFFFF)
     spec = build_spec(config)
     report = validate(spec)
     if not report.ok:

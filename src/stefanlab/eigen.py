@@ -13,6 +13,7 @@ Also provides the habitat-radius threshold where lambda1 crosses zero and
 the slow/fast diffusion thresholds.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,8 @@ import numpy as np
 
 from .errors import BracketInvalid, NoConvergence, NonPositiveIterate, NoSignChange
 from .radialcore import DiffusionSolver, RadialGrid
+
+log = logging.getLogger("stefanlab")
 
 H_STAR_INFINITE = math.inf
 POTENTIAL_BLOCK = 64      # substeps per coefficient evaluation in period_map
@@ -139,6 +142,23 @@ def principal_eigenvalue(d, field, R, T, N=2, tol=1e-7, n=512, substeps=None,
                        iterations=it_c + it_f, residual=residual)
 
 
+def _bisect(upper, lo, hi, wide, split=lambda lo, hi: 0.5 * (lo + hi)):
+    """Shrink the bracket [lo, hi] around the sign change of a monotone test.
+
+    While ``wide(lo, hi)`` holds, probes ``mid = split(lo, hi)`` and keeps
+    the half where the test changes: ``upper(mid)`` true means mid lies on
+    hi's side, so it becomes hi, otherwise lo.  Returns the final (lo, hi).
+    """
+    while wide(lo, hi):
+        mid = split(lo, hi)
+        log.debug("bisect [%.10g, %.10g]: probe %.10g", lo, hi, mid)
+        if upper(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def h_star(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512, substeps=None,
            eig_tol=1e-7):
     """Habitat-radius threshold: the root of lambda1(R) = 0 by bisection.
@@ -170,12 +190,8 @@ def h_star(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512, substeps=None,
         hi *= 4.0
         if lam(hi) > 0:
             return H_STAR_INFINITE
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if lam(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda R: not lam(R) > 0, lo, hi,
+                     lambda lo, hi: hi - lo > tol)
     return 0.5 * (lo + hi)
 
 
@@ -213,20 +229,17 @@ def d_thresholds(field, R, T, d_lo, d_hi, tol=1e-3, N=2, points=32, n=256,
     if flips.size == 0:
         raise NoSignChange(+1 if signs[0] else -1)
 
-    def refine(lo, hi):
-        # bisect for the zero crossing inside [lo, hi]
-        f_lo = lam(lo)
-        while hi / lo > 1.0 + tol:
-            mid = math.sqrt(lo * hi)
-            if (lam(mid) > 0) == (f_lo > 0):
-                lo = mid
-            else:
-                hi = mid
+    def refine(i):
+        # bisect for the zero crossing inside [ds[i], ds[i+1]]; the left
+        # end's sign is the scan's
+        lo, hi = _bisect(lambda d: (lam(d) > 0) != signs[i], ds[i], ds[i + 1],
+                         lambda lo, hi: hi / lo > 1.0 + tol,
+                         split=lambda lo, hi: math.sqrt(lo * hi))
         return math.sqrt(lo * hi)
 
     first = flips[0]
     last = flips[-1]
-    d_star = refine(ds[first], ds[first + 1])
-    d_upper = d_star if last == first else refine(ds[last], ds[last + 1])
+    d_star = refine(first)
+    d_upper = d_star if last == first else refine(last)
     return DThresholds(d_star=float(d_star), d_upper=float(d_upper),
                        scan_d=ds, scan_lambda=lams, crossings=int(flips.size))

@@ -155,7 +155,7 @@ def semiwave_profile(k, a, b, d, T, L=None, n=1024, tol=1e-7, phases=64,
         return None
     if L is None:
         L = 50.0 * math.sqrt(d)
-    n = max(int(n), 1024)
+    n = int(n)
     if V is None:
         V = periodic_logistic(a, b, T)
     if dt is None:

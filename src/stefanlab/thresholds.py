@@ -63,6 +63,20 @@ def respan_initial_profile(spec, h0_new):
                       u0=StretchedProfile(spec.u0, spec.h0 / float(h0_new)))
 
 
+def spec_at(spec, param, value):
+    """Spec copy with one probe parameter set to ``value``.
+
+    ``sigma`` scales the initial profile (u0 = sigma * spec.u0), ``h0``
+    respans it onto the new radius, and any other name is a ProblemSpec
+    field or numerics key.
+    """
+    if param == "sigma":
+        return spec.with_(u0=ScaledProfile(spec.u0, value))
+    if param == "h0":
+        return respan_initial_profile(spec, value)
+    return spec.with_(**{param: value})
+
+
 class _Prober:
     def __init__(self, spec, h_star_value):
         self.spec = spec
@@ -72,10 +86,8 @@ class _Prober:
 
     def verdict(self, **overrides):
         spec = self.spec
-        if "h0" in overrides:
-            spec = respan_initial_profile(spec, overrides.pop("h0"))
-        if overrides:
-            spec = spec.with_(**overrides)
+        for param, value in overrides.items():
+            spec = spec_at(spec, param, value)
         T = spec.field.T
         horizon = HORIZON_START * T
         escalations = 0
@@ -105,21 +117,50 @@ def _hstar_for(spec, n=256):
         return 0.05 * spec.h0
 
 
-def _bisect(prober, lo, hi, tol, param):
-    v_lo = prober.verdict(**{param: lo})
-    v_hi = prober.verdict(**{param: hi})
+def _sharp_threshold(spec, param, lo, hi, tol, h_star_value,
+                     bound_if_undecided):
+    """Bisect the Vanishing -> Spreading flip of the verdict in ``param``.
+
+    Value 0 when lambda1 at the initial radius is already nonpositive
+    (h0 >= h*), where spreading holds for every value.  When the upper
+    endpoint stays Undecided up to the escalation cap, the result is
+    [lo, hi] as a lower bound only if ``bound_if_undecided``; otherwise
+    TooManyUndecided propagates.
+    """
+    if h_star_value is None:
+        h_star_value = _hstar_for(spec)
+    if math.isfinite(h_star_value) and spec.h0 >= h_star_value:
+        return ThresholdResult(value=0.0, bracket=(0.0, 0.0),
+                               verdict_lo="Spreading", verdict_hi="Spreading",
+                               evaluations=0, undecided_encounters=0,
+                               evidence="lambda1(h0) <= 0 => spreading for all %s"
+                               % param)
+    prober = _Prober(spec, h_star_value)
+
+    def verdict(value):
+        return prober.verdict(**{param: value})
+
+    lo, hi = float(lo), float(hi)
+    v_lo = verdict(lo)
+    try:
+        v_hi = verdict(hi)
+    except TooManyUndecided:
+        if not bound_if_undecided:
+            raise
+        # spreading endpoint not certified within the escalation cap;
+        # report the bracket as a lower bound instead of asserting finiteness
+        return ThresholdResult(value=hi, bracket=(lo, hi),
+                               verdict_lo=v_lo, verdict_hi="Undecided",
+                               evaluations=prober.evaluations,
+                               undecided_encounters=prober.undecided,
+                               evidence="lower bound only")
     if v_lo != "Vanishing" or v_hi != "Spreading":
         raise BracketInvalid(
             "%s bracket endpoints gave (%s, %s); need (Vanishing, Spreading)"
             % (param, v_lo, v_hi))
-    while hi - lo > tol * (1.0 + 0.5 * (lo + hi)):
-        mid = 0.5 * (lo + hi)
-        if prober.verdict(**{param: mid}) == "Spreading":
-            hi = mid
-        else:
-            lo = mid
-    value = 0.5 * (lo + hi)
-    return ThresholdResult(value=value, bracket=(lo, hi),
+    lo, hi = eigen._bisect(lambda x: verdict(x) == "Spreading", lo, hi,
+                           lambda lo, hi: hi - lo > tol * (1.0 + 0.5 * (lo + hi)))
+    return ThresholdResult(value=0.5 * (lo + hi), bracket=(lo, hi),
                            verdict_lo="Vanishing", verdict_hi="Spreading",
                            evaluations=prober.evaluations,
                            undecided_encounters=prober.undecided)
@@ -130,78 +171,35 @@ def mu_star(spec, mu_lo, mu_hi, tol=0.01, h_star_value=None):
 
     Returns value 0 immediately when lambda1 at the initial radius is
     already nonpositive (h0 >= h*), where spreading holds for every mu.
+    Raises TooManyUndecided when the mu_hi probe stays Undecided.
     """
-    if h_star_value is None:
-        h_star_value = _hstar_for(spec)
-    if math.isfinite(h_star_value) and spec.h0 >= h_star_value:
-        return ThresholdResult(value=0.0, bracket=(0.0, 0.0),
-                               verdict_lo="Spreading", verdict_hi="Spreading",
-                               evaluations=0, undecided_encounters=0,
-                               evidence="lambda1(h0) <= 0 => spreading for all mu")
-    prober = _Prober(spec, h_star_value)
-    return _bisect(prober, float(mu_lo), float(mu_hi), tol, "mu")
+    return _sharp_threshold(spec, "mu", mu_lo, mu_hi, tol, h_star_value,
+                            bound_if_undecided=False)
 
 
 def sigma0(spec, zeta, sigma_lo, sigma_hi, tol=0.01, h_star_value=None):
-    """Sharp initial-amplitude threshold for u0 = sigma * zeta."""
-    if h_star_value is None:
-        h_star_value = _hstar_for(spec)
-    if math.isfinite(h_star_value) and spec.h0 >= h_star_value:
-        return ThresholdResult(value=0.0, bracket=(0.0, 0.0),
-                               verdict_lo="Spreading", verdict_hi="Spreading",
-                               evaluations=0, undecided_encounters=0,
-                               evidence="lambda1(h0) <= 0 => spreading for all sigma")
+    """Sharp initial-amplitude threshold for u0 = sigma * zeta.
 
-    class _SigmaProber(_Prober):
-        def verdict(self, sigma):
-            return _Prober.verdict(self, u0=ScaledProfile(zeta, sigma))
-
-    prober = _SigmaProber(spec, h_star_value)
-    v_lo = prober.verdict(sigma=float(sigma_lo))
-    try:
-        v_hi = prober.verdict(sigma=float(sigma_hi))
-    except TooManyUndecided:
-        # spreading endpoint not certified within the escalation cap;
-        # report the bracket as a lower bound instead of asserting finiteness
-        return ThresholdResult(value=float(sigma_hi),
-                               bracket=(float(sigma_lo), float(sigma_hi)),
-                               verdict_lo=v_lo, verdict_hi="Undecided",
-                               evaluations=prober.evaluations,
-                               undecided_encounters=prober.undecided,
-                               evidence="lower bound only")
-    if v_lo != "Vanishing" or v_hi != "Spreading":
-        raise BracketInvalid(
-            "sigma bracket endpoints gave (%s, %s); need (Vanishing, Spreading)"
-            % (v_lo, v_hi))
-    lo, hi = float(sigma_lo), float(sigma_hi)
-    while hi - lo > tol * (1.0 + 0.5 * (lo + hi)):
-        mid = 0.5 * (lo + hi)
-        if prober.verdict(sigma=mid) == "Spreading":
-            hi = mid
-        else:
-            lo = mid
-    return ThresholdResult(value=0.5 * (lo + hi), bracket=(lo, hi),
-                           verdict_lo="Vanishing", verdict_hi="Spreading",
-                           evaluations=prober.evaluations,
-                           undecided_encounters=prober.undecided)
+    When the sigma_hi probe stays Undecided the result is the bracket as a
+    lower bound only (value sigma_hi, verdict_hi "Undecided").
+    """
+    return _sharp_threshold(spec.with_(u0=zeta), "sigma", sigma_lo, sigma_hi,
+                            tol, h_star_value, bound_if_undecided=True)
 
 
 def verdict_ladder(spec, param, values, zeta=None, h_star_value=None):
     """Audit verdict monotonicity along a parameter ladder.
 
-    Returns the list of verdicts; a sorted ladder is all-Vanishing then
-    all-Spreading.
+    ``zeta``, when given, replaces the initial profile (the base of a
+    ``sigma`` ladder).  Returns the list of verdicts; a sorted ladder is
+    all-Vanishing then all-Spreading.
     """
+    if zeta is not None:
+        spec = spec.with_(u0=zeta)
     if h_star_value is None:
         h_star_value = _hstar_for(spec)
     prober = _Prober(spec, h_star_value)
-    out = []
-    for v in values:
-        if param == "sigma":
-            out.append(prober.verdict(u0=ScaledProfile(zeta or spec.u0, v)))
-        else:
-            out.append(prober.verdict(**{param: v}))
-    return out
+    return [prober.verdict(**{param: v}) for v in values]
 
 
 def ladder_is_sorted(verdicts):
@@ -234,7 +232,6 @@ def criteria_experiment(kind, spec, amplitudes=(0.05, 0.5, 5.0)):
     matches the regime's prediction.  Mismatches are reported, not thrown.
     """
     fld = spec.field
-    h_star_value = _hstar_for(spec)
     try:
         dth = eigen.d_thresholds(fld, spec.h0, fld.T, d_lo=1e-2 * spec.d,
                                  d_hi=1e2 * spec.d, N=spec.N, n=96)
@@ -242,32 +239,28 @@ def criteria_experiment(kind, spec, amplitudes=(0.05, 0.5, 5.0)):
     except (NoSignChange, NoConvergence, NonPositiveIterate, SolverSingular):
         # no d-threshold to report: the diffusion regimes get NaN
         d_star = d_upper = math.nan
-    chosen = {}
     if kind == "SlowDiffusion":
-        chosen["d"] = 0.5 * d_star
+        param, value = "d", 0.5 * d_star
         prediction = "all Spreading"
     elif kind == "FastDiffusion":
-        chosen["d"] = 2.0 * d_upper
+        param, value = "d", 2.0 * d_upper
         prediction = "Vanishing for small, Spreading for large"
     elif kind == "LargeHabitat":
-        chosen["h0"] = 1.2 * h_star_value
+        param, value = "h0", 1.2 * _hstar_for(spec)
         prediction = "all Spreading"
     elif kind == "SmallHabitat":
-        chosen["h0"] = 0.6 * h_star_value
+        param, value = "h0", 0.6 * _hstar_for(spec)
         prediction = "Vanishing for small, Spreading for large"
     else:
         raise ValueError("unknown experiment kind %r" % kind)
 
-    if "h0" in chosen:
-        probe_spec = respan_initial_profile(spec, chosen["h0"])
-    else:
-        probe_spec = spec.with_(**chosen)
-    hs = _hstar_for(probe_spec) if ("d" in chosen or "h0" in chosen) else h_star_value
+    probe_spec = spec_at(spec, param, value)
+    hs = _hstar_for(probe_spec)
     prober = _Prober(probe_spec, hs)
     verdicts = []
     for amp in amplitudes:
         try:
-            verdicts.append(prober.verdict(u0=ScaledProfile(probe_spec.u0, amp)))
+            verdicts.append(prober.verdict(sigma=amp))
         except TooManyUndecided:
             verdicts.append("Undecided")
     verdicts = tuple(verdicts)
@@ -276,5 +269,6 @@ def criteria_experiment(kind, spec, amplitudes=(0.05, 0.5, 5.0)):
     else:
         matches = verdicts[0] == "Vanishing" and verdicts[-1] == "Spreading"
     return CriteriaReport(kind=kind, h_star_value=hs, d_star=d_star,
-                          d_upper=d_upper, chosen=chosen, verdicts=verdicts,
+                          d_upper=d_upper, chosen={param: value},
+                          verdicts=verdicts,
                           prediction=prediction, matches=matches)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ h0=3
 n=64
 t_max=5
 """
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -225,3 +229,29 @@ class TestMain:
         out = str(tmp_path / "out")
         assert cli.main(["--config", path, "--out", out]) == 3
         assert not os.path.exists(os.path.join(out, "outcome.json"))
+
+
+class TestDocumentedConfig:
+    def test_readme_example_loads(self):
+        with open(README, encoding="utf-8") as fh:
+            blocks = re.findall(r"```ini\n(.*?)```", fh.read(), re.DOTALL)
+        assert len(blocks) == 1
+        cfg = cli.loads_config(blocks[0])
+        assert cfg.command == "simulate"
+        assert cfg.get("field", "T") == 1.0
+        assert cfg.get("problem", "N") == 2
+        assert cfg.get("problem", "u0") == ""
+        assert cfg.get("numerics", "n") == 256
+
+    def test_seed_key_is_unknown(self, tmp_path):
+        text = MINIMAL.replace("command=simulate", "command=simulate\nseed=3")
+        with pytest.raises(UnknownKey):
+            cli.loads_config(text)
+        assert cli.main(["--config", write(tmp_path, text)]) == 2
+
+    def test_out_defaults_to_run_out(self, tmp_path):
+        out = tmp_path / "from-config"
+        text = MINIMAL.replace("command=simulate",
+                               "command=simulate\nout=%s" % out)
+        assert cli.main(["--config", write(tmp_path, text)]) == 0
+        assert (out / "outcome.json").exists()

@@ -1,8 +1,11 @@
+import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from stefanlab import eigen
 from stefanlab.coeffmodel import CoefficientField, constant_field
 from stefanlab.eigen import (H_STAR_INFINITE, POTENTIAL_BLOCK, d_thresholds,
                              h_star, period_map, principal_eigenvalue)
@@ -279,3 +282,101 @@ class TestDThresholds:
                                                 beta="1", T=1.0)
         with pytest.raises(NoSignChange):
             d_thresholds(fld, 2.0, 1.0, d_lo=0.1, d_hi=10.0, n=128)
+
+
+def _arithmetic(lo, hi):
+    return 0.5 * (lo + hi)
+
+
+def _geometric(lo, hi):
+    return math.sqrt(lo * hi)
+
+
+class TestBisect:
+    @staticmethod
+    def hand_loop(root, lo, hi, wide, split):
+        probes = []
+        while wide(lo, hi):
+            mid = split(lo, hi)
+            probes.append(mid)
+            if mid >= root:
+                hi = mid
+            else:
+                lo = mid
+        return probes, (lo, hi)
+
+    @pytest.mark.parametrize("split, wide", [
+        (None, lambda lo, hi: hi - lo > 1e-3),
+        (_arithmetic, lambda lo, hi: hi - lo > 1e-3 * (1.0 + 0.5 * (lo + hi))),
+        (_geometric, lambda lo, hi: hi / lo > 1.0 + 1e-3),
+    ])
+    def test_matches_hand_written_loop(self, split, wide):
+        root = 0.7318
+        probes = []
+
+        def upper(x):
+            probes.append(x)
+            return x >= root
+
+        kwargs = {} if split is None else {"split": split}
+        got = eigen._bisect(upper, 0.05, 20.0, wide, **kwargs)
+        want_probes, want = self.hand_loop(root, 0.05, 20.0, wide,
+                                           split or _arithmetic)
+        assert probes == want_probes
+        assert got == want
+        assert got[0] < root <= got[1]
+
+    def test_narrow_bracket_probes_nothing(self):
+        def upper(x):
+            raise AssertionError("probed %r" % x)
+
+        assert eigen._bisect(upper, 1.0, 1.5, lambda lo, hi: hi - lo > 1.0) \
+            == (1.0, 1.5)
+
+    def test_logs_each_step(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="stefanlab"):
+            lo, hi = eigen._bisect(lambda x: x >= 0.3, 0.0, 1.0,
+                                   lambda lo, hi: hi - lo > 0.1)
+        steps = [r.getMessage() for r in caplog.records
+                 if r.name == "stefanlab" and r.levelno == logging.DEBUG]
+        assert (lo, hi) == (0.25, 0.3125)
+        assert steps == ["bisect [0, 1]: probe 0.5",
+                         "bisect [0, 0.5]: probe 0.25",
+                         "bisect [0.25, 0.5]: probe 0.375",
+                         "bisect [0.25, 0.375]: probe 0.3125"]
+
+
+class TestDThresholdsRefine:
+    @staticmethod
+    def fake_eigen(monkeypatch, lambda1):
+        calls = []
+
+        def fake(d, field, R, T, **kwargs):
+            calls.append(d)
+            return SimpleNamespace(lambda1=lambda1(d))
+
+        monkeypatch.setattr(eigen, "principal_eigenvalue", fake)
+        return calls
+
+    @pytest.mark.parametrize("lambda1, roots", [
+        (lambda d: d * (J01 / 3.0) ** 2 - 1.0, ((3.0 / J01) ** 2,)),
+        (lambda d: (d - 0.5) * (d - 5.0), (0.5, 5.0)),
+    ])
+    def test_refine_takes_left_sign_from_scan(self, monkeypatch, lambda1,
+                                              roots):
+        calls = self.fake_eigen(monkeypatch, lambda1)
+        out = d_thresholds(constant_field(1.0), 3.0, 1.0, d_lo=0.05,
+                           d_hi=20.0, tol=1e-3)
+        scan = [float(d) for d in out.scan_d]
+        assert calls[:len(scan)] == scan
+        refined = calls[len(scan):]
+        # each refined bracket costs its bisection probes and nothing more:
+        # no scan point is solved a second time
+        assert refined
+        assert not set(refined) & set(scan)
+        assert out.crossings == len(roots)
+        assert out.d_star == pytest.approx(roots[0], rel=2e-3)
+        assert out.d_upper == pytest.approx(roots[-1], rel=2e-3)
+        steps = math.ceil(math.log2(math.log(scan[1] / scan[0])
+                                    / math.log1p(1e-3)))
+        assert len(refined) in (len(roots) * steps, len(roots) * (steps + 1))

@@ -288,6 +288,14 @@ class TestSemiWaveProfile:
             assert far == pytest.approx(float(prof.V(tp)), rel=0.02)
 
 
+    def test_honours_n(self):
+        prof = semiwave_profile(0.0, 1.0, 1.0, 1.0, 1.0, n=256, tol=1e-5)
+        assert prof.x.size == 257
+        assert prof.values.shape[1] == 257
+        far = np.interp(0.9 * prof.L, prof.x, prof.at_phase(0))
+        assert far == pytest.approx(1.0, abs=0.01)
+
+
 class TestK0FixedPoint:
     def test_constants_inside_bound(self):
         res = k0_fixed_point(1.0, 1.0, 1.0, 1.0, 1.0)

@@ -1,3 +1,4 @@
+import logging
 import math
 import pickle
 
@@ -7,10 +8,11 @@ import pytest
 from stefanlab import eigen, thresholds
 from stefanlab.coeffmodel import (CoefficientField, ProblemSpec,
                                   constant_field)
-from stefanlab.errors import BracketInvalid, NoSignChange
+from stefanlab.errors import BracketInvalid, NoSignChange, TooManyUndecided
 from stefanlab.thresholds import (ScaledProfile, ThresholdResult,
                                   criteria_experiment, ladder_is_sorted,
                                   mu_star, sigma0, verdict_ladder)
+from stefanlab.thresholds import StretchedProfile, spec_at
 
 J01 = 2.4048255576957724
 
@@ -131,3 +133,75 @@ class TestCriteriaExperiment:
         self._stub_probes(monkeypatch, broken)
         with pytest.raises(TypeError):
             criteria_experiment("LargeHabitat", favorable_spec())
+
+
+class TestUndecidedUpperEndpoint:
+    @staticmethod
+    def _stub_verdicts(monkeypatch):
+        # the lower endpoint vanishes; the upper one stays Undecided to the cap
+        def verdict(self, **overrides):
+            self.evaluations += 1
+            if self.evaluations == 1:
+                return "Vanishing"
+            self.undecided += 1
+            raise TooManyUndecided("stub: Undecided up to the cap")
+
+        monkeypatch.setattr(thresholds._Prober, "verdict", verdict)
+
+    def test_sigma0_reports_lower_bound_only(self, monkeypatch):
+        self._stub_verdicts(monkeypatch)
+        spec = favorable_spec()
+        res = sigma0(spec, spec.u0, 0.05, 30.0, h_star_value=J01)
+        assert res.value == 30.0
+        assert res.bracket == (0.05, 30.0)
+        assert res.verdict_lo == "Vanishing"
+        assert res.verdict_hi == "Undecided"
+        assert res.evidence == "lower bound only"
+        assert (res.evaluations, res.undecided_encounters) == (2, 1)
+
+    def test_mu_star_raises(self, monkeypatch):
+        self._stub_verdicts(monkeypatch)
+        with pytest.raises(TooManyUndecided):
+            mu_star(favorable_spec(), 0.05, 8.0, h_star_value=J01)
+
+
+class TestSpecAt:
+    def test_sigma_scales_the_profile(self):
+        spec = favorable_spec()
+        probe = spec_at(spec, "sigma", 0.25)
+        assert isinstance(probe.u0, ScaledProfile)
+        assert probe.u0.zeta is spec.u0 and probe.u0.sigma == 0.25
+        assert probe.with_(u0=spec.u0) == spec
+
+    def test_h0_respans_the_profile(self):
+        spec = favorable_spec()
+        probe = spec_at(spec, "h0", 3.0)
+        assert probe.h0 == 3.0
+        assert isinstance(probe.u0, StretchedProfile)
+        assert probe.u0.base is spec.u0 and probe.u0.scale == 0.5
+
+    def test_other_names_are_spec_fields(self):
+        spec = favorable_spec()
+        assert spec_at(spec, "mu", 2.5) == spec.with_(mu=2.5)
+        assert spec_at(spec, "dt", 1e-3).numerics.dt == 1e-3
+
+
+class TestBisectionLogging:
+    def test_one_debug_line_per_probe(self, monkeypatch, caplog):
+        probes = []
+
+        def verdict(self, **overrides):
+            self.evaluations += 1
+            probes.append(overrides["mu"])
+            return "Spreading" if overrides["mu"] >= 1.8 else "Vanishing"
+
+        monkeypatch.setattr(thresholds._Prober, "verdict", verdict)
+        with caplog.at_level(logging.DEBUG, logger="stefanlab"):
+            res = mu_star(favorable_spec(), 0.4, 4.0, tol=0.4,
+                          h_star_value=J01)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "stefanlab" and r.levelno == logging.DEBUG]
+        assert probes[:2] == [0.4, 4.0]
+        assert len(lines) == len(probes) - 2 == res.evaluations - 2 > 0
+        assert lines[0] == "bisect [0.4, 4]: probe 2.2"
+        assert res.bracket[0] < 1.8 <= res.bracket[1]
