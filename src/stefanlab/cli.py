@@ -331,14 +331,13 @@ def _cmd_eigen(config, spec, arts, jobs):
 
 def _cmd_hstar(config, spec, arts):
     v = config.values["hstar"]
-    value = eigen.h_star(spec.d, spec.field, spec.field.T, r_lo=v["r_lo"],
-                         r_hi=v["r_hi"], tol=v["tol"], N=spec.N,
-                         n=spec.numerics.n)
-    half = 0.5 * v["tol"]
+    lo, hi, solves = eigen._h_star_bracket(
+        spec.d, spec.field, spec.field.T, r_lo=v["r_lo"], r_hi=v["r_hi"],
+        tol=v["tol"], N=spec.N, n=spec.numerics.n)
     arts.csv("threshold.csv",
              ("parameter", "value", "lo", "hi", "evaluations",
               "undecided_encounters"),
-             [("h_star", value, value - half, value + half, 0, 0)])
+             [("h_star", 0.5 * (lo + hi), lo, hi, solves, 0)])
 
 
 def _cmd_speed(config, spec, arts):

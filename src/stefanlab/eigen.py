@@ -26,6 +26,12 @@ log = logging.getLogger("stefanlab")
 
 H_STAR_INFINITE = math.inf
 POTENTIAL_BLOCK = 64      # substeps per coefficient evaluation in period_map
+# first zero of the Bessel function J_{N/2-1}: the Dirichlet ball of radius
+# R in dimension N has principal Laplace eigenvalue (j/R)^2
+BALL_ZERO = {1: math.pi / 2, 2: 2.4048255576957724, 3: math.pi}
+ENVELOPE_PHASES = 256     # phases of the period means in _envelope_radii
+ENVELOPE_MARGIN = 0.01    # relative widening of the envelope radii that
+                          # covers the discretization bias of lambda1
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,7 @@ def _power_iteration(grid, field, d, T, substeps, tol, max_iters, psi0):
 
 def default_substeps(d, field, R, T):
     """Heuristic substep count: resolve the principal decay rate well."""
-    j01 = 2.4048255576957724
-    kappa = d * (j01 / R) ** 2 + abs(field.alpha2_max()) + 1.0
+    kappa = d * (BALL_ZERO[2] / R) ** 2 + abs(field.alpha2_max()) + 1.0
     return max(256, int(np.ceil(8.0 * T * kappa)))
 
 
@@ -159,20 +164,52 @@ def _bisect(upper, lo, hi, wide, split=lambda lo, hi: 0.5 * (lo + hi)):
     return lo, hi
 
 
-def h_star(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512, substeps=None,
-           eig_tol=1e-7):
-    """Habitat-radius threshold: the root of lambda1(R) = 0 by bisection.
+def _envelope_radii(d, field, N):
+    """Comparison radii R+ <= h* <= R- from the declared time-only envelopes.
 
-    lambda1 is strictly decreasing in R.  If lambda1 is still positive at
-    r_hi after one 4x bracket expansion the threshold is reported as
-    infinite (math.inf).  Raises BracketInvalid when lambda1(r_lo) <= 0.
+    On a ball the time-only potentials alpha2 - gamma1 and alpha1 - gamma2
+    bound alpha - gamma from above and below, so the comparison principle
+    for periodic-parabolic eigenvalues puts h* between the radii where
+    their closed-form lambda1 = d*(j/R)^2 - mean vanishes: R = j*sqrt(d/m)
+    with m the period mean, taken on ENVELOPE_PHASES phases.  Returns None
+    when N has no tabulated ball zero, an envelope is missing or a mean is
+    not positive.
+    """
+    j = BALL_ZERO.get(N)
+    envelopes = (field.alpha1, field.alpha2, field.gamma1, field.gamma2)
+    if j is None or any(env is None for env in envelopes):
+        return None
+    t = np.arange(ENVELOPE_PHASES) * (field.T / ENVELOPE_PHASES)
+
+    def mean(a, g):
+        return float(np.mean(np.asarray(a(t, 0.0), dtype=float)
+                             - np.asarray(g(t, 0.0), dtype=float)))
+
+    m_plus = mean(field.alpha2, field.gamma1)
+    m_minus = mean(field.alpha1, field.gamma2)
+    if not min(m_plus, m_minus) > 0:
+        return None
+    return j * math.sqrt(d / m_plus), j * math.sqrt(d / m_minus)
+
+
+def _h_star_bracket(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512,
+                    substeps=None, eig_tol=1e-7):
+    """Final bracket (lo, hi) of h* and the number of eigen solves spent.
+
+    The caller's bracket is first narrowed to the envelope radii widened by
+    ENVELOPE_MARGIN, each end verified by a solve: a probe with lambda1 > 0
+    becomes lo, any other becomes hi, so a wrong envelope costs a solve but
+    never the answer.  A caller end is solved only when no probe verified
+    that side.  An infinite threshold is the bracket (4*r_hi, inf).
     """
     if not (0 < r_lo < r_hi):
         raise ValueError("need 0 < r_lo < r_hi")
 
     psi_warm = [None]
+    solves = [0]
 
     def lam(R):
+        solves[0] += 1
         try:
             res = principal_eigenvalue(d, field, R, T, N=N, tol=eig_tol, n=n,
                                        substeps=substeps, psi0=psi_warm[0])
@@ -184,14 +221,43 @@ def h_star(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512, substeps=None,
         return res.lambda1
 
     lo, hi = float(r_lo), float(r_hi)
-    if lam(lo) <= 0:
+    lo_verified = hi_verified = False   # lambda1(lo) > 0, lambda1(hi) <= 0
+    radii = _envelope_radii(d, field, N)
+    if radii is None:
+        log.debug("h* bracket from the caller: [%.10g, %.10g]", lo, hi)
+    else:
+        probes = (radii[0] * (1.0 - ENVELOPE_MARGIN),
+                  radii[1] * (1.0 + ENVELOPE_MARGIN))
+        log.debug("h* bracket from the envelope radii: [%.10g, %.10g]", *probes)
+        for R in probes:
+            if lo < R < hi:
+                if lam(R) > 0:
+                    lo, lo_verified = R, True
+                else:
+                    hi, hi_verified = R, True
+    if not lo_verified and lam(lo) <= 0:
         raise BracketInvalid("lambda1(r_lo=%g) <= 0; threshold below bracket" % lo)
-    if lam(hi) > 0:
-        hi *= 4.0
+    if not hi_verified and lam(hi) > 0:
+        lo, hi = hi, 4.0 * hi
         if lam(hi) > 0:
-            return H_STAR_INFINITE
+            return hi, H_STAR_INFINITE, solves[0]
     lo, hi = _bisect(lambda R: not lam(R) > 0, lo, hi,
                      lambda lo, hi: hi - lo > tol)
+    return lo, hi, solves[0]
+
+
+def h_star(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512, substeps=None,
+           eig_tol=1e-7):
+    """Habitat-radius threshold: the root of lambda1(R) = 0 by bisection.
+
+    lambda1 is strictly decreasing in R.  The search starts from the
+    envelope comparison radii when they apply and from [r_lo, r_hi]
+    otherwise.  If lambda1 is still positive at r_hi after one 4x bracket
+    expansion the threshold is reported as infinite (math.inf).  Raises
+    BracketInvalid when lambda1(r_lo) <= 0.
+    """
+    lo, hi, _ = _h_star_bracket(d, field, T, r_lo, r_hi, tol=tol, N=N, n=n,
+                                substeps=substeps, eig_tol=eig_tol)
     return 0.5 * (lo + hi)
 
 
@@ -214,10 +280,9 @@ def d_thresholds(field, R, T, d_lo, d_hi, tol=1e-3, N=2, points=32, n=256,
     lambda1 > 0.  Monotonicity in d is not assumed; multiple crossings are
     reported via ``crossings``.  Raises NoSignChange for a one-signed scan.
     """
-    if not (0 < d_lo < d_hi):
-        raise ValueError("need 0 < d_lo < d_hi")
-    points = max(int(points), 32)
-    ds = np.geomspace(d_lo, d_hi, points)
+    if not (0 < d_lo < d_hi) or int(points) < 2:
+        raise ValueError("need 0 < d_lo < d_hi and points >= 2")
+    ds = np.geomspace(d_lo, d_hi, int(points))
 
     def lam(d):
         return principal_eigenvalue(d, field, R, T, N=N, n=n,

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from stefanlab import cli
+from stefanlab import cli, eigen
 from stefanlab.errors import (ConfigError, ExpressionError, FrontRetreat,
                               HypothesisHFailed, MissingKey, NonPositive,
                               NonPositiveIterate, SolverSingular, TypeMismatch,
@@ -177,6 +177,31 @@ class TestRun:
         row = body[1].strip().split(",")
         assert row[0] == "h_star"
         assert float(row[1]) == pytest.approx(2.4048, abs=2e-3)
+
+    def test_hstar_writes_final_bracket(self, tmp_path, monkeypatch):
+        solves = []
+        real = eigen.principal_eigenvalue
+
+        def counted(*args, **kwargs):
+            solves.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, "principal_eigenvalue", counted)
+        text = MINIMAL.replace("command=simulate", "command=hstar")
+        text += "\n[hstar]\nr_lo=1\nr_hi=4\ntol=0.01\n"
+        out = str(tmp_path / "hs")
+        assert cli.run(cli.loads_config(text), out_dir=out) == 0
+        body = read_body(os.path.join(out, "threshold.csv"))
+        assert body[0].strip() == ("parameter,value,lo,hi,evaluations,"
+                                   "undecided_encounters")
+        row = body[1].strip().split(",")
+        assert row[0] == "h_star"
+        value, lo, hi = (float(x) for x in row[1:4])
+        assert 0.0 < hi - lo <= 0.01
+        assert value == 0.5 * (lo + hi)
+        assert value == pytest.approx(2.4048, abs=0.01)
+        assert int(row[4]) == len(solves) > 0
+        assert int(row[5]) == 0
 
     def test_speed_reports_drift_values(self, tmp_path):
         # a constant alpha once crashed the period means; k0 must hold

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stefanlab import eigen
-from stefanlab.coeffmodel import CoefficientField, constant_field
+from stefanlab.coeffmodel import CoefficientField, ConstantFn, constant_field
 from stefanlab.eigen import (H_STAR_INFINITE, POTENTIAL_BLOCK, d_thresholds,
                              h_star, period_map, principal_eigenvalue)
 from stefanlab.errors import BracketInvalid, NoSignChange
@@ -262,6 +262,131 @@ class TestHStar:
             h_star(1.0, constant_field(1.0), 1.0, r_lo=5.0, r_hi=10.0, n=128)
 
 
+def counting_eigen(monkeypatch):
+    """Record the radius of every principal_eigenvalue call."""
+    radii = []
+    real = eigen.principal_eigenvalue
+
+    def counted(d, field, R, T, **kwargs):
+        radii.append(R)
+        return real(d, field, R, T, **kwargs)
+
+    monkeypatch.setattr(eigen, "principal_eigenvalue", counted)
+    return radii
+
+
+def reference_h_star(d, field, T, lo, hi, tol, n):
+    """Plain bisection of lambda1(R) over the caller's bracket."""
+    def lam(R):
+        return principal_eigenvalue(d, field, R, T, n=n).lambda1
+
+    assert lam(lo) > 0 >= lam(hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if lam(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+SEASONAL = dict(alpha="1.2+0.5*sin(2*pi*t)", gamma="0.2+0.3*exp(-(r^2))",
+                beta="1", T=1.0)
+
+
+class TestEnvelopeBracket:
+    @pytest.mark.parametrize("N, j", [(1, math.pi / 2), (2, J01),
+                                      (3, math.pi)])
+    def test_radii_of_a_constant_field(self, N, j):
+        r_plus, r_minus = eigen._envelope_radii(4.0, constant_field(0.5), N)
+        assert r_plus == pytest.approx(j * math.sqrt(8.0), rel=1e-10)
+        assert r_minus == pytest.approx(j * math.sqrt(8.0), rel=1e-10)
+
+    def test_radii_of_the_seasonal_field(self):
+        # period means of alpha2 - gamma1 and alpha1 - gamma2: 1.0 and 0.7
+        fld = CoefficientField.from_expressions(**SEASONAL)
+        r_plus, r_minus = eigen._envelope_radii(1.0, fld, 2)
+        assert r_plus == pytest.approx(J01, rel=1e-9)
+        assert r_minus == pytest.approx(J01 / math.sqrt(0.7), rel=1e-9)
+
+    def test_no_radii(self):
+        unfavorable = CoefficientField.from_expressions(alpha="0.5",
+                                                        gamma="1", beta="1",
+                                                        T=1.0)
+        assert eigen._envelope_radii(1.0, unfavorable, 2) is None
+        assert eigen._envelope_radii(1.0, constant_field(1.0), 4) is None
+        undeclared = CoefficientField(alpha=ConstantFn(1.0),
+                                      gamma=ConstantFn(0.0),
+                                      beta=ConstantFn(1.0), T=1.0)
+        assert eigen._envelope_radii(1.0, undeclared, 2) is None
+
+    def test_constant_field_solves(self, monkeypatch):
+        radii = counting_eigen(monkeypatch)
+        lo, hi, solves = eigen._h_star_bracket(1.0, constant_field(1.0), 1.0,
+                                               r_lo=0.1, r_hi=12.8, n=128)
+        assert solves == len(radii) == len(set(radii))
+        # two verified probes replace both caller ends and most of the
+        # bisection: 16 solves over the caller's bracket
+        width = 2.0 * eigen.ENVELOPE_MARGIN * J01
+        assert solves == 2 + math.ceil(math.log2(width / 1e-3)) <= 10
+        assert 0.1 not in radii and 12.8 not in radii
+        assert radii[:2] == [pytest.approx(J01 * (1 - eigen.ENVELOPE_MARGIN)),
+                             pytest.approx(J01 * (1 + eigen.ENVELOPE_MARGIN))]
+        assert hi - lo <= 1e-3
+        assert 0.5 * (lo + hi) == pytest.approx(J01, abs=1e-3)
+
+    def test_expansion_keeps_the_verified_end(self, monkeypatch):
+        # both envelope radii lie above r_hi: lambda1(r_hi) > 0 is
+        # verified, so the expanded search starts from r_hi
+        radii = counting_eigen(monkeypatch)
+        hs = h_star(1.0, constant_field(1.0), 1.0, r_lo=0.5, r_hi=2.0,
+                    tol=1e-3, n=64)
+        assert radii[:3] == [0.5, 2.0, 8.0]
+        assert min(radii[3:]) > 2.0
+        assert hs == pytest.approx(J01, abs=2e-3)
+
+    def test_seasonal_field_matches_caller_bracket(self):
+        fld = CoefficientField.from_expressions(**SEASONAL)
+        ref = reference_h_star(1.0, fld, 1.0, 1.0, 6.0, tol=1e-3, n=128)
+        hs = h_star(1.0, fld, 1.0, r_lo=1.0, r_hi=6.0, tol=1e-3, n=128)
+        assert abs(hs - ref) <= 1e-3
+
+    @pytest.mark.parametrize("declared, caller_end", [
+        # declared growth far too low: the lower probe lands above h*
+        ((0.25, 0.3), 1.0),
+        # declared growth far too high: both probes land below h*
+        ((3.0, 4.0), 6.0),
+    ])
+    def test_wrong_envelopes_keep_the_answer(self, monkeypatch, declared,
+                                             caller_end):
+        fld = CoefficientField.from_expressions(
+            alpha="1", gamma="0", beta="1", T=1.0,
+            envelopes={"alpha1": declared[0], "alpha2": declared[1]})
+        ref = reference_h_star(1.0, fld, 1.0, 1.0, 6.0, tol=1e-3, n=128)
+        radii = counting_eigen(monkeypatch)
+        hs = h_star(1.0, fld, 1.0, r_lo=1.0, r_hi=6.0, tol=1e-3, n=128)
+        # the probe failed its check, so the caller's end was solved
+        assert caller_end in radii
+        assert abs(hs - ref) <= 1e-3
+        assert hs == pytest.approx(J01, abs=1e-3)
+
+    def test_logs_the_bracket(self, caplog):
+        unfavorable = CoefficientField.from_expressions(alpha="0.5",
+                                                        gamma="1", beta="1",
+                                                        T=1.0)
+        with caplog.at_level(logging.DEBUG, logger="stefanlab"):
+            h_star(1.0, constant_field(1.0), 1.0, r_lo=1.0, r_hi=4.0,
+                   tol=1e-2, n=64)
+            h_star(1.0, unfavorable, 1.0, r_lo=1.0, r_hi=4.0, tol=1e-2, n=64)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "stefanlab" and r.getMessage().startswith("h*")]
+        p_lo = J01 * (1 - eigen.ENVELOPE_MARGIN)
+        p_hi = J01 * (1 + eigen.ENVELOPE_MARGIN)
+        assert lines == ["h* bracket from the envelope radii: [%.10g, %.10g]"
+                         % (p_lo, p_hi),
+                         "h* bracket from the caller: [1, 4]"]
+
+
 class TestDThresholds:
     def test_linear_crossing_R1(self):
         out = d_thresholds(constant_field(1.0), 1.0, 1.0, d_lo=0.01,
@@ -357,6 +482,17 @@ class TestDThresholdsRefine:
 
         monkeypatch.setattr(eigen, "principal_eigenvalue", fake)
         return calls
+
+    def test_honours_points(self, monkeypatch):
+        calls = self.fake_eigen(monkeypatch, lambda d: d - 1.0)
+        out = d_thresholds(constant_field(1.0), 3.0, 1.0, d_lo=0.05,
+                           d_hi=20.0, points=8)
+        assert out.scan_d.size == 8
+        assert calls[:8] == [float(d) for d in out.scan_d]
+        assert out.d_star == pytest.approx(1.0, rel=2e-3)
+        with pytest.raises(ValueError):
+            d_thresholds(constant_field(1.0), 3.0, 1.0, d_lo=0.05, d_hi=20.0,
+                         points=1)
 
     @pytest.mark.parametrize("lambda1, roots", [
         (lambda d: d * (J01 / 3.0) ** 2 - 1.0, ((3.0 / J01) ** 2,)),

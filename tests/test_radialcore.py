@@ -4,10 +4,32 @@ import pytest
 from stefanlab.coeffmodel import CoefficientField, constant_field
 from stefanlab.errors import (DomainNotLargeEnough, SolverSingular,
                               StepSizeTooLarge)
-from stefanlab.radialcore import (DiffusionSolver, FactoredTridiag, RadialGrid,
-                                  entire_space_periodic, periodic_attractor,
-                                  radial_laplacian, solve_tridiag,
-                                  step_reaction_diffusion, thomas_reference)
+from stefanlab.radialcore import (PIVOT_EPS, DiffusionSolver, FactoredTridiag,
+                                  RadialGrid, entire_space_periodic,
+                                  periodic_attractor, radial_laplacian,
+                                  solve_tridiag, step_reaction_diffusion)
+
+
+def thomas_reference(lower, diag, upper, rhs):
+    """Plain Thomas recurrence: the independent oracle for the LAPACK
+    tridiagonal solvers."""
+    m = diag.size
+    c = np.array(upper, dtype=float)
+    d = np.array(diag, dtype=float)
+    b = np.array(rhs, dtype=float)
+    for i in range(1, m):
+        if abs(d[i - 1]) < PIVOT_EPS:
+            raise SolverSingular("pivot %d below %g" % (i - 1, PIVOT_EPS))
+        w = lower[i] / d[i - 1]
+        d[i] -= w * c[i - 1]
+        b[i] -= w * b[i - 1]
+    x = np.empty(m)
+    if abs(d[-1]) < PIVOT_EPS:
+        raise SolverSingular("last pivot below %g" % PIVOT_EPS)
+    x[-1] = b[-1] / d[-1]
+    for i in range(m - 2, -1, -1):
+        x[i] = (b[i] - c[i] * x[i + 1]) / d[i]
+    return x
 
 
 class TestTridiag:

@@ -66,7 +66,7 @@ def reference_semiwave_profile(k, a, b, d, T, L=None, n=1024, tol=1e-7,
     if abar <= kbar ** 2 / (4.0 * d) + 1e-14:
         return None
     L = 50.0 * math.sqrt(d) if L is None else L
-    n = max(int(n), 1024)
+    n = int(n)
     if V is None:
         V = reference_periodic_logistic(a, b, T)
     if dt is None:
@@ -167,6 +167,18 @@ class TestTabulatedCoefficients:
         assert prof.residual == ref.residual
         assert_same_bits(prof.values, ref.values)
         assert_same_bits(prof.V.values, ref.V.values)
+
+    @pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+    def test_semiwave_profile_bit_equal_coarse_grid(self, kind):
+        a, b = COEFFICIENTS[kind]
+        prof = semiwave_profile(DRIFT, a, b, 1.0, PERIOD, n=256, tol=1e-4)
+        ref = reference_semiwave_profile(DRIFT, a, b, 1.0, PERIOD, n=256,
+                                         tol=1e-4)
+        assert prof.x.size == 257
+        assert prof.periods == ref.periods
+        assert prof.residual == ref.residual
+        assert_same_bits(prof.x, ref.x)
+        assert_same_bits(prof.values, ref.values)
 
     @pytest.mark.parametrize("kind", ["phase-samples", "expression"])
     def test_k0_fixed_point_bit_equal(self, kind, monkeypatch):
