@@ -434,6 +434,27 @@ _NUMERIC_ERRORS = (NoConvergence, TooManyUndecided, NoSignChange,
                    NonPositive, HypothesisHFailed)
 
 
+def _section_errors(config):
+    """Command-section values the numerics cannot take (each exits 2)."""
+    cmd, v = config.command, config.values
+    bad = []
+    if cmd == "eigen" and not all(R > 0 for R in v["eigen"]["R"]):
+        bad.append("[eigen] R values must be > 0")
+    if cmd == "hstar" and not 0 < v["hstar"]["r_lo"] < v["hstar"]["r_hi"]:
+        bad.append("[hstar] needs 0 < r_lo < r_hi")
+    section = cmd.replace("-", "_")
+    if section in ("hstar", "mu_star", "sigma0") and not v[section]["tol"] > 0:
+        # a bisection to a zero width never ends
+        bad.append("[%s] tol must be > 0" % section)
+    if cmd == "sweep":
+        sw = v["sweep"]
+        for axis, values in ((sw["axis1"], sw["axis1_values"]),
+                             (sw["axis2"], sw["axis2_values"])):
+            if axis in ("d", "h0") and not all(x > 0 for x in values):
+                bad.append("[sweep] %s values must be > 0" % axis)
+    return bad
+
+
 def run(config, out_dir=None, jobs=None, horizon_scale=1.0):
     """Dispatch a validated RunConfig; returns the process exit code."""
     if out_dir is None:
@@ -446,6 +467,11 @@ def run(config, out_dir=None, jobs=None, horizon_scale=1.0):
         for viol in report.violations:
             log.error("validation: %s at %s: %s", viol.kind, viol.where,
                       viol.detail)
+        return 2
+    section_errors = _section_errors(config)
+    if section_errors:
+        for msg in section_errors:
+            log.error("validation: %s", msg)
         return 2
     arts = Artifacts(out_dir, config_hash(config))
     try:

@@ -28,33 +28,6 @@ class ConstantFn:
         return "ConstantFn(%r)" % self.c
 
 
-class TabulatedFn:
-    """Coefficient from samples: piecewise linear in t (periodic wrap) and
-    r (clamped beyond the last node)."""
-
-    def __init__(self, t_nodes, r_nodes, values, period):
-        self.t_nodes = np.asarray(t_nodes, dtype=float)
-        self.r_nodes = np.asarray(r_nodes, dtype=float)
-        self.values = np.asarray(values, dtype=float)  # shape (nt, nr)
-        self.period = float(period)
-        if self.values.shape != (self.t_nodes.size, self.r_nodes.size):
-            raise ValueError("values shape %s does not match nodes" % (self.values.shape,))
-
-    def __call__(self, t, r=0.0):
-        t = np.mod(np.asarray(t, dtype=float), self.period)
-        r = np.clip(np.asarray(r, dtype=float), self.r_nodes[0], self.r_nodes[-1])
-        # interpolate in r for each t-node bracket, then in t
-        it = np.clip(np.searchsorted(self.t_nodes, t, side="right") - 1, 0,
-                     self.t_nodes.size - 2)
-        tau = (t - self.t_nodes[it]) / (self.t_nodes[it + 1] - self.t_nodes[it])
-        lo = np.array([np.interp(rv, self.r_nodes, self.values[i])
-                       for i, rv in np.broadcast(it, r)]).reshape(np.broadcast(it, r).shape)
-        hi = np.array([np.interp(rv, self.r_nodes, self.values[i + 1])
-                       for i, rv in np.broadcast(it, r)]).reshape(np.broadcast(it, r).shape)
-        out = (1 - tau) * lo + tau * hi
-        return out if out.ndim else float(out)
-
-
 def _as_fn(spec, params=None):
     """Coerce a number, expression string or callable into f(t, r)."""
     if callable(spec):
@@ -230,10 +203,16 @@ def validate(spec, lattice=(64, 64), r_extra=None):
     The lattice covers t in [0, T) and r in [0, 4*h0 + r_extra], where
     r_extra defaults to the semi-wave truncation radius 50*sqrt(d).
     Returns a ValidationReport listing every violated invariant; sampled
-    checks can only certify the region up to ``r_check``.
+    checks can only certify the region up to ``r_check``.  d, mu and h0
+    must be positive; when one is not, the report lists only those.
     """
     fld = spec.field
-    out = []
+    out = [Violation("NonPositiveParameter", (), "%s must be > 0, got %r"
+                     % (name, getattr(spec, name)))
+           for name in ("d", "mu", "h0") if not getattr(spec, name) > 0]
+    if out:
+        # the lattice and the profile checks need d > 0 and h0 > 0
+        return ValidationReport(tuple(out), 0.0)
     nt, nr = max(lattice[0], 64), max(lattice[1], 64)
     if r_extra is None:
         r_extra = 50.0 * np.sqrt(spec.d)
@@ -298,12 +277,6 @@ def validate(spec, lattice=(64, 64), r_extra=None):
     if num.n < 16:
         out.append(Violation("GridTooCoarse", (), "n must be >= 16"))
     return ValidationReport(tuple(out), r_check)
-
-
-def round_horizon(t_max, T):
-    """Round t_max to the nearest positive integer multiple of T."""
-    k = max(1, round(t_max / T))
-    return k * T
 
 
 # --- habitat classification ---

@@ -9,8 +9,9 @@ xi = r/h(t).  In the transformed variables
 diffusion is implicit, advection and reaction explicit, and the front
 moves by the Stefan law h' = -mu u_r(t, h) with the gradient taken from a
 one-sided second-order stencil.  The simulate() driver records the
-trajectory and period-boundary snapshots; classify_outcome() turns a
-trajectory into a Spreading / Vanishing / Undecided verdict.
+trajectory and period-boundary snapshots, can stop at a sample and can
+resume a trajectory; decide() is the Spreading / Vanishing / Undecided
+rule for one sample, and classify_outcome() applies it to a trajectory.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -133,6 +134,10 @@ class Trajectory:
     u_sup: np.ndarray
     snapshots: list = dc_field(default_factory=list)
     final: FreeBoundaryState = None
+    # the loop before its last step: (state, next sample time, next
+    # period time, samples, snapshots); simulate(resume=...) re-takes
+    # that step and goes on from there
+    cursor: tuple = None
 
     def max_sup(self):
         return float(np.max(self.u_sup))
@@ -156,13 +161,23 @@ class _StepSizer:
         return dt
 
 
-def simulate(spec, t_max=None, sample_every=None):
+def simulate(spec, t_max=None, sample_every=None, stop=None, resume=None):
     """Run the free-boundary problem from (u0, h0) to t_max.
 
     Samples (t, h, h', sup u) every ``sample_every`` time units and stores
     full snapshots at period boundaries t = k*T.  The step size adapts to
     the front-CFL bound so fast fronts early in a run do not force a tiny
     global dt.
+
+    ``stop(t, h, h_prime, u_sup, period_end)``, when given, is called at
+    each recorded sample (``period_end``: the sample falls on a period
+    boundary); the run ends at the first sample where it returns true.
+
+    ``resume`` continues a Trajectory of the same spec and sample_every
+    to a later t_max.  It re-takes the trajectory's last step under the
+    new t_max, so the result is bit-identical to one run from t=0, unless
+    an earlier step ended less than 1e-12*t_max (new) but not less than
+    1e-12*t_max (old) short of a sample time or period boundary.
     """
     num = spec.numerics
     if t_max is None:
@@ -170,20 +185,30 @@ def simulate(spec, t_max=None, sample_every=None):
     if sample_every is None:
         sample_every = num.sample_every
     T = spec.field.T
-
-    state = initial_state(spec)
-    sizer = _StepSizer(spec)
-    ts, hs, hps, sups = [0.0], [state.h], [0.0], [state.sup()]
-    snapshots = [Snapshot(0.0, state.h, state.u.copy())]
-    next_sample = sample_every if sample_every > 0 else math.inf
-    next_period = T
     eps = 1e-12 * max(t_max, 1.0)
 
+    if resume is None:
+        state = initial_state(spec)
+        ts, hs, hps, sups = [0.0], [state.h], [0.0], [state.sup()]
+        snapshots = [Snapshot(0.0, state.h, state.u.copy())]
+        next_sample = sample_every if sample_every > 0 else math.inf
+        next_period = T
+    elif resume.final.t >= t_max - eps:
+        return resume
+    else:
+        state, next_sample, next_period, n_samples, n_snaps = resume.cursor
+        ts, hs, hps, sups = (list(a[:n_samples]) for a in (
+            resume.t, resume.h, resume.h_prime, resume.u_sup))
+        snapshots = resume.snapshots[:n_snaps]
+    sizer = _StepSizer(spec)
+    cursor = (state, next_sample, next_period, len(ts), len(snapshots))
+
     while state.t < t_max - eps:
+        cursor = (state, next_sample, next_period, len(ts), len(snapshots))
         grad = front_gradient(state)
         dt = sizer(state, grad)
-        stop = min(t_max, next_sample, next_period)
-        dt = min(dt, stop - state.t)
+        target = min(t_max, next_sample, next_period)
+        dt = min(dt, target - state.t)
         if dt <= 0:
             dt = eps
         try:
@@ -193,7 +218,8 @@ def simulate(spec, t_max=None, sample_every=None):
             state, h_prime = step_free(state, spec, dt / 2.0)
         hit_sample = state.t >= next_sample - eps
         hit_period = state.t >= next_period - eps
-        if hit_sample or state.t >= t_max - eps:
+        recorded = hit_sample or state.t >= t_max - eps
+        if recorded:
             ts.append(state.t)
             hs.append(state.h)
             hps.append(h_prime)
@@ -203,9 +229,13 @@ def simulate(spec, t_max=None, sample_every=None):
         if hit_period:
             snapshots.append(Snapshot(state.t, state.h, state.u.copy()))
             next_period += T
+        if (recorded and stop is not None
+                and stop(state.t, state.h, h_prime, sups[-1], hit_period)):
+            break
 
     return Trajectory(t=np.array(ts), h=np.array(hs), h_prime=np.array(hps),
-                      u_sup=np.array(sups), snapshots=snapshots, final=state)
+                      u_sup=np.array(sups), snapshots=snapshots, final=state,
+                      cursor=cursor)
 
 
 @dataclass(frozen=True)
@@ -223,14 +253,37 @@ class Outcome:
     t_decided: float
 
 
+def _tol_h(h_star_value, rel_tol):
+    return rel_tol * (1.0 + (h_star_value if math.isfinite(h_star_value) else 0.0))
+
+
+def decide(h, h_prime, u_sup, h_star_value, rel_tol=0.01):
+    """Verdict of one sample: "Spreading", "Vanishing" or "Undecided".
+
+    Spreading once the front is past the habitat-radius threshold
+    (h > h* certifies lambda1(d, alpha-gamma, h, T) <= 0 by
+    monotonicity).  Vanishing needs the density below DECAY_SUP, a
+    stalled front, and a radius strictly under the threshold.
+    """
+    tol_h = _tol_h(h_star_value, rel_tol)
+    if math.isfinite(h_star_value) and h > h_star_value + tol_h:
+        return "Spreading"
+    if (u_sup < DECAY_SUP and h_prime < FRONT_STALL
+            and h < h_star_value - tol_h):
+        return "Vanishing"
+    return "Undecided"
+
+
+_CRITERION = {"Spreading": "eigenvalue", "Vanishing": "decay",
+              "Undecided": "nearest-miss"}
+
+
 def classify_outcome(traj, spec, h_star_value=None, rel_tol=0.01, eig_n=256):
     """Classify a trajectory per the spreading-vanishing dichotomy.
 
-    Spreading is certified once the front passes the habitat-radius
-    threshold (equivalently, the principal eigenvalue at the current
-    radius is nonpositive).  Vanishing needs the density below DECAY_SUP,
-    a stalled front, and a final radius strictly under the threshold.
-    Undecided is a valid return for borderline runs.
+    The verdict is decide() at the final sample; Undecided is a valid
+    return for borderline runs.  A Spreading run is decided at the first
+    sample past the threshold, the others at the final sample.
     """
     fld = spec.field
     T = fld.T
@@ -245,17 +298,11 @@ def classify_outcome(traj, spec, h_star_value=None, rel_tol=0.01, eig_n=256):
 
     h_final = float(traj.h[-1])
     sup_final = float(traj.u_sup[-1])
-    hp_final = float(traj.h_prime[-1])
-    tol_h = rel_tol * (1.0 + (h_star_value if math.isfinite(h_star_value) else 0.0))
-
-    if math.isfinite(h_star_value) and h_final > h_star_value + tol_h:
-        crossed = traj.t[traj.h > h_star_value + tol_h]
-        # h > h* certifies lambda1(d, alpha-gamma, h, T) <= 0 by monotonicity
-        ev = Evidence("eigenvalue", h_star_value, h_final, sup_final)
-        return Outcome("Spreading", ev, float(crossed[0]))
-    if (sup_final < DECAY_SUP and hp_final < FRONT_STALL
-            and h_final < h_star_value - tol_h):
-        ev = Evidence("decay", h_star_value, h_final, sup_final)
-        return Outcome("Vanishing", ev, float(traj.t[-1]))
-    ev = Evidence("nearest-miss", h_star_value, h_final, sup_final)
-    return Outcome("Undecided", ev, float(traj.t[-1]))
+    verdict = decide(h_final, float(traj.h_prime[-1]), sup_final,
+                     h_star_value, rel_tol)
+    t_decided = float(traj.t[-1])
+    if verdict == "Spreading":
+        crossed = traj.t[traj.h > h_star_value + _tol_h(h_star_value, rel_tol)]
+        t_decided = float(crossed[0])
+    ev = Evidence(_CRITERION[verdict], h_star_value, h_final, sup_final)
+    return Outcome(verdict, ev, t_decided)

@@ -57,24 +57,6 @@ def solve_tridiag(lower, diag, upper, rhs):
     return x
 
 
-def radial_laplacian(grid, u):
-    """Apply u_rr + (N-1)/r u_r on the grid nodes.
-
-    At r = 0 the symmetry limit N*u_rr(0) is discretized with a reflected
-    ghost node as 2N(u_1 - u_0)/dr^2.  The outer node uses a one-sided
-    copy of the interior stencil value at n-1 (its value is irrelevant
-    under Dirichlet conditions and excluded from Neumann solves).
-    """
-    dr = grid.dr
-    out = np.zeros_like(u, dtype=float)
-    out[0] = 2.0 * grid.N * (u[1] - u[0]) / dr ** 2
-    j = np.arange(1, grid.n)
-    out[1:-1] = ((u[2:] - 2 * u[1:-1] + u[:-2]) / dr ** 2
-                 + (grid.N - 1) / (j * dr) * (u[2:] - u[:-2]) / (2 * dr))
-    out[-1] = out[-2]
-    return out
-
-
 class FactoredTridiag:
     """A tridiagonal matrix LU-factored once for many right-hand sides.
 

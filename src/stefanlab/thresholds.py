@@ -4,10 +4,11 @@ Bisection on the expansion coefficient mu and on the initial amplitude
 sigma, with verdicts from the free-boundary classifier.  Monotonicity of
 the verdict in mu and sigma comes from the comparison principle; ladder
 audits detect violations instead of silently bisecting a non-monotone
-function.  Undecided probes escalate the horizon before the bracket
-shrinks.
+function.  A probe stops once its verdict is certain, and an Undecided
+probe is resumed to a longer horizon before the bracket shrinks.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,8 @@ import numpy as np
 from . import eigen, freeboundary
 from .errors import (BracketInvalid, NoConvergence, NonPositiveIterate,
                      NoSignChange, SolverSingular, TooManyUndecided)
+
+log = logging.getLogger("stefanlab")
 
 HORIZON_START = 50.0     # in periods
 HORIZON_CAP = 400.0
@@ -78,24 +81,43 @@ def spec_at(spec, param, value):
 
 
 class _Prober:
+    """Verdicts of probe simulations, one ``simulate`` call per evaluation.
+
+    A run stops at the first sample whose verdict is certain (see
+    ``_decided``), and an Undecided run is resumed to the escalated
+    horizon instead of restarted.
+    """
+
     def __init__(self, spec, h_star_value):
         self.spec = spec
         self.h_star_value = h_star_value
         self.evaluations = 0
         self.undecided = 0
 
+    def _decided(self, t, h, h_prime, u_sup, period_end):
+        # h is nondecreasing, so a Spreading sample keeps its verdict and
+        # crossing time up to any horizon; the Vanishing test is the
+        # horizon's test, applied only at the horizon's phase
+        verdict = freeboundary.decide(h, h_prime, u_sup, self.h_star_value)
+        return verdict == "Spreading" or (verdict == "Vanishing" and period_end)
+
     def verdict(self, **overrides):
         spec = self.spec
         for param, value in overrides.items():
             spec = spec_at(spec, param, value)
+        probe = ", ".join("%s=%.10g" % kv for kv in overrides.items())
         T = spec.field.T
         horizon = HORIZON_START * T
         escalations = 0
+        traj = None
         while True:
             self.evaluations += 1
-            traj = freeboundary.simulate(spec, t_max=horizon)
+            traj = freeboundary.simulate(spec, t_max=horizon,
+                                         stop=self._decided, resume=traj)
             out = freeboundary.classify_outcome(traj, spec,
                                                 h_star_value=self.h_star_value)
+            log.debug("probe %s: horizon %.6g, stopped at t=%.6g: %s",
+                      probe, horizon, traj.t[-1], out.verdict)
             if out.verdict != "Undecided":
                 return out.verdict
             self.undecided += 1

@@ -256,6 +256,54 @@ class TestMain:
         assert not os.path.exists(os.path.join(out, "outcome.json"))
 
 
+class TestNonPositiveValues:
+    """Configs that load but whose values the numerics cannot take end
+    with exit 2, not a traceback."""
+
+    @staticmethod
+    def exit_code(tmp_path, text):
+        path = write(tmp_path, text)
+        out = str(tmp_path / "out")
+        code = cli.main(["--config", path, "--out", out])
+        assert not os.path.exists(out) or not os.listdir(out)
+        return code
+
+    def test_simulate_d_zero(self, tmp_path):
+        assert self.exit_code(tmp_path, MINIMAL.replace("d=1", "d=0")) == 2
+
+    def test_simulate_h0_negative(self, tmp_path):
+        assert self.exit_code(tmp_path, MINIMAL.replace("h0=3", "h0=-1")) == 2
+
+    def test_speed_mu_zero(self, tmp_path):
+        text = MINIMAL.replace("command=simulate", "command=speed")
+        assert self.exit_code(tmp_path, text.replace("mu=1", "mu=0")) == 2
+
+    def test_eigen_radius_zero(self, tmp_path):
+        text = MINIMAL.replace("command=simulate", "command=eigen")
+        assert self.exit_code(tmp_path, text + "\n[eigen]\nR=1,0\n") == 2
+
+    def test_hstar_reversed_bracket(self, tmp_path):
+        text = MINIMAL.replace("command=simulate", "command=hstar")
+        text += "\n[hstar]\nr_lo=5\nr_hi=1\n"
+        assert self.exit_code(tmp_path, text) == 2
+
+    @pytest.mark.parametrize("command,section", [
+        ("hstar", "[hstar]\nr_lo=1\nr_hi=4"),
+        ("mu-star", "[mu_star]\nmu_lo=0.1\nmu_hi=4"),
+        ("sigma0", "[sigma0]\nsigma_lo=0.1\nsigma_hi=4")])
+    def test_bisection_tol_zero(self, tmp_path, command, section):
+        text = MINIMAL.replace("command=simulate", "command=" + command)
+        text += "\n%s\ntol=0\n" % section
+        assert self.exit_code(tmp_path, text) == 2
+
+    @pytest.mark.parametrize("axis,values", [("d", "1,0"), ("h0", "-1,3")])
+    def test_sweep_axis_value(self, tmp_path, axis, values):
+        text = MINIMAL.replace("command=simulate", "command=sweep")
+        text += ("\n[sweep]\naxis1=%s\naxis1_values=%s\naxis2=mu\n"
+                 "axis2_values=1\n" % (axis, values))
+        assert self.exit_code(tmp_path, text) == 2
+
+
 class TestDocumentedConfig:
     def test_readme_example_loads(self):
         with open(README, encoding="utf-8") as fh:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from stefanlab.coeffmodel import (CoefficientField, ConstantFn, Numerics,
-                                  ProblemSpec, TabulatedFn, classify_habitat,
-                                  constant_field, round_horizon, validate)
+                                  ProblemSpec, classify_habitat,
+                                  constant_field, validate)
 
 
 def make_spec(**kw):
@@ -53,14 +53,6 @@ class TestField:
         assert fld == CoefficientField(alpha=fld.alpha, gamma=fld.gamma,
                                        beta=fld.beta, T=1.0, alpha2=alpha2)
 
-    def test_tabulated_periodic_wrap(self):
-        fn = TabulatedFn([0.0, 0.5, 1.0], [0.0, 1.0],
-                         [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]], period=1.0)
-        assert fn(0.25, 0.0) == pytest.approx(2.0)
-        assert fn(1.25, 0.0) == pytest.approx(fn(0.25, 0.0))
-        # r clamps beyond the last node
-        assert fn(0.0, 5.0) == pytest.approx(2.0)
-
     def test_field_pickles(self):
         fld = CoefficientField.from_expressions(
             alpha="1 + 0.5*sin(2*pi*t)", gamma="0.2", beta="1", T=1.0)
@@ -75,6 +67,13 @@ class TestValidate:
         spec = make_spec()
         report = validate(spec)
         assert report.ok, report.violations
+
+    @pytest.mark.parametrize("name", ["d", "mu", "h0"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_nonpositive_parameter(self, name, value):
+        report = validate(make_spec().with_(**{name: value}))
+        assert report.kinds() == {"NonPositiveParameter"}
+        assert name in report.violations[0].detail
 
     def test_u0_boundary_mismatch(self):
         spec = make_spec(u0="1")
@@ -145,11 +144,6 @@ class TestSpec:
         spec2 = spec.with_(mu=7.0, n=64)
         assert spec2.mu == 7.0 and spec2.numerics.n == 64
         assert spec.mu == 1.0 and spec.numerics.n == Numerics().n
-
-    def test_round_horizon(self):
-        assert round_horizon(49.7, 1.0) == 50.0
-        assert round_horizon(0.2, 1.0) == 1.0
-        assert round_horizon(7.0, 2.0) == pytest.approx(8.0)
 
     def test_spec_pickles(self):
         spec = make_spec(u0="cos(pi*r/2)")

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from stefanlab import freeboundary
 from stefanlab.coeffmodel import (CoefficientField, ProblemSpec,
                                   constant_field)
-from stefanlab.freeboundary import (FreeBoundaryState, classify_outcome,
-                                    front_gradient, initial_state, simulate,
-                                    step_free)
+from stefanlab.freeboundary import (DECAY_SUP, FRONT_STALL, Evidence,
+                                    FreeBoundaryState, Outcome, Snapshot,
+                                    classify_outcome, decide, front_gradient,
+                                    initial_state, simulate, step_free)
 from stefanlab.radialcore import solve_tridiag
 
 J01 = 2.4048255576957724
@@ -182,3 +185,200 @@ class TestComparison:
         ha = np.interp(t_common, a.t, a.h)
         hb = np.interp(t_common, b.t, b.h)
         assert np.all(ha <= hb + 1e-6)
+
+
+def reference_simulate(spec, t_max, sample_every):
+    """The sampling loop of simulate() without a stop test or a resume:
+    the oracle that pins the simulate command's trajectories."""
+    T = spec.field.T
+    state = initial_state(spec)
+    sizer = freeboundary._StepSizer(spec)
+    ts, hs, hps, sups = [0.0], [state.h], [0.0], [state.sup()]
+    snapshots = [Snapshot(0.0, state.h, state.u.copy())]
+    next_sample = sample_every if sample_every > 0 else math.inf
+    next_period = T
+    eps = 1e-12 * max(t_max, 1.0)
+    while state.t < t_max - eps:
+        dt = sizer(state, front_gradient(state))
+        dt = min(dt, min(t_max, next_sample, next_period) - state.t)
+        if dt <= 0:
+            dt = eps
+        try:
+            state, h_prime = step_free(state, spec, dt)
+        except freeboundary.StepSizeTooLarge:
+            state, h_prime = step_free(state, spec, dt / 2.0)
+        hit_sample = state.t >= next_sample - eps
+        if hit_sample or state.t >= t_max - eps:
+            ts.append(state.t)
+            hs.append(state.h)
+            hps.append(h_prime)
+            sups.append(state.sup())
+            while next_sample <= state.t + eps:
+                next_sample += sample_every
+        if state.t >= next_period - eps:
+            snapshots.append(Snapshot(state.t, state.h, state.u.copy()))
+            next_period += T
+    return ts, hs, hps, sups, snapshots, state
+
+
+def reference_classify(traj, h_star_value, rel_tol=0.01):
+    """classify_outcome's rule written out once more, as the oracle."""
+    h_final = float(traj.h[-1])
+    sup_final = float(traj.u_sup[-1])
+    hp_final = float(traj.h_prime[-1])
+    tol_h = rel_tol * (1.0 + (h_star_value if math.isfinite(h_star_value)
+                              else 0.0))
+    if math.isfinite(h_star_value) and h_final > h_star_value + tol_h:
+        crossed = traj.t[traj.h > h_star_value + tol_h]
+        ev = Evidence("eigenvalue", h_star_value, h_final, sup_final)
+        return Outcome("Spreading", ev, float(crossed[0]))
+    if (sup_final < DECAY_SUP and hp_final < FRONT_STALL
+            and h_final < h_star_value - tol_h):
+        ev = Evidence("decay", h_star_value, h_final, sup_final)
+        return Outcome("Vanishing", ev, float(traj.t[-1]))
+    ev = Evidence("nearest-miss", h_star_value, h_final, sup_final)
+    return Outcome("Undecided", ev, float(traj.t[-1]))
+
+
+def seasonal_field(T=1.0):
+    return CoefficientField.from_expressions(
+        alpha="1.2 + 0.5*sin(2*pi*t/%r)" % T,
+        gamma="0.2 + 0.3*exp(-(r^2))", beta="1", T=T)
+
+
+RESUME_CASES = {
+    "constant": (constant_field(1.0, gamma=0.5), 0.02, 0.25),
+    "seasonal": (seasonal_field(), 0.01, 0.25),
+    # step sizes and period boundaries that are not binary fractions
+    "period 1.3": (seasonal_field(1.3), 0.02, 0.25),
+    # the 10T horizon (13.0) is no sample time: its end sample is dropped
+    "period 1.3, samples 0.3": (seasonal_field(1.3), 0.02, 0.3),
+}
+
+
+def same_trajectory(a, b):
+    return (all(np.array_equal(getattr(a, k), getattr(b, k))
+                for k in ("t", "h", "h_prime", "u_sup"))
+            and a.final.t == b.final.t and a.final.h == b.final.h
+            and np.array_equal(a.final.u, b.final.u)
+            and len(a.snapshots) == len(b.snapshots)
+            and all(x.t == y.t and x.h == y.h and np.array_equal(x.u, y.u)
+                    for x, y in zip(a.snapshots, b.snapshots)))
+
+
+class TestResume:
+    @pytest.mark.parametrize("case", sorted(RESUME_CASES))
+    def test_bit_identical_to_one_run(self, case, monkeypatch):
+        fld, dt, every = RESUME_CASES[case]
+        spec = ProblemSpec.build(fld, d=1.0, mu=1.3, h0=1.5, n=64, dt=dt,
+                                 sample_every=every)
+        T = fld.T
+        steps = []
+        real_step = freeboundary.step_free
+
+        def counted(*args):
+            steps.append(1)
+            return real_step(*args)
+
+        monkeypatch.setattr(freeboundary, "step_free", counted)
+        fresh = simulate(spec, t_max=20 * T)
+        n_fresh = len(steps)
+        first = simulate(spec, t_max=10 * T)
+        n_first, n_samples = len(steps) - n_fresh, first.t.size
+        resumed = simulate(spec, t_max=20 * T, resume=first)
+        # the resumed run re-takes only the last step of the first one
+        assert len(steps) - n_fresh - n_first == n_fresh - n_first + 1
+        assert first.t[-1] == pytest.approx(10 * T, abs=1e-11)
+        assert same_trajectory(fresh, resumed)
+        # the trajectory resumed from is left as it was
+        assert first.t.size == n_samples and len(first.snapshots) == 11
+
+    def test_resume_twice(self):
+        fld, dt, every = RESUME_CASES["period 1.3"]
+        spec = ProblemSpec.build(fld, d=1.0, mu=1.3, h0=1.5, n=64, dt=dt)
+        fresh = simulate(spec, t_max=13.0)
+        traj = simulate(spec, t_max=3.9)
+        traj = simulate(spec, t_max=6.5, resume=traj)
+        traj = simulate(spec, t_max=13.0, resume=traj)
+        assert same_trajectory(fresh, traj)
+
+    def test_resume_to_an_earlier_time_adds_nothing(self):
+        spec = favorable_spec(n=64)
+        traj = simulate(spec, t_max=2.0)
+        again = simulate(spec, t_max=1.0, resume=traj)
+        assert same_trajectory(traj, again)
+
+
+class TestStop:
+    def test_stopped_run_is_a_prefix(self):
+        spec = ProblemSpec.build(seasonal_field(1.3), d=1.0, mu=1.3, h0=1.5,
+                                 n=64, dt=0.02)
+        full = simulate(spec, t_max=13.0)
+        seen = []
+
+        def stop(t, h, h_prime, u_sup, period_end):
+            seen.append((t, h, h_prime, u_sup, period_end))
+            return len(seen) == 20
+
+        part = simulate(spec, t_max=13.0, stop=stop)
+        k = part.t.size
+        assert k == 21 and len(seen) == 20
+        for name in ("t", "h", "h_prime", "u_sup"):
+            assert np.array_equal(getattr(part, name), getattr(full, name)[:k])
+        assert [s[:4] for s in seen] == list(zip(full.t[1:k], full.h[1:k],
+                                                 full.h_prime[1:k],
+                                                 full.u_sup[1:k]))
+        # samples every 0.25 meet the period boundaries k*1.3 at 6.5, 13
+        period_ends = [s[0] for s in seen if s[4]]
+        assert period_ends == [t for t in full.t[1:k]
+                               if abs(t / 1.3 - round(t / 1.3)) < 1e-9]
+        assert len(part.snapshots) == 1 + int(part.t[-1] / 1.3 + 1e-9)
+
+    def test_stopped_run_resumes(self):
+        spec = ProblemSpec.build(seasonal_field(), d=1.0, mu=1.3, h0=1.5,
+                                 n=64, dt=0.02)
+        full = simulate(spec, t_max=10.0)
+        part = simulate(spec, t_max=10.0,
+                        stop=lambda t, h, hp, sup, end: t >= 3.0)
+        assert part.t[-1] == 3.0
+        assert same_trajectory(full, simulate(spec, t_max=10.0, resume=part))
+
+
+class TestUnchangedPaths:
+    @pytest.mark.parametrize("case", sorted(RESUME_CASES))
+    def test_simulate_matches_reference_loop(self, case):
+        fld, dt, every = RESUME_CASES[case]
+        spec = ProblemSpec.build(fld, d=1.0, mu=2.0, h0=2.0, n=64, dt=dt,
+                                 sample_every=every)
+        traj = simulate(spec, t_max=7.0)
+        ts, hs, hps, sups, snaps, final = reference_simulate(spec, 7.0, every)
+        ref = freeboundary.Trajectory(
+            t=np.array(ts), h=np.array(hs), h_prime=np.array(hps),
+            u_sup=np.array(sups), snapshots=snaps, final=final)
+        assert same_trajectory(traj, ref)
+
+    @pytest.mark.parametrize("h_star_value", [1.0, J01, 2.9, 3.05, 100.0,
+                                              math.inf])
+    def test_classify_matches_reference(self, h_star_value):
+        spec = favorable_spec(h0=2.0, mu=0.5, n=64)
+        traj = simulate(spec, t_max=6.0)
+        assert (classify_outcome(traj, spec, h_star_value=h_star_value)
+                == reference_classify(traj, h_star_value))
+
+    def test_classify_vanishing_matches_reference(self):
+        spec = favorable_spec(h0=1.0, mu=0.01, n=64, u0="0.05*(1 - r^2)")
+        traj = simulate(spec, t_max=30.0)
+        out = classify_outcome(traj, spec, h_star_value=J01)
+        assert out.verdict == "Vanishing"
+        assert out == reference_classify(traj, J01)
+
+
+class TestDecide:
+    def test_rule(self):
+        tol = 0.01 * (1.0 + J01)
+        assert decide(J01 + 1.01 * tol, 0.0, 1.0, J01) == "Spreading"
+        assert decide(J01 + tol, 0.0, 1.0, J01) == "Undecided"
+        assert decide(J01 - 1.01 * tol, 0.0, 0.0, J01) == "Vanishing"
+        assert decide(J01 - 1.01 * tol, 0.0, DECAY_SUP, J01) == "Undecided"
+        assert decide(J01 - 1.01 * tol, FRONT_STALL, 0.0, J01) == "Undecided"
+        assert decide(1e9, 0.0, 0.0, math.inf) == "Vanishing"

@@ -6,8 +6,8 @@ from stefanlab.errors import (DomainNotLargeEnough, SolverSingular,
                               StepSizeTooLarge)
 from stefanlab.radialcore import (PIVOT_EPS, DiffusionSolver, FactoredTridiag,
                                   RadialGrid, entire_space_periodic,
-                                  periodic_attractor, radial_laplacian,
-                                  solve_tridiag, step_reaction_diffusion)
+                                  periodic_attractor, solve_tridiag,
+                                  step_reaction_diffusion)
 
 
 def thomas_reference(lower, diag, upper, rhs):
@@ -192,34 +192,6 @@ class TestPrefactoredSolver:
         grid = RadialGrid(n=8, R=8.0, N=2)
         with pytest.raises(SolverSingular):
             DiffusionSolver(grid, -0.25, 1.0)
-
-
-class TestLaplacian:
-    def test_constant_is_zero(self):
-        grid = RadialGrid(n=64, R=2.0, N=2)
-        out = radial_laplacian(grid, np.full(65, 3.7))
-        assert np.allclose(out, 0.0, atol=1e-12)
-
-    def test_r_squared_n2(self):
-        grid = RadialGrid(n=128, R=2.0, N=2)
-        out = radial_laplacian(grid, grid.r ** 2)
-        assert np.allclose(out[:-1], 4.0, atol=1e-9)
-
-    def test_r_squared_n3(self):
-        grid = RadialGrid(n=128, R=2.0, N=3)
-        out = radial_laplacian(grid, grid.r ** 2)
-        assert np.allclose(out[:-1], 6.0, atol=1e-9)
-
-    def test_second_order_interior(self):
-        # u = cos(r): Laplacian = -cos - sin/r for N=2
-        errs = []
-        for n in (64, 128):
-            grid = RadialGrid(n=n, R=3.0, N=2)
-            r = grid.r[1:-1]
-            exact = -np.cos(r) - np.sin(r) / r
-            got = radial_laplacian(grid, np.cos(grid.r))[1:-1]
-            errs.append(np.max(np.abs(got - exact)))
-        assert errs[0] / errs[1] > 3.5
 
 
 class TestStepping:

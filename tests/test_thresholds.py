@@ -1,14 +1,16 @@
 import logging
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
-from stefanlab import eigen, thresholds
+from stefanlab import eigen, freeboundary, thresholds
 from stefanlab.coeffmodel import (CoefficientField, ProblemSpec,
                                   constant_field)
 from stefanlab.errors import BracketInvalid, NoSignChange, TooManyUndecided
+from stefanlab.freeboundary import classify_outcome
 from stefanlab.thresholds import (ScaledProfile, ThresholdResult,
                                   criteria_experiment, ladder_is_sorted,
                                   mu_star, sigma0, verdict_ladder)
@@ -205,3 +207,116 @@ class TestBisectionLogging:
         assert len(lines) == len(probes) - 2 == res.evaluations - 2 > 0
         assert lines[0] == "bisect [0.4, 4]: probe 2.2"
         assert res.bracket[0] < 1.8 <= res.bracket[1]
+
+
+def ladder_spec(ladder):
+    """A mu ladder and a sigma ladder, each with probes that escalate."""
+    if ladder == "mu":
+        # the constant-field mu* benchmark: mu=1.3 is Undecided at 50T
+        spec = ProblemSpec.build(constant_field(0.5, gamma=0.5), d=1.0,
+                                 mu=1.0, h0=2.0, n=64, dt=0.02)
+        return spec, (0.4, 1.3, 2.2, 4.0)
+    spec = ProblemSpec.build(unfavorable_core_field(), d=1.0, mu=2.0, h0=1.5,
+                             n=64, dt=0.02)
+    # sigma=3.0 escalates once, sigma=3.3 twice
+    return spec, (0.5, 3.0, 3.3, 4.0)
+
+
+def full_horizon_verdict(spec, h_star_value):
+    """A probe decided by fresh runs over the whole horizon, doubled while
+    Undecided: the verdicts early stopping must reproduce."""
+    T = spec.field.T
+    horizon, escalations = thresholds.HORIZON_START * T, 0
+    while True:
+        traj = freeboundary.simulate(spec, t_max=horizon)
+        verdict = classify_outcome(traj, spec, h_star_value=h_star_value).verdict
+        if verdict != "Undecided" or horizon >= thresholds.HORIZON_CAP * T:
+            return verdict, escalations
+        escalations += 1
+        horizon = min(2.0 * horizon, thresholds.HORIZON_CAP * T)
+
+
+class TestEarlyStopping:
+    @pytest.mark.parametrize("ladder", ["mu", "sigma"])
+    def test_ladder_matches_full_horizon(self, ladder, monkeypatch):
+        spec, values = ladder_spec(ladder)
+        hs = thresholds._hstar_for(spec)
+        ref = [full_horizon_verdict(spec_at(spec, ladder, v), hs)
+               for v in values]
+        escalations = sum(esc for _, esc in ref)
+        assert escalations > 0
+        calls = []
+        real = freeboundary.simulate
+
+        def counted(spec, t_max=None, **kwargs):
+            traj = real(spec, t_max=t_max, **kwargs)
+            calls.append((t_max, kwargs.get("resume"), traj))
+            return traj
+
+        monkeypatch.setattr(freeboundary, "simulate", counted)
+        verdicts = verdict_ladder(spec, ladder, values, h_star_value=hs)
+        assert verdicts == [v for v, _ in ref]
+        # one simulate call per evaluation; each escalation resumes the
+        # trajectory of the call before it
+        assert len(calls) == len(values) + escalations
+        resumed = [(prev[2], call[1]) for prev, call in zip(calls, calls[1:])
+                   if call[1] is not None]
+        assert len(resumed) == escalations
+        assert all(before is after for before, after in resumed)
+        # decided probes stop before their horizon, a Vanishing one only
+        # at a period boundary
+        early = [traj for t_max, _, traj in calls if traj.t[-1] < t_max]
+        assert early
+        for traj in early:
+            if traj.u_sup[-1] < freeboundary.DECAY_SUP:
+                assert traj.t[-1] == pytest.approx(round(traj.t[-1]))
+
+    def test_one_simulation_per_evaluation(self, monkeypatch):
+        spec, _ = ladder_spec("mu")
+        real = freeboundary.simulate
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(freeboundary, "simulate", counted)
+        res = mu_star(spec, 0.4, 4.0, tol=0.4)
+        assert (res.value, res.bracket) == (1.75, (1.3, 2.2))
+        assert (res.evaluations, res.undecided_encounters) == (5, 1)
+        assert len(calls) == res.evaluations
+
+    def test_one_debug_line_per_evaluation(self, caplog):
+        spec, _ = ladder_spec("mu")
+        prober = thresholds._Prober(spec, J01 * math.sqrt(2.0))
+        with caplog.at_level(logging.DEBUG, logger="stefanlab"):
+            assert prober.verdict(mu=1.3) == "Vanishing"
+            assert prober.verdict(mu=4.0) == "Spreading"
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "stefanlab" and r.levelno == logging.DEBUG]
+        assert len(lines) == prober.evaluations == 3
+        pattern = r"probe mu=%s: horizon %s, stopped at t=([0-9.]+): %s$"
+        m = [re.match(pattern % args, line) for args, line in zip(
+            [("1.3", "50", "Undecided"), ("1.3", "100", "Vanishing"),
+             ("4", "50", "Spreading")], lines)]
+        assert all(m), lines
+        assert float(m[0].group(1)) == 50.0
+        assert float(m[1].group(1)) <= 100.0
+        assert float(m[2].group(1)) < 50.0
+
+    def test_demo_thresholds_unchanged(self):
+        # demos/sharp_thresholds.py: the same answers and counts as full
+        # horizon probes gave
+        spec = favorable_spec(h0=1.5)
+        assert mu_star(spec, 0.05, 8.0, tol=0.05, h_star_value=J01) == \
+            ThresholdResult(value=1.2611328124999999,
+                            bracket=(1.230078125, 1.2921874999999998),
+                            verdict_lo="Vanishing", verdict_hi="Spreading",
+                            evaluations=13, undecided_encounters=4)
+        core = ProblemSpec.build(unfavorable_core_field(), d=1.0, mu=2.0,
+                                 h0=1.5, n=64, dt=5e-3)
+        assert sigma0(core, core.u0, 0.05, 30.0, tol=0.1) == \
+            ThresholdResult(value=3.4427734375000005,
+                            bracket=(3.3257812500000004, 3.5597656250000003),
+                            verdict_lo="Vanishing", verdict_hi="Spreading",
+                            evaluations=14, undecided_encounters=5)
