@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -321,6 +320,7 @@ def _cmd_eigen(config, spec, arts, jobs):
     work = [(spec.d, spec.field, R, spec.field.T, spec.N, spec.numerics.n)
             for R in Rs]
     if jobs and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_eigen_point, work))
     else:
@@ -394,6 +394,7 @@ def _cmd_sweep(config, spec, arts, jobs, horizon_scale):
             cell = thresholds.spec_at(thresholds.spec_at(spec, a1, v1), a2, v2)
             work.append((cell, t_max, v1, v2))
     if jobs and jobs > 1 and len(work) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_cell, work))
     else:
@@ -402,9 +403,9 @@ def _cmd_sweep(config, spec, arts, jobs, horizon_scale):
 
     overlay = {"axis1": a1, "axis2": a2}
     try:
-        overlay["h_star"] = eigen.h_star(spec.d, spec.field, spec.field.T,
-                                         r_lo=0.05 * spec.h0, r_hi=8.0 * spec.h0,
-                                         N=spec.N, n=128)
+        # at classify_outcome's n=256: within h*'s tol of the value that
+        # cells with the base spec's d and field compared against
+        overlay["h_star"] = thresholds._hstar_for(spec)
     except StefanLabError:
         overlay["h_star"] = None
     try:

@@ -8,16 +8,58 @@ reaction-diffusion problem on a ball.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (DomainNotLargeEnough, NoConvergence, SolverSingular,
                      StepSizeTooLarge)
 
 VANISH_SUP = 1e-8          # sup-norm threshold separating the zero branch
 PIVOT_EPS = 1e-14
+_ROUTINES = ("dgtsv", "dgttrf", "dgttrs")
+
+
+def _flapack_path():
+    """Path of scipy's f2py LAPACK extension, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    bases = spec.submodule_search_locations if spec else None
+    for base in bases or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(base, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    raise ImportError("scipy/linalg/_flapack extension not found")
+
+
+def _load_lapack():
+    """A namespace holding LAPACK dgtsv, dgttrf and dgttrs.
+
+    Importing scipy.linalg takes more than half the import time of the
+    whole package, mostly in modules these routines never use, so scipy's
+    _flapack extension is loaded on its own under a plain module name (it
+    is not entered in sys.modules).  Its routines are the same compiled
+    code scipy.linalg.lapack exposes, which remains the fallback when the
+    file is missing, fails to load or lacks a routine.
+    """
+    try:
+        spec = importlib.util.spec_from_file_location("_flapack",
+                                                      _flapack_path())
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        pass
+    else:
+        if all(hasattr(module, name) for name in _ROUTINES):
+            return module
+    from scipy.linalg import lapack
+    return lapack
+
+
+lapack = _load_lapack()
 
 
 @dataclass(frozen=True)

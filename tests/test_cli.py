@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from stefanlab import cli, eigen
+from stefanlab import cli, eigen, freeboundary
 from stefanlab.errors import (ConfigError, ExpressionError, FrontRetreat,
                               HypothesisHFailed, MissingKey, NonPositive,
                               NonPositiveIterate, SolverSingular, TypeMismatch,
@@ -160,6 +160,20 @@ class TestRun:
             verdict = json.load(fh)["verdict"]
         assert cells[2] == verdict
         assert os.path.exists(os.path.join(out, "overlay.json"))
+
+    def test_sweep_overlay_hstar_is_the_cells(self, tmp_path):
+        text = MINIMAL.replace("command=simulate", "command=sweep")
+        text += "\n[sweep]\naxis1=mu\naxis1_values=1,2\naxis2=h0\naxis2_values=3\n"
+        cfg = cli.loads_config(text)
+        out = str(tmp_path / "sw")
+        assert cli.run(cfg, out_dir=out, jobs=1) == 0
+        with open(os.path.join(out, "overlay.json")) as fh:
+            overlay = json.load(fh)
+        # the (mu=1, h0=3) cell is the base spec
+        spec = cli.build_spec(cfg)
+        traj = freeboundary.simulate(spec, t_max=spec.numerics.t_max)
+        cell_hstar = freeboundary.classify_outcome(traj, spec).evidence.h_star
+        assert abs(overlay["h_star"] - cell_hstar) <= 1e-3
 
     def test_sweep_bad_axis(self, tmp_path):
         text = MINIMAL.replace("command=simulate", "command=sweep")

@@ -1,6 +1,14 @@
+import importlib.machinery
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import stefanlab
+from stefanlab import radialcore
 from stefanlab.coeffmodel import CoefficientField, constant_field
 from stefanlab.errors import (DomainNotLargeEnough, SolverSingular,
                               StepSizeTooLarge)
@@ -192,6 +200,81 @@ class TestPrefactoredSolver:
         grid = RadialGrid(n=8, R=8.0, N=2)
         with pytest.raises(SolverSingular):
             DiffusionSolver(grid, -0.25, 1.0)
+
+
+def run_routines(lp, lower, diag, upper, rhs):
+    """Every output of gttrf, gttrs and gtsv from the namespace ``lp``."""
+    *lu, info = lp.dgttrf(lower[1:], diag, upper[:-1])
+    x = lp.dgttrs(*lu, rhs)[0]
+    *_, y, gtsv_info = lp.dgtsv(lower[1:], diag, upper[:-1], rhs)
+    return [*lu, info, x, y, gtsv_info]
+
+
+def lapack_test_systems():
+    """DiffusionSolver bands (both boundaries) and the 1023-unknown
+    semi-wave matrix, each with a right-hand side."""
+    rng = np.random.default_rng(17)
+    grid = RadialGrid(n=128, R=5.0, N=2)
+    out = []
+    for boundary in ("dirichlet", "neumann"):
+        bands = diffusion_bands(grid, 1.3, 2e-3, boundary)
+        out.append((bands, rng.standard_normal(bands[1].size)))
+    m, s = 1023, 0.37
+    bands = (np.full(m, -s), np.full(m, 1.0 + 2.0 * s), np.full(m, -s))
+    out.append((bands, rng.standard_normal(m)))
+    return out
+
+
+class TestLapackBinding:
+    def test_import_leaves_scipy_linalg_out(self):
+        code = ("import json, sys\n"
+                "heavy = ('scipy.linalg', 'numpy.f2py')\n"
+                "import stefanlab\n"
+                "seen = [[m for m in heavy if m in sys.modules]]\n"
+                "import stefanlab.cli\n"
+                "seen.append([m for m in heavy if m in sys.modules])\n"
+                "print(json.dumps(seen))\n")
+        src = os.path.dirname(os.path.dirname(stefanlab.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH", "")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == [[], []]
+
+    def test_direct_routines_bit_identical(self):
+        from scipy.linalg import lapack as scipy_lapack
+        assert radialcore.lapack is not scipy_lapack
+        for bands, rhs in lapack_test_systems():
+            direct = run_routines(radialcore.lapack, *bands, rhs)
+            ref = run_routines(scipy_lapack, *bands, rhs)
+            assert len(direct) == len(ref)
+            for a, b in zip(direct, ref):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("failure", ["missing", "unloadable", "incomplete"])
+    def test_fallback_to_scipy_linalg(self, failure, monkeypatch, tmp_path):
+        from scipy.linalg import lapack as scipy_lapack
+        systems = lapack_test_systems()
+        expected = [(FactoredTridiag(*bands).solve(rhs),
+                     solve_tridiag(*bands, rhs)) for bands, rhs in systems]
+        if failure == "missing":
+            def lookup():
+                raise ImportError("no _flapack extension")
+            monkeypatch.setattr(radialcore, "_flapack_path", lookup)
+        elif failure == "unloadable":
+            junk = tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+            junk.write_bytes(b"not a shared object")
+            monkeypatch.setattr(radialcore, "_flapack_path", lambda: str(junk))
+        else:
+            monkeypatch.setattr(radialcore, "_ROUTINES",
+                                radialcore._ROUTINES + ("dno_such_routine",))
+        fallback = radialcore._load_lapack()
+        assert fallback is scipy_lapack
+        monkeypatch.setattr(radialcore, "lapack", fallback)
+        for (bands, rhs), (factored, direct) in zip(systems, expected):
+            assert np.array_equal(FactoredTridiag(*bands).solve(rhs), factored)
+            assert np.array_equal(solve_tridiag(*bands, rhs), direct)
 
 
 class TestStepping:
