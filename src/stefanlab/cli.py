@@ -403,9 +403,9 @@ def _cmd_sweep(config, spec, arts, jobs, horizon_scale):
 
     overlay = {"axis1": a1, "axis2": a2}
     try:
-        # at classify_outcome's n=256: within h*'s tol of the value that
-        # cells with the base spec's d and field compared against
-        overlay["h_star"] = thresholds._hstar_for(spec)
+        # the h* that a base-spec cell compared against, unless that cell
+        # ended beyond 2*h0 and so widened its bracket (within h*'s tol)
+        overlay["h_star"] = freeboundary.spec_h_star(spec)
     except StefanLabError:
         overlay["h_star"] = None
     try:

@@ -147,21 +147,80 @@ def principal_eigenvalue(d, field, R, T, N=2, tol=1e-7, n=512, substeps=None,
                        iterations=it_c + it_f, residual=residual)
 
 
-def _bisect(upper, lo, hi, wide, split=lambda lo, hi: 0.5 * (lo + hi)):
+def _midpoint(lo, hi, f_lo, f_hi):
+    return 0.5 * (lo + hi), "bisect"
+
+
+def _bisect(f, lo, hi, wide, split=_midpoint, f_lo=None, f_hi=None):
     """Shrink the bracket [lo, hi] around the sign change of a monotone test.
 
-    While ``wide(lo, hi)`` holds, probes ``mid = split(lo, hi)`` and keeps
-    the half where the test changes: ``upper(mid)`` true means mid lies on
-    hi's side, so it becomes hi, otherwise lo.  Returns the final (lo, hi).
+    ``f(x) > 0`` puts x on lo's side and any other value on hi's side; a
+    boolean test is such an f.  While ``wide(lo, hi)`` holds, probes the
+    point that ``split(lo, hi, f_lo, f_hi)`` returns with the name of its
+    step, and keeps the part where f changes sign.  ``f_lo`` and ``f_hi``
+    are the values of f at the ends (None when unknown); the default
+    midpoint split ignores them.  Returns the final (lo, hi).
     """
     while wide(lo, hi):
-        mid = split(lo, hi)
-        log.debug("bisect [%.10g, %.10g]: probe %.10g", lo, hi, mid)
-        if upper(mid):
-            hi = mid
+        x, kind = split(lo, hi, f_lo, f_hi)
+        log.debug("%s [%.10g, %.10g]: probe %.10g", kind, lo, hi, x)
+        fx = f(x)
+        if fx > 0:
+            lo, f_lo = x, fx
         else:
-            lo = mid
+            hi, f_hi = x, fx
     return lo, hi
+
+
+class _IllinoisSplit:
+    """Illinois false-position steps for the root of lambda1 in x = 1/R**2.
+
+    On an r-independent potential lambda1 = d*(j/R)**2 - mean(alpha-gamma)
+    is linear in x, and otherwise smooth and decreasing in R, so the secant
+    root in x lands close to h*.  An end kept by two probes in a row has
+    its lambda1 weight halved (Illinois), which stops one end from going
+    stale.  An estimate within tol/2 of an end means the root is that
+    close: the probe then goes tol/2 beyond that end instead (a closing
+    probe), which leaves a tol/2 bracket when the estimate was right.  A
+    midpoint step is taken when an end's lambda1 is not finite (an
+    underflowed period map), after a closing probe that did not end the
+    search, and after three probes in a row that did not halve the
+    bracket, so the bracket at least halves over every four probes.
+    """
+
+    def __init__(self, tol):
+        self.tol = tol
+        self.steps = []             # (lo, hi, kind) at each probe so far
+        self.weight = [1.0, 1.0]    # Illinois factors of lambda1 at lo, hi
+        self.moved = None           # end the last probe replaced: 0 lo, 1 hi
+
+    def __call__(self, lo, hi, f_lo, f_hi):
+        if self.steps:
+            moved = 0 if lo != self.steps[-1][0] else 1
+            self.weight[moved] = 1.0
+            if moved == self.moved:
+                self.weight[1 - moved] *= 0.5
+            self.moved = moved
+        x, kind = self._step(lo, hi, f_lo, f_hi)
+        self.steps.append((lo, hi, kind))
+        return x, kind
+
+    def _step(self, lo, hi, f_lo, f_hi):
+        half = 0.5 * self.tol
+        last3 = self.steps[-3:]
+        if (not (math.isfinite(f_lo) and math.isfinite(f_hi))
+                or (last3 and last3[-1][2] == "closing")
+                or (len(last3) == 3 and all(k != "bisect" for *_, k in last3)
+                    and hi - lo > 0.5 * (last3[0][1] - last3[0][0]))):
+            return 0.5 * (lo + hi), "bisect"
+        w_lo, w_hi = self.weight[0] * f_lo, self.weight[1] * f_hi
+        x_lo, x_hi = lo ** -2, hi ** -2
+        x = (x_lo + (x_hi - x_lo) * w_lo / (w_lo - w_hi)) ** -0.5
+        if x < lo + half:
+            return lo + half, "closing"
+        if x > hi - half:
+            return hi - half, "closing"
+        return x, "illinois"
 
 
 def _envelope_radii(d, field, N):
@@ -200,7 +259,11 @@ def _h_star_bracket(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512,
     ENVELOPE_MARGIN, each end verified by a solve: a probe with lambda1 > 0
     becomes lo, any other becomes hi, so a wrong envelope costs a solve but
     never the answer.  A caller end is solved only when no probe verified
-    that side.  An infinite threshold is the bracket (4*r_hi, inf).
+    that side.  An infinite threshold is the bracket (4*r_hi, inf).  The
+    verified bracket then shrinks to at most tol by _bisect, fed the
+    lambda1 values at the ends, with the _IllinoisSplit steps: secant
+    estimates in 1/R**2, a closing probe tol/2 beyond an end once an
+    estimate lands within tol/2 of it, and midpoint fallbacks.
     """
     if not (0 < r_lo < r_hi):
         raise ValueError("need 0 < r_lo < r_hi")
@@ -221,7 +284,7 @@ def _h_star_bracket(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512,
         return res.lambda1
 
     lo, hi = float(r_lo), float(r_hi)
-    lo_verified = hi_verified = False   # lambda1(lo) > 0, lambda1(hi) <= 0
+    f_lo = f_hi = None          # lambda1 at a verified end
     radii = _envelope_radii(d, field, N)
     if radii is None:
         log.debug("h* bracket from the caller: [%.10g, %.10g]", lo, hi)
@@ -231,30 +294,40 @@ def _h_star_bracket(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512,
         log.debug("h* bracket from the envelope radii: [%.10g, %.10g]", *probes)
         for R in probes:
             if lo < R < hi:
-                if lam(R) > 0:
-                    lo, lo_verified = R, True
+                f_R = lam(R)
+                if f_R > 0:
+                    lo, f_lo = R, f_R
                 else:
-                    hi, hi_verified = R, True
-    if not lo_verified and lam(lo) <= 0:
-        raise BracketInvalid("lambda1(r_lo=%g) <= 0; threshold below bracket" % lo)
-    if not hi_verified and lam(hi) > 0:
-        lo, hi = hi, 4.0 * hi
-        if lam(hi) > 0:
-            return hi, H_STAR_INFINITE, solves[0]
-    lo, hi = _bisect(lambda R: not lam(R) > 0, lo, hi,
-                     lambda lo, hi: hi - lo > tol)
+                    hi, f_hi = R, f_R
+    if f_lo is None:
+        f_lo = lam(lo)
+        if f_lo <= 0:
+            raise BracketInvalid("lambda1(r_lo=%g) <= 0; threshold below bracket"
+                                 % lo)
+    if f_hi is None:
+        f_hi = lam(hi)
+        if f_hi > 0:
+            lo, f_lo, hi = hi, f_hi, 4.0 * hi
+            f_hi = lam(hi)
+            if f_hi > 0:
+                return hi, H_STAR_INFINITE, solves[0]
+    lo, hi = _bisect(lam, lo, hi, lambda lo, hi: hi - lo > tol,
+                     split=_IllinoisSplit(tol), f_lo=f_lo, f_hi=f_hi)
     return lo, hi, solves[0]
 
 
 def h_star(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512, substeps=None,
            eig_tol=1e-7):
-    """Habitat-radius threshold: the root of lambda1(R) = 0 by bisection.
+    """Habitat-radius threshold: the root of lambda1(R) = 0.
 
     lambda1 is strictly decreasing in R.  The search starts from the
     envelope comparison radii when they apply and from [r_lo, r_hi]
-    otherwise.  If lambda1 is still positive at r_hi after one 4x bracket
-    expansion the threshold is reported as infinite (math.inf).  Raises
-    BracketInvalid when lambda1(r_lo) <= 0.
+    otherwise, and shrinks the bracket by Illinois false position in
+    1/R**2 with closing probes and midpoint fallbacks (see
+    _IllinoisSplit).  Returns the midpoint of the final bracket, at most
+    ``tol`` wide.  If lambda1 is still positive at r_hi after one 4x
+    bracket expansion the threshold is reported as infinite (math.inf).
+    Raises BracketInvalid when lambda1(r_lo) <= 0.
     """
     lo, hi, _ = _h_star_bracket(d, field, T, r_lo, r_hi, tol=tol, N=N, n=n,
                                 substeps=substeps, eig_tol=eig_tol)
@@ -297,9 +370,9 @@ def d_thresholds(field, R, T, d_lo, d_hi, tol=1e-3, N=2, points=32, n=256,
     def refine(i):
         # bisect for the zero crossing inside [ds[i], ds[i+1]]; the left
         # end's sign is the scan's
-        lo, hi = _bisect(lambda d: (lam(d) > 0) != signs[i], ds[i], ds[i + 1],
+        lo, hi = _bisect(lambda d: (lam(d) > 0) == signs[i], ds[i], ds[i + 1],
                          lambda lo, hi: hi / lo > 1.0 + tol,
-                         split=lambda lo, hi: math.sqrt(lo * hi))
+                         split=lambda lo, hi, *_: (math.sqrt(lo * hi), "bisect"))
         return math.sqrt(lo * hi)
 
     first = flips[0]

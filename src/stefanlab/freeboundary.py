@@ -278,6 +278,23 @@ _CRITERION = {"Spreading": "eigenvalue", "Vanishing": "decay",
               "Undecided": "nearest-miss"}
 
 
+def spec_h_star(spec, h_final=0.0, n=256):
+    """h* of a spec's field, d and N at eigen resolution n.
+
+    The caller bracket is [0.05*h0, max(8*h0, 4*h_final)], so a run's
+    classification and the threshold finders that pass no h_final search
+    the same bracket unless the run ended beyond 2*h0.  A threshold below
+    0.05*h0 (lambda1 already nonpositive there) is reported as 0.05*h0.
+    """
+    try:
+        return eigen.h_star(spec.d, spec.field, spec.field.T,
+                            r_lo=0.05 * spec.h0,
+                            r_hi=max(8.0 * spec.h0, 4.0 * h_final),
+                            N=spec.N, n=n)
+    except BracketInvalid:
+        return 0.05 * spec.h0
+
+
 def classify_outcome(traj, spec, h_star_value=None, rel_tol=0.01, eig_n=256):
     """Classify a trajectory per the spreading-vanishing dichotomy.
 
@@ -285,18 +302,9 @@ def classify_outcome(traj, spec, h_star_value=None, rel_tol=0.01, eig_n=256):
     return for borderline runs.  A Spreading run is decided at the first
     sample past the threshold, the others at the final sample.
     """
-    fld = spec.field
-    T = fld.T
-    if h_star_value is None:
-        hi = max(4.0 * float(traj.h[-1]), 4.0 * spec.h0)
-        try:
-            h_star_value = eigen.h_star(spec.d, fld, T, r_lo=0.05 * spec.h0,
-                                        r_hi=hi, N=spec.N, n=eig_n)
-        except BracketInvalid:
-            # threshold below the probe radius: lambda1(r_lo) <= 0 already
-            h_star_value = 0.05 * spec.h0
-
     h_final = float(traj.h[-1])
+    if h_star_value is None:
+        h_star_value = spec_h_star(spec, h_final, n=eig_n)
     sup_final = float(traj.u_sup[-1])
     verdict = decide(h_final, float(traj.h_prime[-1]), sup_final,
                      h_star_value, rel_tol)

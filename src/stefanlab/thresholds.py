@@ -129,16 +129,6 @@ class _Prober:
             horizon = min(2.0 * horizon, HORIZON_CAP * T)
 
 
-def _hstar_for(spec, n=256):
-    try:
-        return eigen.h_star(spec.d, spec.field, spec.field.T,
-                            r_lo=0.05 * spec.h0, r_hi=8.0 * spec.h0,
-                            N=spec.N, n=n)
-    except BracketInvalid:
-        # lambda1 already nonpositive at the probe radius
-        return 0.05 * spec.h0
-
-
 def _sharp_threshold(spec, param, lo, hi, tol, h_star_value,
                      bound_if_undecided):
     """Bisect the Vanishing -> Spreading flip of the verdict in ``param``.
@@ -150,7 +140,7 @@ def _sharp_threshold(spec, param, lo, hi, tol, h_star_value,
     TooManyUndecided propagates.
     """
     if h_star_value is None:
-        h_star_value = _hstar_for(spec)
+        h_star_value = freeboundary.spec_h_star(spec)
     if math.isfinite(h_star_value) and spec.h0 >= h_star_value:
         return ThresholdResult(value=0.0, bracket=(0.0, 0.0),
                                verdict_lo="Spreading", verdict_hi="Spreading",
@@ -180,7 +170,7 @@ def _sharp_threshold(spec, param, lo, hi, tol, h_star_value,
         raise BracketInvalid(
             "%s bracket endpoints gave (%s, %s); need (Vanishing, Spreading)"
             % (param, v_lo, v_hi))
-    lo, hi = eigen._bisect(lambda x: verdict(x) == "Spreading", lo, hi,
+    lo, hi = eigen._bisect(lambda x: verdict(x) != "Spreading", lo, hi,
                            lambda lo, hi: hi - lo > tol * (1.0 + 0.5 * (lo + hi)))
     return ThresholdResult(value=0.5 * (lo + hi), bracket=(lo, hi),
                            verdict_lo="Vanishing", verdict_hi="Spreading",
@@ -219,7 +209,7 @@ def verdict_ladder(spec, param, values, zeta=None, h_star_value=None):
     if zeta is not None:
         spec = spec.with_(u0=zeta)
     if h_star_value is None:
-        h_star_value = _hstar_for(spec)
+        h_star_value = freeboundary.spec_h_star(spec)
     prober = _Prober(spec, h_star_value)
     return [prober.verdict(**{param: v}) for v in values]
 
@@ -268,16 +258,16 @@ def criteria_experiment(kind, spec, amplitudes=(0.05, 0.5, 5.0)):
         param, value = "d", 2.0 * d_upper
         prediction = "Vanishing for small, Spreading for large"
     elif kind == "LargeHabitat":
-        param, value = "h0", 1.2 * _hstar_for(spec)
+        param, value = "h0", 1.2 * freeboundary.spec_h_star(spec)
         prediction = "all Spreading"
     elif kind == "SmallHabitat":
-        param, value = "h0", 0.6 * _hstar_for(spec)
+        param, value = "h0", 0.6 * freeboundary.spec_h_star(spec)
         prediction = "Vanishing for small, Spreading for large"
     else:
         raise ValueError("unknown experiment kind %r" % kind)
 
     probe_spec = spec_at(spec, param, value)
-    hs = _hstar_for(probe_spec)
+    hs = freeboundary.spec_h_star(probe_spec)
     prober = _Prober(probe_spec, hs)
     verdicts = []
     for amp in amplitudes:

@@ -175,6 +175,23 @@ class TestRun:
         cell_hstar = freeboundary.classify_outcome(traj, spec).evidence.h_star
         assert abs(overlay["h_star"] - cell_hstar) <= 1e-3
 
+    def test_sweep_overlay_hstar_without_envelopes(self, tmp_path):
+        # N = 5 has no envelope radii, so h* depends on the caller's
+        # bracket: the overlay and the cells must search the same one
+        text = MINIMAL.replace("command=simulate", "command=sweep")
+        text = text.replace("h0=3\n", "h0=3\nN=5\n")
+        text += "\n[sweep]\naxis1=mu\naxis1_values=1\naxis2=h0\naxis2_values=3\n"
+        cfg = cli.loads_config(text)
+        out = str(tmp_path / "sw")
+        assert cli.run(cfg, out_dir=out, jobs=1) == 0
+        with open(os.path.join(out, "overlay.json")) as fh:
+            overlay = json.load(fh)
+        spec = cli.build_spec(cfg)
+        assert spec.N == 5 and eigen._envelope_radii(spec.d, spec.field, 5) is None
+        traj = freeboundary.simulate(spec, t_max=spec.numerics.t_max)
+        cell_hstar = freeboundary.classify_outcome(traj, spec).evidence.h_star
+        assert overlay["h_star"] == cell_hstar
+
     def test_sweep_bad_axis(self, tmp_path):
         text = MINIMAL.replace("command=simulate", "command=sweep")
         text += "\n[sweep]\naxis1=bogus\naxis1_values=1\naxis2=h0\naxis2_values=3\n"

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ from stefanlab import eigen
 from stefanlab.coeffmodel import CoefficientField, ConstantFn, constant_field
 from stefanlab.eigen import (H_STAR_INFINITE, POTENTIAL_BLOCK, d_thresholds,
                              h_star, period_map, principal_eigenvalue)
-from stefanlab.errors import BracketInvalid, NoSignChange
+from stefanlab.errors import BracketInvalid, NonPositiveIterate, NoSignChange
 from stefanlab.radialcore import DiffusionSolver, RadialGrid
 
 
@@ -275,10 +276,13 @@ def counting_eigen(monkeypatch):
     return radii
 
 
-def reference_h_star(d, field, T, lo, hi, tol, n):
+def reference_h_star(d, field, T, lo, hi, tol, n, N=2):
     """Plain bisection of lambda1(R) over the caller's bracket."""
     def lam(R):
-        return principal_eigenvalue(d, field, R, T, n=n).lambda1
+        try:
+            return principal_eigenvalue(d, field, R, T, N=N, n=n).lambda1
+        except NonPositiveIterate:
+            return math.inf
 
     assert lam(lo) > 0 >= lam(hi)
     while hi - lo > tol:
@@ -325,10 +329,10 @@ class TestEnvelopeBracket:
         lo, hi, solves = eigen._h_star_bracket(1.0, constant_field(1.0), 1.0,
                                                r_lo=0.1, r_hi=12.8, n=128)
         assert solves == len(radii) == len(set(radii))
-        # two verified probes replace both caller ends and most of the
-        # bisection: 16 solves over the caller's bracket
-        width = 2.0 * eigen.ENVELOPE_MARGIN * J01
-        assert solves == 2 + math.ceil(math.log2(width / 1e-3)) <= 10
+        # two verified probes replace both caller ends; lambda1 is linear
+        # in 1/R**2 here, so one estimate and one closing probe finish:
+        # 16 solves when bisecting the caller's bracket, 8 the envelope's
+        assert solves == 4
         assert 0.1 not in radii and 12.8 not in radii
         assert radii[:2] == [pytest.approx(J01 * (1 - eigen.ENVELOPE_MARGIN)),
                              pytest.approx(J01 * (1 + eigen.ENVELOPE_MARGIN))]
@@ -387,6 +391,112 @@ class TestEnvelopeBracket:
                          "h* bracket from the caller: [1, 4]"]
 
 
+def fake_lambda1(monkeypatch, lambda1, underflow_below=0.0):
+    """Replace principal_eigenvalue by lambda1(R); record every radius.
+
+    Radii below ``underflow_below`` raise NonPositiveIterate, as an
+    underflowed period map does.
+    """
+    radii = []
+
+    def fake(d, field, R, T, **kwargs):
+        radii.append(R)
+        if R < underflow_below:
+            raise NonPositiveIterate("underflow")
+        return SimpleNamespace(lambda1=lambda1(R), phi=(None,))
+
+    monkeypatch.setattr(eigen, "principal_eigenvalue", fake)
+    return radii
+
+
+class TestIllinoisSplit:
+    @pytest.mark.parametrize("field, N, r_lo, r_hi", [
+        # envelopes apply: the search starts from the two envelope probes
+        (constant_field(1.0), 2, 1.0, 6.0),
+        # N = 4 has no ball zero, so the caller's bracket is searched and
+        # the period map underflows at r_lo: lambda1(r_lo) = inf
+        (constant_field(1.0), 4, 0.1, 8.0),
+    ])
+    def test_matches_plain_bisection(self, field, N, r_lo, r_hi):
+        ref = reference_h_star(1.0, field, 1.0, r_lo, r_hi, tol=1e-3, n=128,
+                               N=N)
+        hs = h_star(1.0, field, 1.0, r_lo=r_lo, r_hi=r_hi, tol=1e-3, N=N,
+                    n=128)
+        assert abs(hs - ref) <= 1e-3
+        if N == 4:
+            with pytest.raises(NonPositiveIterate):
+                principal_eigenvalue(1.0, field, r_lo, 1.0, N=4, n=128)
+
+    @pytest.mark.parametrize("field, N, r_lo, r_hi", [
+        (constant_field(1.0), 2, 0.1, 12.8),
+        (CoefficientField.from_expressions(**SEASONAL), 2, 1.0, 6.0),
+        (CoefficientField.from_expressions(
+            alpha="1", gamma="0", beta="1", T=1.0,
+            envelopes={"alpha1": 0.25, "alpha2": 0.3}), 2, 1.0, 6.0),
+        (CoefficientField.from_expressions(
+            alpha="1", gamma="0", beta="1", T=1.0,
+            envelopes={"alpha1": 3.0, "alpha2": 4.0}), 2, 1.0, 6.0),
+        (constant_field(1.0), 4, 0.1, 8.0),
+    ])
+    def test_no_more_solves_than_bisection(self, monkeypatch, field, N, r_lo,
+                                           r_hi):
+        def bracket():
+            radii = counting_eigen(monkeypatch)
+            lo, hi, solves = eigen._h_star_bracket(
+                1.0, field, 1.0, r_lo=r_lo, r_hi=r_hi, N=N, n=64)
+            assert solves == len(radii) and hi - lo <= 1e-3
+            return radii
+
+        radii = bracket()
+        assert len(set(radii)) == len(radii)
+        monkeypatch.undo()
+        monkeypatch.setattr(eigen, "_IllinoisSplit", lambda tol: eigen._midpoint)
+        assert len(radii) <= len(bracket())
+
+    @pytest.mark.parametrize("lambda1, root, underflow_below, N", [
+        # lambda1 = (j/R)**2 - m(R): linear in 1/R**2 for a constant m,
+        # curved for a growth m that rises or falls with the radius
+        (lambda R: (J01 / R) ** 2 - 1.0, J01, 0.0, 2),
+        (lambda R: (3.0 / R) ** 2 - 1.0, 3.0, 0.5, 4),
+        (lambda R: (3.0 / R) ** 2 - 1.0 - 0.5 * math.tanh(R - 3.0), 3.0, 0.0, 4),
+        (lambda R: (2.0 / R) ** 2 - 0.5 - 2.0 * math.exp(-R),
+         2.4334944, 0.3, 4),
+        (lambda R: (4.0 / R) ** 2 - 1.0 - 3.0 / (1.0 + math.exp(-5.0 * (R - 3.0))),
+         2.8515841, 0.0, 4),
+        # strongly curved in 1/R**2
+        (lambda R: (2.0 / R) ** 8 - 1.0, 2.0, 0.0, 4),
+    ])
+    def test_model_lambda1(self, monkeypatch, lambda1, root, underflow_below,
+                           N):
+        def bracket():
+            radii = fake_lambda1(monkeypatch, lambda1, underflow_below)
+            lo, hi, solves = eigen._h_star_bracket(
+                1.0, constant_field(1.0), 1.0, r_lo=0.1, r_hi=12.8, N=N)
+            assert solves == len(radii)
+            assert lambda1(lo) > 0 >= lambda1(hi) and hi - lo <= 1e-3
+            assert 0.5 * (lo + hi) == pytest.approx(root, abs=1e-3)
+            return radii
+
+        radii = bracket()
+        assert len(set(radii)) == len(radii)
+        monkeypatch.setattr(eigen, "_IllinoisSplit", lambda tol: eigen._midpoint)
+        assert len(radii) <= len(bracket())
+
+    def test_logs_each_probe(self, monkeypatch, caplog):
+        radii = counting_eigen(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="stefanlab"):
+            lo, hi, solves = eigen._h_star_bracket(
+                1.0, constant_field(1.0), 1.0, r_lo=0.1, r_hi=8.0, N=4, n=64)
+        steps = [r.getMessage() for r in caplog.records
+                 if re.match(r"(illinois|closing|bisect) \[", r.getMessage())]
+        # r_lo and r_hi are verified by a solve each; every other solve is
+        # one logged probe
+        assert solves == len(radii) == len(steps) + 2
+        assert steps[0] == "bisect [0.1, 8]: probe 4.05"
+        assert steps[-1].startswith("closing")
+        assert {m.split()[0] for m in steps} <= {"illinois", "closing", "bisect"}
+
+
 class TestDThresholds:
     def test_linear_crossing_R1(self):
         out = d_thresholds(constant_field(1.0), 1.0, 1.0, d_lo=0.01,
@@ -409,12 +519,12 @@ class TestDThresholds:
             d_thresholds(fld, 2.0, 1.0, d_lo=0.1, d_hi=10.0, n=128)
 
 
-def _arithmetic(lo, hi):
-    return 0.5 * (lo + hi)
+def _arithmetic(lo, hi, *_):
+    return 0.5 * (lo + hi), "bisect"
 
 
-def _geometric(lo, hi):
-    return math.sqrt(lo * hi)
+def _geometric(lo, hi, *_):
+    return math.sqrt(lo * hi), "bisect"
 
 
 class TestBisect:
@@ -422,7 +532,7 @@ class TestBisect:
     def hand_loop(root, lo, hi, wide, split):
         probes = []
         while wide(lo, hi):
-            mid = split(lo, hi)
+            mid, _ = split(lo, hi)
             probes.append(mid)
             if mid >= root:
                 hi = mid
@@ -439,12 +549,12 @@ class TestBisect:
         root = 0.7318
         probes = []
 
-        def upper(x):
+        def below(x):
             probes.append(x)
-            return x >= root
+            return x < root
 
         kwargs = {} if split is None else {"split": split}
-        got = eigen._bisect(upper, 0.05, 20.0, wide, **kwargs)
+        got = eigen._bisect(below, 0.05, 20.0, wide, **kwargs)
         want_probes, want = self.hand_loop(root, 0.05, 20.0, wide,
                                            split or _arithmetic)
         assert probes == want_probes
@@ -452,15 +562,15 @@ class TestBisect:
         assert got[0] < root <= got[1]
 
     def test_narrow_bracket_probes_nothing(self):
-        def upper(x):
+        def below(x):
             raise AssertionError("probed %r" % x)
 
-        assert eigen._bisect(upper, 1.0, 1.5, lambda lo, hi: hi - lo > 1.0) \
+        assert eigen._bisect(below, 1.0, 1.5, lambda lo, hi: hi - lo > 1.0) \
             == (1.0, 1.5)
 
     def test_logs_each_step(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="stefanlab"):
-            lo, hi = eigen._bisect(lambda x: x >= 0.3, 0.0, 1.0,
+            lo, hi = eigen._bisect(lambda x: x < 0.3, 0.0, 1.0,
                                    lambda lo, hi: hi - lo > 0.1)
         steps = [r.getMessage() for r in caplog.records
                  if r.name == "stefanlab" and r.levelno == logging.DEBUG]

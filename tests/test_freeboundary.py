@@ -382,3 +382,33 @@ class TestDecide:
         assert decide(J01 - 1.01 * tol, 0.0, DECAY_SUP, J01) == "Undecided"
         assert decide(J01 - 1.01 * tol, FRONT_STALL, 0.0, J01) == "Undecided"
         assert decide(1e9, 0.0, 0.0, math.inf) == "Vanishing"
+
+
+class TestConvergence:
+    """Self-convergence of the front position h(1) in dt and in n.
+
+    Three successive refinements by 2 give the observed order
+    log2(|h_1 - h_2| / |h_2 - h_3|).  The front update is explicit Euler
+    in dt and the front advection upwinded, so the pinned bounds are
+    first order in dt and above first order in n.
+    """
+
+    @staticmethod
+    def h_at_1(n, dt):
+        spec = ProblemSpec.build(constant_field(1.0), N=2, d=1.0, mu=2.0,
+                                 h0=2.0, n=n, dt=dt, t_max=1.0)
+        traj = simulate(spec)
+        assert traj.t[-1] == pytest.approx(1.0, abs=1e-12)
+        return float(traj.h[-1])
+
+    @staticmethod
+    def order(h):
+        return math.log2(abs(h[0] - h[1]) / abs(h[1] - h[2]))
+
+    def test_time_order(self):
+        h = [self.h_at_1(128, dt) for dt in (4e-3, 2e-3, 1e-3)]
+        assert self.order(h) >= 0.9
+
+    def test_space_order(self):
+        h = [self.h_at_1(n, 2.5e-4) for n in (64, 128, 256)]
+        assert self.order(h) >= 1.2

@@ -115,7 +115,7 @@ class TestCriteriaExperiment:
     @staticmethod
     def _stub_probes(monkeypatch, d_thresholds):
         monkeypatch.setattr(eigen, "d_thresholds", d_thresholds)
-        monkeypatch.setattr(thresholds, "_hstar_for", lambda spec: J01)
+        monkeypatch.setattr(freeboundary, "spec_h_star", lambda spec: J01)
         monkeypatch.setattr(thresholds._Prober, "verdict",
                             lambda self, **kw: "Spreading")
 
@@ -240,7 +240,7 @@ class TestEarlyStopping:
     @pytest.mark.parametrize("ladder", ["mu", "sigma"])
     def test_ladder_matches_full_horizon(self, ladder, monkeypatch):
         spec, values = ladder_spec(ladder)
-        hs = thresholds._hstar_for(spec)
+        hs = freeboundary.spec_h_star(spec)
         ref = [full_horizon_verdict(spec_at(spec, ladder, v), hs)
                for v in values]
         escalations = sum(esc for _, esc in ref)
