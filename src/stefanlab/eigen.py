@@ -208,10 +208,11 @@ class _IllinoisSplit:
     def _step(self, lo, hi, f_lo, f_hi):
         half = 0.5 * self.tol
         last3 = self.steps[-3:]
+        closing_failed = bool(last3) and last3[-1][2] == "closing"
+        stalled = (len(last3) == 3 and all(k != "bisect" for *_, k in last3)
+                   and hi - lo > 0.5 * (last3[0][1] - last3[0][0]))
         if (not (math.isfinite(f_lo) and math.isfinite(f_hi))
-                or (last3 and last3[-1][2] == "closing")
-                or (len(last3) == 3 and all(k != "bisect" for *_, k in last3)
-                    and hi - lo > 0.5 * (last3[0][1] - last3[0][0]))):
+                or closing_failed or stalled):
             return 0.5 * (lo + hi), "bisect"
         w_lo, w_hi = self.weight[0] * f_lo, self.weight[1] * f_hi
         x_lo, x_hi = lo ** -2, hi ** -2

@@ -463,8 +463,10 @@ class TestIllinoisSplit:
          2.4334944, 0.3, 4),
         (lambda R: (4.0 / R) ** 2 - 1.0 - 3.0 / (1.0 + math.exp(-5.0 * (R - 3.0))),
          2.8515841, 0.0, 4),
-        # strongly curved in 1/R**2
+        # strongly curved in 1/R**2, and a steep drop that needs the
+        # midpoint after three probes that did not halve the bracket
         (lambda R: (2.0 / R) ** 8 - 1.0, 2.0, 0.0, 4),
+        (lambda R: math.atan(30.0 * (7.0 - R)), 7.0, 0.0, 4),
     ])
     def test_model_lambda1(self, monkeypatch, lambda1, root, underflow_below,
                            N):
