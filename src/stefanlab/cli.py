@@ -6,8 +6,9 @@ headers.  Artifacts are CSV files with "#"-prefixed metadata headers and
 17-significant-digit reals, so bodies are byte-identical across runs of
 the same config, plus small JSON summaries.
 
-Exit codes: 0 success, 2 configuration or validation error, 3 numerical
-non-convergence, 4 internal invariant breach.
+Exit codes: 0 success; on an error, the error class's ``exit_code``: 2
+configuration, validation or expression error, 3 numerical failure, 4
+internal invariant breach.
 """
 
 import argparse
@@ -24,20 +25,12 @@ import numpy as np
 
 from . import __version__, coeffexpr, eigen, freeboundary, semiwave, thresholds
 from .coeffmodel import CoefficientField, ProblemSpec, validate
-from .errors import (BoundViolated, BracketInvalid, ConfigError,
-                     DomainNotLargeEnough, ExpressionError, ExprError,
-                     FrontRetreat, HypothesisHFailed, MissingKey,
-                     NoConvergence, NonPositive, NonPositiveIterate,
-                     NoSignChange, NotSpreading, SolverSingular,
-                     StefanLabError, StepSizeTooLarge, TooManyUndecided,
-                     TruncationTooSmall, TypeMismatch, UnknownKey)
+from .errors import (ConfigError, ExpressionError, ExprError, MissingKey,
+                     StefanLabError, TypeMismatch, UnknownKey)
 
 log = logging.getLogger("stefanlab")
 
 MAX_CONFIG_BYTES = 1 << 20
-
-COMMANDS = ("simulate", "eigen", "hstar", "speed", "mu-star", "sigma0",
-            "sweep", "criteria")
 
 # schema: section -> key -> (type, default); default None means required
 # when the section is active for the chosen command
@@ -74,6 +67,7 @@ _ACTIVE = {
     "sweep": ("run", "field", "problem", "sweep"),
     "criteria": ("run", "field", "problem", "criteria"),
 }
+COMMANDS = tuple(_ACTIVE)
 
 SWEEP_AXES = ("d", "mu", "h0", "sigma")
 
@@ -272,9 +266,11 @@ class Artifacts:
             os.replace(path + ".partial", path)
 
 
-def _threshold_rows(parameter, res):
-    return [(parameter, res.value, res.bracket[0], res.bracket[1],
-             res.evaluations, res.undecided_encounters)]
+def _threshold_csv(arts, parameter, value, lo, hi, evaluations, undecided):
+    arts.csv("threshold.csv",
+             ("parameter", "value", "lo", "hi", "evaluations",
+              "undecided_encounters"),
+             [(parameter, value, lo, hi, evaluations, undecided)])
 
 
 # --- worker functions (top-level for pickling) ---
@@ -294,6 +290,15 @@ def _eigen_point(args):
     d, field, R, T, N, n = args
     res = eigen.principal_eigenvalue(d, field, R, T, N=N, n=n)
     return (R, res.lambda1, res.rho, res.iterations, res.residual)
+
+
+def _map(fn, work, jobs):
+    """[fn(w) for w in work], in a process pool when ``jobs`` > 1."""
+    if jobs and jobs > 1 and len(work) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, work))
+    return [fn(w) for w in work]
 
 
 # --- command implementations ---
@@ -319,12 +324,7 @@ def _cmd_eigen(config, spec, arts, jobs):
     Rs = config.get("eigen", "R")
     work = [(spec.d, spec.field, R, spec.field.T, spec.N, spec.numerics.n)
             for R in Rs]
-    if jobs and jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_eigen_point, work))
-    else:
-        rows = [_eigen_point(w) for w in work]
+    rows = _map(_eigen_point, work, jobs)
     arts.csv("eigen_sweep.csv", ("R", "lambda1", "rho", "iterations", "residual"),
              rows)
 
@@ -334,27 +334,16 @@ def _cmd_hstar(config, spec, arts):
     lo, hi, solves = eigen._h_star_bracket(
         spec.d, spec.field, spec.field.T, r_lo=v["r_lo"], r_hi=v["r_hi"],
         tol=v["tol"], N=spec.N, n=spec.numerics.n)
-    arts.csv("threshold.csv",
-             ("parameter", "value", "lo", "hi", "evaluations",
-              "undecided_encounters"),
-             [("h_star", 0.5 * (lo + hi), lo, hi, solves, 0)])
+    _threshold_csv(arts, "h_star", 0.5 * (lo + hi), lo, hi, solves, 0)
 
 
 def _cmd_speed(config, spec, arts):
     v = config.values["speed"]
     r_far = v["r_far"]
     fld = spec.field
-
-    class _FarField:
-        def __init__(self, fn, r):
-            self.fn, self.r = fn, r
-
-        def __call__(self, t):
-            return self.fn(t, self.r)
-
-    a = _FarField(fld.growth, r_far)
-    b = _FarField(fld.beta, r_far)
-    res = semiwave.k0_fixed_point(spec.mu, a, b, spec.d, fld.T, tol=v["tol"])
+    res = semiwave.k0_fixed_point(spec.mu, lambda t: fld.growth(t, r_far),
+                                  lambda t: fld.beta(t, r_far), spec.d, fld.T,
+                                  tol=v["tol"])
     arts.json("speed.json", {
         "c": res.c, "bound": res.bound, "iterations": res.iterations,
         "residual": res.residual, "r_far": r_far,
@@ -364,10 +353,8 @@ def _cmd_speed(config, spec, arts):
 def _cmd_mu_star(config, spec, arts):
     v = config.values["mu_star"]
     res = thresholds.mu_star(spec, v["mu_lo"], v["mu_hi"], tol=v["tol"])
-    arts.csv("threshold.csv",
-             ("parameter", "value", "lo", "hi", "evaluations",
-              "undecided_encounters"),
-             _threshold_rows("mu_star", res))
+    _threshold_csv(arts, "mu_star", res.value, *res.bracket, res.evaluations,
+                   res.undecided_encounters)
 
 
 def _cmd_sigma0(config, spec, arts):
@@ -375,30 +362,20 @@ def _cmd_sigma0(config, spec, arts):
     zeta = coeffexpr.ExprFunction(v["zeta"]) if v["zeta"] else spec.u0
     res = thresholds.sigma0(spec, zeta, v["sigma_lo"], v["sigma_hi"],
                             tol=v["tol"])
-    arts.csv("threshold.csv",
-             ("parameter", "value", "lo", "hi", "evaluations",
-              "undecided_encounters"),
-             _threshold_rows("sigma0", res))
+    _threshold_csv(arts, "sigma0", res.value, *res.bracket, res.evaluations,
+                   res.undecided_encounters)
 
 
 def _cmd_sweep(config, spec, arts, jobs, horizon_scale):
     v = config.values["sweep"]
     a1, a2 = v["axis1"], v["axis2"]
-    for ax in (a1, a2):
-        if ax not in SWEEP_AXES:
-            raise TypeMismatch("axis", "one of %s" % (SWEEP_AXES,), ax)
     t_max = horizon_scale * spec.numerics.t_max
     work = []
     for v1 in v["axis1_values"]:
         for v2 in v["axis2_values"]:
             cell = thresholds.spec_at(thresholds.spec_at(spec, a1, v1), a2, v2)
             work.append((cell, t_max, v1, v2))
-    if jobs and jobs > 1 and len(work) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_cell, work))
-    else:
-        rows = [_sweep_cell(w) for w in work]
+    rows = _map(_sweep_cell, work, jobs)
     arts.csv("phase.csv", ("axis1", "axis2", "verdict", "t_decided"), rows)
 
     overlay = {"axis1": a1, "axis2": a2}
@@ -428,13 +405,6 @@ def _cmd_criteria(config, spec, arts):
         "matches": rep.matches})
 
 
-_NUMERIC_ERRORS = (NoConvergence, TooManyUndecided, NoSignChange,
-                   BracketInvalid, DomainNotLargeEnough, TruncationTooSmall,
-                   BoundViolated, NotSpreading, StepSizeTooLarge,
-                   SolverSingular, FrontRetreat, NonPositiveIterate,
-                   NonPositive, HypothesisHFailed)
-
-
 def _section_errors(config):
     """Command-section values the numerics cannot take (each exits 2)."""
     cmd, v = config.command, config.values
@@ -451,31 +421,38 @@ def _section_errors(config):
         sw = v["sweep"]
         for axis, values in ((sw["axis1"], sw["axis1_values"]),
                              (sw["axis2"], sw["axis2_values"])):
-            if axis in ("d", "h0") and not all(x > 0 for x in values):
+            if axis not in SWEEP_AXES:
+                bad.append("[sweep] axis %r is not one of %s"
+                           % (axis, ", ".join(SWEEP_AXES)))
+            elif axis in ("d", "h0") and not all(x > 0 for x in values):
                 bad.append("[sweep] %s values must be > 0" % axis)
+    kinds = thresholds.CRITERIA_KINDS
+    if cmd == "criteria" and v["criteria"]["kind"] not in kinds:
+        bad.append("[criteria] kind %r is not one of %s"
+                   % (v["criteria"]["kind"], ", ".join(kinds)))
     return bad
 
 
 def run(config, out_dir=None, jobs=None, horizon_scale=1.0):
-    """Dispatch a validated RunConfig; returns the process exit code."""
+    """Dispatch a loaded RunConfig; returns the process exit code.
+
+    An error ends the run with its class's ``exit_code`` and leaves no
+    finished artifact.
+    """
     if out_dir is None:
         out_dir = config.get("run", "out")
     if jobs is None:
         jobs = os.cpu_count() or 1
-    spec = build_spec(config)
-    report = validate(spec)
-    if not report.ok:
-        for viol in report.violations:
-            log.error("validation: %s at %s: %s", viol.kind, viol.where,
-                      viol.detail)
-        return 2
-    section_errors = _section_errors(config)
-    if section_errors:
-        for msg in section_errors:
-            log.error("validation: %s", msg)
-        return 2
-    arts = Artifacts(out_dir, config_hash(config))
     try:
+        spec = build_spec(config)
+        invalid = ["%s at %s: %s" % (viol.kind, viol.where, viol.detail)
+                   for viol in validate(spec).violations]
+        invalid += _section_errors(config)
+        if invalid:
+            for msg in invalid:
+                log.error("validation: %s", msg)
+            return 2
+        arts = Artifacts(out_dir, config_hash(config))
         cmd = config.command
         if cmd == "simulate":
             _cmd_simulate(config, spec, arts, horizon_scale)
@@ -495,15 +472,9 @@ def run(config, out_dir=None, jobs=None, horizon_scale=1.0):
             _cmd_criteria(config, spec, arts)
         else:
             raise ConfigError("unknown command %r" % cmd)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        log.error("numerical failure: %s", exc)
-        return 3
     except StefanLabError as exc:
-        log.error("internal invariant breach: %s", exc)
-        return 4
+        log.error("%s: %s", type(exc).__name__, exc)
+        return exc.exit_code
     arts.finalize()
     return 0
 

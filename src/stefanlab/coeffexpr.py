@@ -219,9 +219,16 @@ def parse(text, params=()):
 
 # --- evaluation ---
 
-def _check_finite(node, value):
-    if not np.all(np.isfinite(value)):
-        raise EvalDomainError(node, value)
+def _domain_error(node, value, bad):
+    """EvalDomainError naming ``node`` and the first ``value`` where ``bad``."""
+    first = np.broadcast_to(np.asarray(value, dtype=float), np.shape(bad))[bad]
+    return EvalDomainError(node, value, "domain error in %s at value %r"
+                           % (pretty(node), float(first.flat[0])))
+
+
+def _check_finite(node, arg, out):
+    if not np.all(np.isfinite(out)):
+        raise _domain_error(node, arg, ~np.isfinite(out))
 
 
 def evaluate(ast, t=0.0, r=0.0, params=None):
@@ -253,28 +260,31 @@ def evaluate(ast, t=0.0, r=0.0, params=None):
         if ast.op == "*":
             return a * b
         if ast.op == "/":
-            if np.any(b == 0):
-                raise EvalDomainError(ast, b)
+            zero = np.asarray(b) == 0
+            if zero.any():
+                raise _domain_error(ast, b, zero)
             return a / b
         # "^"
         with np.errstate(invalid="ignore", divide="ignore"):
             out = np.power(np.asarray(a, dtype=float), b)
-        _check_finite(ast, out)
+        _check_finite(ast, a, out)
         return out if np.ndim(out) else float(out)
     if isinstance(ast, Call):
         args = [evaluate(child, t, r, params) for child in ast.args]
         if ast.fn == "sqrt":
-            if np.any(np.asarray(args[0]) < 0):
-                raise EvalDomainError(ast, args[0])
+            bad = np.asarray(args[0]) < 0
+            if bad.any():
+                raise _domain_error(ast, args[0], bad)
             return np.sqrt(args[0])
         if ast.fn == "log":
-            if np.any(np.asarray(args[0]) <= 0):
-                raise EvalDomainError(ast, args[0])
+            bad = np.asarray(args[0]) <= 0
+            if bad.any():
+                raise _domain_error(ast, args[0], bad)
             return np.log(args[0])
         if ast.fn == "exp":
             with np.errstate(over="ignore"):
                 out = np.exp(args[0])
-            _check_finite(ast, out)
+            _check_finite(ast, args[0], out)
             return out
         if ast.fn == "sin":
             return np.sin(args[0])

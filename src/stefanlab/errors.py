@@ -1,14 +1,21 @@
-"""Exception hierarchy shared across the solver modules."""
+"""Exception hierarchy shared across the solver modules; a class's
+``exit_code`` is the exit code of the command-line run it ends."""
 
 
 class StefanLabError(Exception):
-    """Base class for all stefanlab errors."""
+    """Base class for all stefanlab errors (exit 4: an invariant breach)."""
+    exit_code = 4
+
+
+class NumericalError(StefanLabError):
+    """A computation that failed or did not converge (exit 3)."""
+    exit_code = 3
 
 
 # --- expression language ---
 
 class ExprError(StefanLabError):
-    pass
+    exit_code = 2
 
 
 class ExprSyntaxError(ExprError):
@@ -34,27 +41,27 @@ class UnboundParameter(ExprError):
 
 
 class EvalDomainError(ExprError):
-    def __init__(self, node, value):
+    def __init__(self, node, value, message):
         self.node = node
         self.value = value
-        super().__init__("domain error evaluating %r at value %r" % (node, value))
+        super().__init__(message)
 
 
 # --- time stepping ---
 
-class StepSizeTooLarge(StefanLabError):
+class StepSizeTooLarge(NumericalError):
     pass
 
 
-class SolverSingular(StefanLabError):
+class SolverSingular(NumericalError):
     pass
 
 
-class FrontRetreat(StefanLabError):
+class FrontRetreat(NumericalError):
     pass
 
 
-class NoConvergence(StefanLabError):
+class NoConvergence(NumericalError):
     def __init__(self, iterations, residual, message=None):
         self.iterations = iterations
         self.residual = residual
@@ -62,54 +69,54 @@ class NoConvergence(StefanLabError):
                          % (iterations, residual))
 
 
-class NonPositiveIterate(StefanLabError):
+class NonPositiveIterate(NumericalError):
     pass
 
 
-class NonPositive(StefanLabError):
+class NonPositive(NumericalError):
     pass
 
 
-class DomainNotLargeEnough(StefanLabError):
+class DomainNotLargeEnough(NumericalError):
     pass
 
 
-class TruncationTooSmall(StefanLabError):
+class TruncationTooSmall(NumericalError):
     pass
 
 
 # --- root finding / thresholds ---
 
-class BracketInvalid(StefanLabError):
+class BracketInvalid(NumericalError):
     pass
 
 
-class NoSignChange(StefanLabError):
+class NoSignChange(NumericalError):
     def __init__(self, sign, message=None):
         self.sign = sign
         super().__init__(message or "eigenvalue keeps sign %+d over the whole scan" % sign)
 
 
-class TooManyUndecided(StefanLabError):
+class TooManyUndecided(NumericalError):
     pass
 
 
-class BoundViolated(StefanLabError):
+class BoundViolated(NumericalError):
     pass
 
 
-class HypothesisHFailed(StefanLabError):
+class HypothesisHFailed(NumericalError):
     pass
 
 
-class NotSpreading(StefanLabError):
+class NotSpreading(NumericalError):
     pass
 
 
 # --- configuration ---
 
 class ConfigError(StefanLabError):
-    pass
+    exit_code = 2
 
 
 class MissingKey(ConfigError):

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigen, freeboundary
-from .errors import (BracketInvalid, NoConvergence, NonPositiveIterate,
-                     NoSignChange, SolverSingular, TooManyUndecided)
+from .errors import BracketInvalid, NumericalError, TooManyUndecided
 
 log = logging.getLogger("stefanlab")
 
@@ -224,6 +223,10 @@ def ladder_is_sorted(verdicts):
     return True
 
 
+CRITERIA_KINDS = ("SlowDiffusion", "FastDiffusion", "LargeHabitat",
+                  "SmallHabitat")
+
+
 @dataclass(frozen=True)
 class CriteriaReport:
     kind: str
@@ -242,14 +245,19 @@ def criteria_experiment(kind, spec, amplitudes=(0.05, 0.5, 5.0)):
     Computes the thresholds, moves the spec into the requested regime,
     runs three initial amplitudes and reports whether the verdict pattern
     matches the regime's prediction.  Mismatches are reported, not thrown.
+    When the d scan fails numerically, a diffusion regime raises the
+    scan's error and the habitat regimes report NaN d thresholds.
     """
+    if kind not in CRITERIA_KINDS:
+        raise ValueError("unknown experiment kind %r" % kind)
     fld = spec.field
     try:
         dth = eigen.d_thresholds(fld, spec.h0, fld.T, d_lo=1e-2 * spec.d,
                                  d_hi=1e2 * spec.d, N=spec.N, n=96)
         d_star, d_upper = dth.d_star, dth.d_upper
-    except (NoSignChange, NoConvergence, NonPositiveIterate, SolverSingular):
-        # no d-threshold to report: the diffusion regimes get NaN
+    except NumericalError:
+        if kind.endswith("Diffusion"):
+            raise
         d_star = d_upper = math.nan
     if kind == "SlowDiffusion":
         param, value = "d", 0.5 * d_star
@@ -260,11 +268,9 @@ def criteria_experiment(kind, spec, amplitudes=(0.05, 0.5, 5.0)):
     elif kind == "LargeHabitat":
         param, value = "h0", 1.2 * freeboundary.spec_h_star(spec)
         prediction = "all Spreading"
-    elif kind == "SmallHabitat":
+    else:  # SmallHabitat
         param, value = "h0", 0.6 * freeboundary.spec_h_star(spec)
         prediction = "Vanishing for small, Spreading for large"
-    else:
-        raise ValueError("unknown experiment kind %r" % kind)
 
     probe_spec = spec_at(spec, param, value)
     hs = freeboundary.spec_h_star(probe_spec)

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from stefanlab import cli, eigen, freeboundary
-from stefanlab.errors import (ConfigError, ExpressionError, FrontRetreat,
-                              HypothesisHFailed, MissingKey, NonPositive,
-                              NonPositiveIterate, SolverSingular, TypeMismatch,
-                              UnknownKey)
+from stefanlab.errors import (ConfigError, EvalDomainError, ExpressionError,
+                              MissingKey, NoSignChange, NumericalError,
+                              TypeMismatch, UnknownKey)
 
 MINIMAL = """
 [run]
@@ -29,6 +28,22 @@ t_max=5
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def subclasses(cls):
+    """Every subclass of ``cls``, recursively."""
+    out = []
+    for sub in cls.__subclasses__():
+        out += [sub] + subclasses(sub)
+    return out
+
+
+def forced(error):
+    """An ``error`` instance with message "forced", whatever the arguments
+    of its constructor."""
+    exc = error.__new__(error)
+    Exception.__init__(exc, "forced")
+    return exc
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -273,18 +288,62 @@ class TestMain:
         assert cli.main(["--config", path, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "outcome.json"))
 
-    @pytest.mark.parametrize("error", [SolverSingular, FrontRetreat,
-                                       NonPositiveIterate, NonPositive,
-                                       HypothesisHFailed])
-    def test_numerical_failure_exit(self, tmp_path, monkeypatch, error):
+    @staticmethod
+    def forced_exit(tmp_path, monkeypatch, error):
         def fail(*args, **kwargs):
-            raise error("forced")
+            raise forced(error)
 
         monkeypatch.setattr(cli.freeboundary, "simulate", fail)
         path = write(tmp_path, MINIMAL)
         out = str(tmp_path / "out")
-        assert cli.main(["--config", path, "--out", out]) == 3
+        code = cli.main(["--config", path, "--out", out])
         assert not os.path.exists(os.path.join(out, "outcome.json"))
+        return code
+
+    def test_numerical_classes(self):
+        assert {e.__name__ for e in subclasses(NumericalError)} == {
+            "NoConvergence", "TooManyUndecided", "NoSignChange",
+            "BracketInvalid", "DomainNotLargeEnough", "TruncationTooSmall",
+            "BoundViolated", "NotSpreading", "StepSizeTooLarge",
+            "SolverSingular", "FrontRetreat", "NonPositiveIterate",
+            "NonPositive", "HypothesisHFailed"}
+
+    @pytest.mark.parametrize("error", subclasses(NumericalError))
+    def test_numerical_failure_exit(self, tmp_path, monkeypatch, error):
+        assert self.forced_exit(tmp_path, monkeypatch, error) == 3
+
+    @pytest.mark.parametrize("error", [ConfigError, EvalDomainError])
+    def test_input_error_exit(self, tmp_path, monkeypatch, error):
+        assert self.forced_exit(tmp_path, monkeypatch, error) == 2
+
+
+class TestRejectedConfigs:
+    """Accepted configs that cannot run end with their error's exit code,
+    without a traceback, an artifact or an eigen solve."""
+
+    CRITERIA = MINIMAL.replace("command=simulate", "command=criteria")
+
+    @pytest.mark.parametrize("text,code", [
+        (MINIMAL.replace("alpha=1", "alpha=2+log(t)"), 2),
+        (MINIMAL.replace("alpha=1", "alpha=1+sqrt(5-r)"), 2),
+        (CRITERIA + "[criteria]\nkind=Bogus\n", 2),
+        # a d scan that finds no threshold leaves SlowDiffusion no d to
+        # probe (stubbed: the real scan fails after about 30 s)
+        (CRITERIA.replace("h0=3", "h0=100") + "[criteria]\nkind=SlowDiffusion\n",
+         3)], ids=["log", "sqrt", "criteria-kind", "no-d-threshold"])
+    def test_exit_code(self, tmp_path, monkeypatch, capsys, text, code):
+        def one_signed(*args, **kwargs):
+            raise NoSignChange(+1)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("unexpected eigen solve")
+
+        monkeypatch.setattr(eigen, "d_thresholds", one_signed)
+        monkeypatch.setattr(eigen, "principal_eigenvalue", no_solve)
+        out = str(tmp_path / "out")
+        assert cli.main(["--config", write(tmp_path, text), "--out", out]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert not os.path.exists(out) or not os.listdir(out)
 
 
 class TestNonPositiveValues:

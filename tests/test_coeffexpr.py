@@ -105,6 +105,21 @@ class TestEvaluate:
         with pytest.raises(EvalDomainError):
             evaluate(parse("sqrt(r)"), r=r)
 
+    def test_domain_error_message_is_one_line(self):
+        ast = parse("2+log(t)")
+        t = np.linspace(0.0, 1.0, 33)[:, None] * np.ones((1, 64))
+        with pytest.raises(EvalDomainError) as exc:
+            evaluate(ast, t=t)
+        assert str(exc.value) == "domain error in log(t) at value 0.0"
+        assert exc.value.node == ast.right
+        assert exc.value.value is t
+
+    def test_domain_error_names_first_offending_value(self):
+        r = np.array([1.0, 6.0, 7.0])
+        with pytest.raises(EvalDomainError) as exc:
+            evaluate(parse("1+sqrt(5-r)"), r=r)
+        assert str(exc.value) == "domain error in sqrt((5.0 - r)) at value -1.0"
+
 
 # random ASTs for the round-trip and reference-evaluator properties
 

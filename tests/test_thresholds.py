@@ -128,6 +128,27 @@ class TestCriteriaExperiment:
         assert math.isnan(rep.d_star) and math.isnan(rep.d_upper)
         assert rep.matches
 
+    @pytest.mark.parametrize("kind", ["SlowDiffusion", "FastDiffusion"])
+    def test_diffusion_regime_needs_a_d_threshold(self, monkeypatch, kind):
+        def one_signed(*args, **kwargs):
+            raise NoSignChange(+1)
+
+        def no_probe(self, **overrides):
+            raise AssertionError("probe at %r" % (overrides,))
+
+        self._stub_probes(monkeypatch, one_signed)
+        monkeypatch.setattr(thresholds._Prober, "verdict", no_probe)
+        with pytest.raises(NoSignChange):
+            criteria_experiment(kind, favorable_spec())
+
+    def test_unknown_kind_before_the_scan(self, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("d scan")
+
+        monkeypatch.setattr(eigen, "d_thresholds", no_scan)
+        with pytest.raises(ValueError):
+            criteria_experiment("Bogus", favorable_spec())
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("bad call")
