@@ -59,7 +59,7 @@ def period_map(psi, grid, field, d, T, substeps, solver=None, record=None):
     """
     dt = T / substeps
     if solver is None:
-        solver = DiffusionSolver(grid, d, dt, boundary="dirichlet")
+        solver = DiffusionSolver(grid, d, dt)
     r = grid.r
     u = np.array(psi, dtype=float)
     shots = [u.copy()] if record else None
@@ -71,7 +71,6 @@ def period_map(psi, grid, field, d, T, substeps, solver=None, record=None):
                               (k1 - k0, r.size))
         for k, factor in zip(range(k0, k1), np.exp(dt * pot)):
             u = solver.solve(u * factor)
-            u[-1] = 0.0
             if record and (k + 1) % per_phase == 0 and (k + 1) < substeps:
                 shots.append(u.copy())
     if record:
@@ -79,9 +78,8 @@ def period_map(psi, grid, field, d, T, substeps, solver=None, record=None):
     return u
 
 
-def _power_iteration(grid, field, d, T, substeps, tol, max_iters, psi0):
-    dt = T / substeps
-    solver = DiffusionSolver(grid, d, dt, boundary="dirichlet")
+def _power_iteration(grid, field, d, T, substeps, tol, max_iters, psi0,
+                     solver):
     psi = psi0 / np.max(psi0)
     rho_prev = None
     drift = np.inf
@@ -124,19 +122,21 @@ def principal_eigenvalue(d, field, R, T, N=2, tol=1e-7, n=512, substeps=None,
         psi0 = 1.0 - (grid.r / R) ** 2
     psi0 = np.asarray(psi0, dtype=float)
 
+    coarse = DiffusionSolver(grid, d, T / substeps)
     rho_c, psi_c, it_c, _ = _power_iteration(grid, field, d, T, substeps,
-                                             tol, max_iters, psi0)
+                                             tol, max_iters, psi0, coarse)
+    # the fine-step operator also serves the residual and phase maps below
+    fine = DiffusionSolver(grid, d, T / (2 * substeps))
     rho_f, psi_f, it_f, drift = _power_iteration(grid, field, d, T, 2 * substeps,
-                                                 tol, max_iters, psi_c)
+                                                 tol, max_iters, psi_c, fine)
     lam_c = -math.log(rho_c) / T
     lam_f = -math.log(rho_f) / T
     lam = 2.0 * lam_f - lam_c
     # residual of the converged fine-step eigenpair
-    solver = DiffusionSolver(grid, d, T / (2 * substeps), boundary="dirichlet")
-    mapped = period_map(psi_f, grid, field, d, T, 2 * substeps, solver=solver)
+    mapped = period_map(psi_f, grid, field, d, T, 2 * substeps, solver=fine)
     residual = float(np.max(np.abs(mapped - rho_f * psi_f)))
     # eigenfunction phase samples from one extra period of the fine run
-    _, shots = period_map(psi_f, grid, field, d, T, 2 * substeps, solver=solver,
+    _, shots = period_map(psi_f, grid, field, d, T, 2 * substeps, solver=fine,
                           record=phases)
     phi = np.array([s / max(float(np.max(np.abs(s))), 1e-300) for s in shots])
     phi /= np.max(np.abs(phi))

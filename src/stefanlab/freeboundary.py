@@ -16,14 +16,13 @@ rule for one sample, and classify_outcome() applies it to a trajectory.
 
 from dataclasses import dataclass, field as dc_field
 
-import functools
 import math
 
 import numpy as np
 
 from . import eigen
 from .errors import BracketInvalid, FrontRetreat, StepSizeTooLarge
-from .radialcore import DiffusionSolver, RadialGrid
+from .radialcore import diffusion_bands, solve_tridiag
 
 DECAY_SUP = 1e-8          # vanishing-evidence density threshold
 FRONT_STALL = 1e-8        # vanishing-evidence front-speed threshold
@@ -64,12 +63,6 @@ def initial_state(spec):
     return FreeBoundaryState(u=u, h=spec.h0, t=0.0, n=n)
 
 
-@functools.lru_cache(maxsize=16)
-def _unit_grid(n, N):
-    """The fixed xi-grid on [0, 1]; shared by every step of a run."""
-    return RadialGrid(n=n, R=1.0, N=N)
-
-
 def step_free(state, spec, dt):
     """Advance the front-fixed system by one step of size dt.
 
@@ -105,10 +98,11 @@ def step_free(state, spec, dt):
     adv[:-1] = xi[:-1] * (h_prime / state.h) * (u[1:] - u[:-1]) / dxi
     rhs = u + dt * (adv + u * (growth - crowd * u))
 
-    solver = DiffusionSolver(_unit_grid(n, spec.N), spec.d / state.h ** 2, dt,
-                             "dirichlet")
-    u_new = solver.solve(rhs)
-    u_new[-1] = 0.0
+    # implicit diffusion with u(1) = 0: one elimination, since s changes
+    # with h at every step
+    s = dt * (spec.d / state.h ** 2) / dxi ** 2
+    u_new = np.zeros(n + 1)
+    u_new[:n] = solve_tridiag(*diffusion_bands(n, spec.N, s), rhs[:n])
     u_new[(u_new > NEG_CLIP) & (u_new < 0.0)] = 0.0
     return FreeBoundaryState(u=u_new, h=h_new, t=state.t + dt, n=n), h_prime
 

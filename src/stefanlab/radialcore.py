@@ -132,62 +132,57 @@ class FactoredTridiag:
 
 
 @functools.lru_cache(maxsize=16)
-def _band_pattern(n, N, boundary):
-    """Bands of (I - dt*d*L) divided by s = dt*d/dr^2, without the identity:
-    the operator is (-s*lower, 1 + s*diag, -s*upper).  Each scaled entry is
-    the same product as in a row-by-row assembly (-s*(1 - w), 1 + 2*s,
-    -2*N*s), so the operator is bit-identical.  Read-only; shared by every
-    solver on an (n, N, boundary) grid."""
-    m = n if boundary == "dirichlet" else n + 1
-    lower = np.zeros(m)
-    diag = np.full(m, 2.0)
-    upper = np.zeros(m)
+def _band_pattern(n, N):
+    """Bands of (I - dt*d*L) divided by s = dt*d/dr^2, without the identity,
+    on the n Dirichlet unknowns (nodes 0..n-1; u(R) = 0).  Read-only;
+    shared by every operator on an (n, N) grid."""
+    lower = np.zeros(n)
+    diag = np.full(n, 2.0)
+    upper = np.zeros(n)
     diag[0] = 2.0 * N
     upper[0] = 2.0 * N
     w = (N - 1) / (2.0 * np.arange(1, n))
     lower[1:n] = 1.0 - w
     upper[1:n] = 1.0 + w
-    if boundary == "neumann":
-        # reflection at r = R keeps only u_rr (u_r = 0 kills the 1/r term)
-        lower[n] = 2.0
     for band in (lower, diag, upper):
         band.flags.writeable = False
     return lower, diag, upper
 
 
-class DiffusionSolver:
-    """Implicit-Euler diffusion step (I - dt*d*L) u+ = rhs on a RadialGrid.
+def diffusion_bands(n, N, s):
+    """Bands (-s*lower, 1 + s*diag, -s*upper) of the implicit diffusion
+    operator, with s = dt*d/dr^2.  Each entry is the same product as in a
+    row-by-row assembly (-s*(1 - w), 1 + 2*s, -2*N*s), so the operator is
+    bit-identical to it."""
+    lower, diag, upper = _band_pattern(n, N)
+    return -s * lower, 1.0 + s * diag, -s * upper
 
-    boundary "dirichlet": u(R) = 0, unknowns are nodes 0..n-1.
-    boundary "neumann": reflected ghost at r = R, unknowns 0..n.
-    The operator is the cached band pattern of the grid scaled by
-    s = dt*d/dr^2, factored once per (grid, d, dt) as a FactoredTridiag.
-    Raises SolverSingular at construction.
+
+class DiffusionSolver:
+    """Implicit-Euler diffusion step (I - dt*d*L) u+ = rhs on a RadialGrid
+    with u(R) = 0.
+
+    The operator is diffusion_bands at s = dt*d/dr^2, factored once per
+    (grid, d, dt) as a FactoredTridiag; solve() returns all n+1 nodes,
+    node n being zero.  Raises SolverSingular at construction.
     """
 
-    def __init__(self, grid, d, dt, boundary="dirichlet"):
-        self.grid = grid
-        self.d = d
-        self.dt = dt
-        self.boundary = boundary
+    def __init__(self, grid, d, dt):
         s = dt * d / grid.dr ** 2
-        lower, diag, upper = _band_pattern(grid.n, grid.N, boundary)
-        self._op = FactoredTridiag(-s * lower, 1.0 + s * diag, -s * upper)
+        self._op = FactoredTridiag(*diffusion_bands(grid.n, grid.N, s))
 
     def solve(self, rhs):
-        m = self._op.size
-        out = np.zeros(self.grid.n + 1)
-        out[:m] = self._op.solve(rhs[:m])
+        n = self._op.size
+        out = np.zeros(n + 1)
+        out[:n] = self._op.solve(rhs[:n])
         return out
 
 
-def step_reaction_diffusion(grid, u, field, d, dt, t, boundary="dirichlet",
-                            solver=None):
+def step_reaction_diffusion(grid, u, field, d, dt, t, solver=None):
     """One semi-implicit step of the logistic reaction-diffusion problem.
 
     Reaction u*(alpha - gamma - beta*u) is explicit at time t; diffusion is
-    implicit.  Dirichlet zero at r = R (or reflecting Neumann for the flat
-    test harness), reflection at r = 0.
+    implicit.  Dirichlet zero at r = R, reflection at r = 0.
     """
     if dt * field.alpha2_max() >= 1.0:
         raise StepSizeTooLarge("dt*max(alpha2) = %.3g >= 1"
@@ -197,11 +192,8 @@ def step_reaction_diffusion(grid, u, field, d, dt, t, boundary="dirichlet",
     crowd = np.asarray(field.beta(t, r), dtype=float)
     rhs = u + dt * u * (growth - crowd * u)
     if solver is None:
-        solver = DiffusionSolver(grid, d, dt, boundary)
-    out = solver.solve(rhs)
-    if boundary == "dirichlet":
-        out[-1] = 0.0
-    return out
+        solver = DiffusionSolver(grid, d, dt)
+    return solver.solve(rhs)
 
 
 @dataclass(frozen=True)
@@ -226,7 +218,7 @@ def _substeps_for(T, dt, phases):
 
 
 def periodic_attractor(grid, field, d, T, tol=1e-6, max_periods=2000,
-                       u_init=None, dt=2e-3, phases=32, boundary="dirichlet"):
+                       u_init=None, dt=2e-3, phases=32):
     """Iterate the period map of the fixed-ball logistic problem.
 
     Returns the positive periodic orbit once the period map is
@@ -240,14 +232,13 @@ def periodic_attractor(grid, field, d, T, tol=1e-6, max_periods=2000,
         raise ValueError("u_init must be nonnegative and not identically zero")
     substeps, per_phase = _substeps_for(T, dt, phases)
     dt = T / substeps
-    solver = DiffusionSolver(grid, d, dt, boundary)
+    solver = DiffusionSolver(grid, d, dt)
     prev = u.copy()
     for period in range(1, max_periods + 1):
         snapshots = [u.copy()]
         for k in range(substeps):
             t = (k * dt)
-            u = step_reaction_diffusion(grid, u, field, d, dt, t,
-                                        boundary=boundary, solver=solver)
+            u = step_reaction_diffusion(grid, u, field, d, dt, t, solver=solver)
             if (k + 1) % per_phase == 0 and (k + 1) < substeps:
                 snapshots.append(u.copy())
         sup = float(np.max(np.abs(u)))

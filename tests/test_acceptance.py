@@ -282,7 +282,7 @@ def _fixed_ball_solution(n, dt, t_end):
     grid = RadialGrid(n=n, R=5.0, N=2)
     fld = constant_field(1.0)
     u = 0.5 * np.cos(np.pi * grid.r / 10.0)
-    solver = DiffusionSolver(grid, 1.0, dt, boundary="dirichlet")
+    solver = DiffusionSolver(grid, 1.0, dt)
     steps = int(round(t_end / dt))
     for k in range(steps):
         u = step_reaction_diffusion(grid, u, fld, 1.0, dt, k * dt,

@@ -10,7 +10,6 @@ from stefanlab.freeboundary import (DECAY_SUP, FRONT_STALL, Evidence,
                                     FreeBoundaryState, Outcome, Snapshot,
                                     classify_outcome, decide, front_gradient,
                                     initial_state, simulate, step_free)
-from stefanlab.radialcore import solve_tridiag
 
 J01 = 2.4048255576957724
 
@@ -53,27 +52,17 @@ class TestStepFree:
             assert np.all(state.u >= 0.0)
 
 
-class FreshSolver:
-    """Dirichlet diffusion step assembled row by row and eliminated from
-    scratch (gtsv) on every solve: no cached band pattern, no factors."""
-
-    def __init__(self, grid, d, dt, boundary):
-        n, N = grid.n, grid.N
-        s = dt * d / grid.dr ** 2
-        self.n = n
-        self.bands = np.zeros((3, n))
-        lower, diag, upper = self.bands
-        diag[0], upper[0] = 1.0 + 2.0 * N * s, -2.0 * N * s
-        for j in range(1, n):
-            w = (N - 1) / (2.0 * j)
-            diag[j] = 1.0 + 2.0 * s
-            lower[j] = -s * (1.0 - w)
-            upper[j] = -s * (1.0 + w)
-
-    def solve(self, rhs):
-        out = np.zeros(self.n + 1)
-        out[:self.n] = solve_tridiag(*self.bands, rhs[:self.n])
-        return out
+def fresh_bands(n, N, s):
+    """Dirichlet diffusion bands assembled row by row: no cached band
+    pattern."""
+    lower, diag, upper = np.zeros((3, n))
+    diag[0], upper[0] = 1.0 + 2.0 * N * s, -2.0 * N * s
+    for j in range(1, n):
+        w = (N - 1) / (2.0 * j)
+        diag[j] = 1.0 + 2.0 * s
+        lower[j] = -s * (1.0 - w)
+        upper[j] = -s * (1.0 + w)
+    return lower, diag, upper
 
 
 class TestCachedOperator:
@@ -85,7 +74,7 @@ class TestCachedOperator:
         specs = [ProblemSpec.build(fld, N=N, d=1.0, mu=4.0, h0=2.0, n=96,
                                    t_max=1.5) for N in (2, 3, 2)]
         cached = [simulate(spec) for spec in specs]
-        monkeypatch.setattr(freeboundary, "DiffusionSolver", FreshSolver)
+        monkeypatch.setattr(freeboundary, "diffusion_bands", fresh_bands)
         for spec, traj in zip(specs, cached):
             fresh = simulate(spec)
             assert traj.h[-1] > spec.h0
