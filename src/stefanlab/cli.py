@@ -41,8 +41,7 @@ _SCHEMA = {
     "problem": {"d": ("float", None), "mu": ("float", None),
                 "h0": ("float", None), "N": ("int", 2), "u0": ("expr", "")},
     "numerics": {"n": ("int", 256), "dt": ("float", 2e-3),
-                 "t_max": ("float", 50.0), "tol": ("float", 1e-6),
-                 "sample_every": ("float", 0.25)},
+                 "t_max": ("float", 50.0), "sample_every": ("float", 0.25)},
     "eigen": {"R": ("floatlist", None)},
     "hstar": {"r_lo": ("float", None), "r_hi": ("float", None),
               "tol": ("float", 1e-3)},
@@ -217,7 +216,7 @@ def build_spec(config):
     return ProblemSpec.build(field, N=p["N"], d=p["d"], mu=p["mu"],
                              h0=p["h0"], u0=p["u0"] or None,
                              n=num["n"], dt=num["dt"], t_max=num["t_max"],
-                             tol=num["tol"], sample_every=num["sample_every"])
+                             sample_every=num["sample_every"])
 
 
 # --- artifact emission ---
@@ -413,6 +412,8 @@ def _section_errors(config):
         bad.append("[eigen] R values must be > 0")
     if cmd == "hstar" and not 0 < v["hstar"]["r_lo"] < v["hstar"]["r_hi"]:
         bad.append("[hstar] needs 0 < r_lo < r_hi")
+    if cmd == "speed" and not v["speed"]["r_far"] > 0:
+        bad.append("[speed] r_far must be > 0")
     section = cmd.replace("-", "_")
     if section in ("hstar", "mu_star", "sigma0") and not v[section]["tol"] > 0:
         # a bisection to a zero width never ends

@@ -140,7 +140,6 @@ class Numerics:
     n: int = 256
     dt: float = 2e-3
     t_max: float = 50.0
-    tol: float = 1e-6
     sample_every: float = 0.25
 
 
@@ -203,15 +202,19 @@ def validate(spec, lattice=(64, 64), r_extra=None):
     The lattice covers t in [0, T) and r in [0, 4*h0 + r_extra], where
     r_extra defaults to the semi-wave truncation radius 50*sqrt(d).
     Returns a ValidationReport listing every violated invariant; sampled
-    checks can only certify the region up to ``r_check``.  d, mu and h0
-    must be positive; when one is not, the report lists only those.
+    checks can only certify the region up to ``r_check``.  d, mu, h0, the
+    dimension N and the period T must be finite and positive; when one is
+    not, the report lists only those.
     """
     fld = spec.field
-    out = [Violation("NonPositiveParameter", (), "%s must be > 0, got %r"
-                     % (name, getattr(spec, name)))
-           for name in ("d", "mu", "h0") if not getattr(spec, name) > 0]
+    params = (("d", spec.d), ("mu", spec.mu), ("h0", spec.h0), ("N", spec.N),
+              ("T", fld.T))
+    out = [Violation("NonPositiveParameter", (),
+                     "%s must be finite and > 0, got %r" % (name, value))
+           for name, value in params if not 0 < value < np.inf]
     if out:
-        # the lattice and the profile checks need d > 0 and h0 > 0
+        # the lattice and the profile checks need d > 0 and h0 > 0; the
+        # lattice and every time stepper step by T
         return ValidationReport(tuple(out), 0.0)
     nt, nr = max(lattice[0], 64), max(lattice[1], 64)
     if r_extra is None:

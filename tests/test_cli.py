@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from stefanlab import cli, eigen, freeboundary
+from stefanlab import cli, eigen, freeboundary, semiwave
 from stefanlab.errors import (ConfigError, EvalDomainError, ExpressionError,
                               MissingKey, NoSignChange, NumericalError,
                               TypeMismatch, UnknownKey)
@@ -330,7 +330,15 @@ class TestRejectedConfigs:
         # a d scan that finds no threshold leaves SlowDiffusion no d to
         # probe (stubbed: the real scan fails after about 30 s)
         (CRITERIA.replace("h0=3", "h0=100") + "[criteria]\nkind=SlowDiffusion\n",
-         3)], ids=["log", "sqrt", "criteria-kind", "no-d-threshold"])
+         3),
+        # a period that is not positive made simulate step forever
+        (MINIMAL.replace("beta=1", "beta=1\nT=0"), 2),
+        (MINIMAL.replace("beta=1", "beta=1\nT=-1"), 2),
+        (MINIMAL.replace("h0=3", "h0=3\nN=0"), 2),
+        (MINIMAL.replace("command=simulate", "command=speed")
+         + "[speed]\nr_far=-1\n", 2)],
+        ids=["log", "sqrt", "criteria-kind", "no-d-threshold", "T-zero",
+             "T-negative", "N-zero", "r_far-negative"])
     def test_exit_code(self, tmp_path, monkeypatch, capsys, text, code):
         def one_signed(*args, **kwargs):
             raise NoSignChange(+1)
@@ -338,8 +346,13 @@ class TestRejectedConfigs:
         def no_solve(*args, **kwargs):
             raise AssertionError("unexpected eigen solve")
 
+        def no_run(*args, **kwargs):
+            raise AssertionError("unexpected run")
+
         monkeypatch.setattr(eigen, "d_thresholds", one_signed)
         monkeypatch.setattr(eigen, "principal_eigenvalue", no_solve)
+        monkeypatch.setattr(freeboundary, "simulate", no_run)
+        monkeypatch.setattr(semiwave, "k0_fixed_point", no_run)
         out = str(tmp_path / "out")
         assert cli.main(["--config", write(tmp_path, text), "--out", out]) == code
         assert "Traceback" not in capsys.readouterr().err
@@ -408,6 +421,13 @@ class TestDocumentedConfig:
 
     def test_seed_key_is_unknown(self, tmp_path):
         text = MINIMAL.replace("command=simulate", "command=simulate\nseed=3")
+        with pytest.raises(UnknownKey):
+            cli.loads_config(text)
+        assert cli.main(["--config", write(tmp_path, text)]) == 2
+
+    def test_numerics_tol_is_unknown(self, tmp_path):
+        # [numerics] tol was parsed and stored but never read
+        text = MINIMAL.replace("n=64", "n=64\ntol=1e-6")
         with pytest.raises(UnknownKey):
             cli.loads_config(text)
         assert cli.main(["--config", write(tmp_path, text)]) == 2

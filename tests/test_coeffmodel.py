@@ -75,6 +75,17 @@ class TestValidate:
         assert report.kinds() == {"NonPositiveParameter"}
         assert name in report.violations[0].detail
 
+    @pytest.mark.parametrize("T", [0.0, -1.0, float("inf"), float("nan")])
+    def test_period_not_positive(self, T):
+        report = validate(make_spec(field=constant_field(1.0, T=T)))
+        assert report.kinds() == {"NonPositiveParameter"}
+        assert "T" in report.violations[0].detail
+
+    def test_dimension_zero(self):
+        report = validate(make_spec(N=0))
+        assert report.kinds() == {"NonPositiveParameter"}
+        assert "N" in report.violations[0].detail
+
     def test_u0_boundary_mismatch(self):
         spec = make_spec(u0="1")
         report = validate(spec)
