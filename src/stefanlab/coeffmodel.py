@@ -213,8 +213,8 @@ def validate(spec, lattice=(64, 64), r_extra=None):
                      "%s must be finite and > 0, got %r" % (name, value))
            for name, value in params if not 0 < value < np.inf]
     if out:
-        # the lattice and the profile checks need d > 0 and h0 > 0; the
-        # lattice and every time stepper step by T
+        # the lattice and the profile checks need d > 0 and h0 > 0, and
+        # the lattice and every time stepper a period T > 0
         return ValidationReport(tuple(out), 0.0)
     nt, nr = max(lattice[0], 64), max(lattice[1], 64)
     if r_extra is None:

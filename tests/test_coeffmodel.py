@@ -68,8 +68,8 @@ class TestValidate:
         report = validate(spec)
         assert report.ok, report.violations
 
-    @pytest.mark.parametrize("name", ["d", "mu", "h0"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("name", ["d", "mu", "h0", "N"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_parameter(self, name, value):
         report = validate(make_spec().with_(**{name: value}))
         assert report.kinds() == {"NonPositiveParameter"}
@@ -80,11 +80,6 @@ class TestValidate:
         report = validate(make_spec(field=constant_field(1.0, T=T)))
         assert report.kinds() == {"NonPositiveParameter"}
         assert "T" in report.violations[0].detail
-
-    def test_dimension_zero(self):
-        report = validate(make_spec(N=0))
-        assert report.kinds() == {"NonPositiveParameter"}
-        assert "N" in report.violations[0].detail
 
     def test_u0_boundary_mismatch(self):
         spec = make_spec(u0="1")

@@ -151,7 +151,9 @@ def row_bands(grid, d, dt):
 
 
 class TestPrefactoredSolver:
-    @pytest.mark.parametrize("N", [2, 3])
+    # the test ids name the boundary condition at r = R: u(R) = 0
+
+    @pytest.mark.parametrize("N", [2, 3], ids=lambda N: "%d-dirichlet" % N)
     def test_matches_thomas_reference(self, N):
         grid = RadialGrid(n=60, R=3.0, N=N)
         d, dt = 0.8, 1e-2
@@ -167,10 +169,11 @@ class TestPrefactoredSolver:
             assert np.allclose(out[:m], ref, rtol=1e-12, atol=1e-12)
             assert np.all(out[m:] == 0.0)
 
-    def test_bit_equal_to_fresh_elimination(self):
+    @pytest.mark.parametrize("N", [2], ids=["dirichlet"])
+    def test_bit_equal_to_fresh_elimination(self, N):
         # gttrf/gttrs perform the same operations as one gtsv call on a
         # diagonally dominant system, so prefactoring changes no output
-        grid = RadialGrid(n=128, R=5.0, N=2)
+        grid = RadialGrid(n=128, R=5.0, N=N)
         solver = DiffusionSolver(grid, 1.3, 2e-3)
         bands = row_bands(grid, 1.3, 2e-3)
         m = bands[1].size
@@ -178,7 +181,7 @@ class TestPrefactoredSolver:
         assert np.array_equal(solver.solve(rhs)[:m],
                               solve_tridiag(*bands, rhs[:m]))
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2], ids=lambda n: "%d-dirichlet" % n)
     def test_tiny_grids(self, n):
         grid = RadialGrid(n=n, R=1.0, N=2)
         bands = row_bands(grid, 1.0, 0.1)
