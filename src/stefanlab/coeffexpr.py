@@ -4,10 +4,12 @@ Expressions are functions of the time variable ``t``, the radius ``r`` and
 optional named parameters.  Supported: ``+ - * / ^`` (``^`` right
 associative), unary minus, ``sin cos exp log sqrt abs min max tanh``, and
 the constants ``pi`` and ``e``.  Evaluation is numpy-vectorized so ``t``
-and ``r`` may be arrays.
+and ``r`` may be arrays; an ExprFunction compiles its expression once, into
+a tree of closures, and each call runs only the numpy operations.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,67 +239,91 @@ def evaluate(ast, t=0.0, r=0.0, params=None):
     Raises EvalDomainError for log/sqrt of negative arguments, division by
     zero and non-finite results instead of propagating NaN/inf.
     """
-    params = params or {}
-    if isinstance(ast, Num):
-        return ast.value
-    if isinstance(ast, Const):
-        return CONSTANTS[ast.name]
-    if isinstance(ast, Var):
-        return t if ast.name == "t" else r
-    if isinstance(ast, Param):
-        if ast.name not in params:
+    return _compile(ast, params or {})(t, r)
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh, "abs": np.abs,
+           "min": np.minimum, "max": np.maximum}
+
+
+def _compile(ast, params):
+    """``ast`` as a function f(t, r): a tree of closures built once.
+
+    Each closure evaluates its children left to right and then applies
+    its own numpy operation, so a call does the arithmetic of a recursive
+    walk of the tree, in the same order.  The domain checks run at every
+    call.  A parameter missing from ``params`` raises
+    UnboundParameter at the call, in walk order too.
+    """
+    if isinstance(ast, Param) and ast.name not in params:
+        def unbound(t, r):
             raise UnboundParameter(ast.name)
-        return params[ast.name]
+        return unbound
+    if isinstance(ast, (Num, Const, Param)):
+        value = (ast.value if isinstance(ast, Num) else
+                 CONSTANTS[ast.name] if isinstance(ast, Const) else
+                 params[ast.name])
+        return lambda t, r: value
+    if isinstance(ast, Var):
+        return (lambda t, r: t) if ast.name == "t" else (lambda t, r: r)
     if isinstance(ast, Unary):
-        return -evaluate(ast.child, t, r, params)
+        child = _compile(ast.child, params)
+        return lambda t, r: -child(t, r)
     if isinstance(ast, Bin):
-        a = evaluate(ast.left, t, r, params)
-        b = evaluate(ast.right, t, r, params)
-        if ast.op == "+":
-            return a + b
-        if ast.op == "-":
-            return a - b
-        if ast.op == "*":
-            return a * b
+        left, right = _compile(ast.left, params), _compile(ast.right, params)
+        if ast.op in _ARITH:
+            op = _ARITH[ast.op]
+            return lambda t, r: op(left(t, r), right(t, r))
         if ast.op == "/":
-            zero = np.asarray(b) == 0
-            if zero.any():
-                raise _domain_error(ast, b, zero)
-            return a / b
-        # "^"
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.power(np.asarray(a, dtype=float), b)
-        _check_finite(ast, a, out)
-        return out if np.ndim(out) else float(out)
+            def divide(t, r):
+                a, b = left(t, r), right(t, r)
+                zero = np.asarray(b) == 0
+                if zero.any():
+                    raise _domain_error(ast, b, zero)
+                return a / b
+            return divide
+
+        def power(t, r):
+            a, b = left(t, r), right(t, r)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                out = np.power(np.asarray(a, dtype=float), b)
+            _check_finite(ast, a, out)
+            return out if np.ndim(out) else float(out)
+        return power
     if isinstance(ast, Call):
-        args = [evaluate(child, t, r, params) for child in ast.args]
+        args = [_compile(child, params) for child in ast.args]
+        if ast.fn in ("min", "max"):
+            fn, (first, second) = _UFUNCS[ast.fn], args
+            return lambda t, r: fn(first(t, r), second(t, r))
+        arg, = args
+        if ast.fn in _UFUNCS:
+            fn = _UFUNCS[ast.fn]
+            return lambda t, r: fn(arg(t, r))
         if ast.fn == "sqrt":
-            bad = np.asarray(args[0]) < 0
-            if bad.any():
-                raise _domain_error(ast, args[0], bad)
-            return np.sqrt(args[0])
+            def sqrt(t, r):
+                x = arg(t, r)
+                bad = np.asarray(x) < 0
+                if bad.any():
+                    raise _domain_error(ast, x, bad)
+                return np.sqrt(x)
+            return sqrt
         if ast.fn == "log":
-            bad = np.asarray(args[0]) <= 0
-            if bad.any():
-                raise _domain_error(ast, args[0], bad)
-            return np.log(args[0])
+            def log(t, r):
+                x = arg(t, r)
+                bad = np.asarray(x) <= 0
+                if bad.any():
+                    raise _domain_error(ast, x, bad)
+                return np.log(x)
+            return log
         if ast.fn == "exp":
-            with np.errstate(over="ignore"):
-                out = np.exp(args[0])
-            _check_finite(ast, args[0], out)
-            return out
-        if ast.fn == "sin":
-            return np.sin(args[0])
-        if ast.fn == "cos":
-            return np.cos(args[0])
-        if ast.fn == "tanh":
-            return np.tanh(args[0])
-        if ast.fn == "abs":
-            return np.abs(args[0])
-        if ast.fn == "min":
-            return np.minimum(args[0], args[1])
-        if ast.fn == "max":
-            return np.maximum(args[0], args[1])
+            def exp(t, r):
+                x = arg(t, r)
+                with np.errstate(over="ignore"):
+                    out = np.exp(x)
+                _check_finite(ast, x, out)
+                return out
+            return exp
     raise TypeError("not an AST node: %r" % (ast,))
 
 
@@ -324,11 +350,12 @@ class ExprFunction:
         self.text = text
         self.params = dict(params or {})
         self.ast = parse(text, params=self.params.keys())
+        self._fn = _compile(self.ast, self.params)
 
     def __call__(self, t, r=0.0):
         """Value at (t, r) with the broadcast shape of t and r, also when
         the expression does not depend on one (or both) of them."""
-        out = evaluate(self.ast, t=t, r=r, params=self.params)
+        out = self._fn(t, r)
         shape = np.broadcast(t, r).shape
         if getattr(out, "shape", ()) != shape:
             full = np.empty(shape)

@@ -16,6 +16,7 @@ rule for one sample, and classify_outcome() applies it to a trajectory.
 
 from dataclasses import dataclass, field as dc_field
 
+import functools
 import math
 
 import numpy as np
@@ -29,6 +30,15 @@ FRONT_STALL = 1e-8        # vanishing-evidence front-speed threshold
 NEG_CLIP = -1e-12
 
 
+@functools.lru_cache(maxsize=16)
+def _xi_grid(n):
+    """The fixed xi-grid linspace(0, 1, n + 1).  Read-only; shared by
+    every state, snapshot and step on an n-interval grid."""
+    xi = np.linspace(0.0, 1.0, n + 1)
+    xi.flags.writeable = False
+    return xi
+
+
 @dataclass
 class FreeBoundaryState:
     u: np.ndarray        # values on the fixed xi-grid, u[n] = 0
@@ -38,7 +48,7 @@ class FreeBoundaryState:
 
     @property
     def xi(self):
-        return np.linspace(0.0, 1.0, self.n + 1)
+        return _xi_grid(self.n)
 
     def r(self):
         return self.h * self.xi
@@ -57,10 +67,15 @@ def front_gradient(state):
 
 def initial_state(spec):
     n = spec.numerics.n
-    xi = np.linspace(0.0, 1.0, n + 1)
-    u = spec.u0_values(spec.h0 * xi)
+    u = spec.u0_values(spec.h0 * _xi_grid(n))
     u[-1] = 0.0
     return FreeBoundaryState(u=u, h=spec.h0, t=0.0, n=n)
+
+
+def _unknowns(values, n):
+    """A coefficient on the n+1 nodes cut to the n unknowns; a scalar as is."""
+    values = np.asarray(values, dtype=float)
+    return values[:n] if values.ndim else values
 
 
 def step_free(state, spec, dt):
@@ -91,18 +106,29 @@ def step_free(state, spec, dt):
     r = state.h * xi
     u = state.u
 
-    growth = np.asarray(fld.growth(state.t, r), dtype=float)
-    crowd = np.asarray(fld.beta(state.t, r), dtype=float)
-    # upwind advection: u_t = + xi (h'/h) u_xi, wind >= 0 -> forward difference
-    adv = np.zeros_like(u)
-    adv[:-1] = xi[:-1] * (h_prime / state.h) * (u[1:] - u[:-1]) / dxi
-    rhs = u + dt * (adv + u * (growth - crowd * u))
+    growth = _unknowns(fld.growth(state.t, r), n)
+    crowd = _unknowns(fld.beta(state.t, r), n)
+    # rhs = u + dt*(adv + u*(growth - crowd*u)) on the n unknowns (u[n] = 0),
+    # built in place in two buffers.  Upwind advection: u_t = + xi (h'/h)
+    # u_xi, wind >= 0 -> forward difference, adv = xi*(h'/h)*(u+ - u)/dxi
+    un = u[:n]
+    rhs = np.multiply(xi[:n], h_prime / state.h)
+    work = np.subtract(u[1:], un)
+    np.multiply(rhs, work, out=rhs)
+    np.divide(rhs, dxi, out=rhs)            # adv
+    np.multiply(crowd, un, out=work)
+    np.subtract(growth, work, out=work)
+    np.multiply(un, work, out=work)         # u*(growth - crowd*u)
+    np.add(rhs, work, out=rhs)
+    np.multiply(dt, rhs, out=rhs)
+    np.add(un, rhs, out=rhs)
 
     # implicit diffusion with u(1) = 0: one elimination, since s changes
     # with h at every step
     s = dt * (spec.d / state.h ** 2) / dxi ** 2
-    u_new = np.zeros(n + 1)
-    u_new[:n] = solve_tridiag(*diffusion_bands(n, spec.N, s), rhs[:n])
+    u_new = np.empty(n + 1)
+    u_new[:n] = solve_tridiag(*diffusion_bands(n, spec.N, s), rhs)
+    u_new[n] = 0.0
     u_new[(u_new > NEG_CLIP) & (u_new < 0.0)] = 0.0
     return FreeBoundaryState(u=u_new, h=h_new, t=state.t + dt, n=n), h_prime
 
@@ -114,7 +140,7 @@ class Snapshot:
     u: np.ndarray      # on the xi-grid
 
     def r(self):
-        return self.h * np.linspace(0.0, 1.0, self.u.size)
+        return self.h * _xi_grid(self.u.size - 1)
 
     def interp(self, r):
         return np.interp(r, self.r(), self.u, right=0.0)

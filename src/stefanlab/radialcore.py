@@ -88,7 +88,7 @@ def solve_tridiag(lower, diag, upper, rhs):
     elimination is reported as SolverSingular.
     """
     diag = np.asarray(diag, dtype=float)
-    if np.min(np.abs(diag)) < PIVOT_EPS:
+    if np.abs(diag).min() < PIVOT_EPS:
         raise SolverSingular("tridiagonal pivot below %g" % PIVOT_EPS)
     if diag.size == 1:
         # the LAPACK wrapper rejects a 1x1 system
@@ -114,7 +114,7 @@ class FactoredTridiag:
 
     def __init__(self, lower, diag, upper):
         diag = np.asarray(diag, dtype=float)
-        if np.min(np.abs(diag)) < PIVOT_EPS:
+        if np.abs(diag).min() < PIVOT_EPS:
             raise SolverSingular("tridiagonal pivot below %g" % PIVOT_EPS)
         self.size = diag.size
         self._bands = (lower, diag, upper)

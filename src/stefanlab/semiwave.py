@@ -182,19 +182,30 @@ def semiwave_profile(k, a, b, d, T, L=None, n=1024, tol=1e-7, phases=64,
     coeffs = list(zip(*(_on_times(fn, t).tolist() for fn in (k, a, b)),
                       _on_times(V, t + dt).tolist()))
 
+    # rhs = ui + dt*(-k*(ui - u-)/dx + ui*(a - b*ui)) on the interior nodes,
+    # built in place in two buffers
+    rhs, work = np.empty(n - 1), np.empty(n - 1)
     prev = u
     for period in range(1, max_periods + 1):
         shots = [u]
         for step, (kt, at, bt, vb) in enumerate(coeffs, start=1):
             # upwind: u_t = -k u_x with k >= 0 -> backward difference
             ui = u[1:-1]
-            rhs = ui + dt * (-kt * (ui - u[:-2]) / dx + ui * (at - bt * ui))
+            np.subtract(ui, u[:-2], out=rhs)
+            np.multiply(-kt, rhs, out=rhs)
+            np.divide(rhs, dx, out=rhs)
+            np.multiply(bt, ui, out=work)
+            np.subtract(at, work, out=work)
+            np.multiply(ui, work, out=work)
+            np.add(rhs, work, out=rhs)
+            np.multiply(dt, rhs, out=rhs)
+            np.add(ui, rhs, out=rhs)
             rhs[-1] += s * vb
             u = np.empty(n + 1)     # a new array per step: shots keep theirs
             u[0] = 0.0
             u[1:-1] = op.solve(rhs)
             u[-1] = vb
-            np.clip(u, 0.0, None, out=u)
+            np.maximum(u, 0.0, out=u)
             if step % per_phase == 0 and step < steps:
                 shots.append(u)
         sup = float(np.max(u))

@@ -144,12 +144,13 @@ _ast = st.recursive(_leaf, _node, max_leaves=32)
 
 
 def _reference_eval(ast, t, r):
-    """Direct recursive evaluator, independent of evaluate's tree walk.
+    """Direct recursive evaluator, independent of coeffexpr's compiled
+    closures.
 
-    It calls the numpy ufuncs evaluate calls, on the same inputs, so the
-    property checks the walk and not libm: math.tanh and np.tanh can
-    differ by an ulp, which a cancellation turns into a large relative
-    error."""
+    It calls the numpy ufuncs they call, on the same inputs, so the
+    properties check the order of operations and not libm: math.tanh and
+    np.tanh can differ by an ulp, which a cancellation turns into a large
+    relative error."""
     if isinstance(ast, Num):
         return ast.value
     if isinstance(ast, Const):
@@ -190,11 +191,60 @@ def test_matches_reference_evaluator(ast, t, r):
         assert got == pytest.approx(ref, rel=1e-15, abs=1e-300)
 
 
+def bitwise_equal(a, b):
+    """Same shape and the same float64 bit patterns (-0.0 != 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+_coords = st.lists(st.floats(0, 5, allow_nan=False), min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ast, _coords, _coords)
+def test_compiled_matches_reference_bitwise(ast, t, r):
+    # t as a column and r as a row: every node broadcasts its operands
+    t = np.array(t)[:, None]
+    r = np.array(r)[None, :]
+    got = ExprFunction(pretty(ast))(t, r)
+    ref = np.broadcast_to(_reference_eval(ast, t, r), (t.size, r.size))
+    assert bitwise_equal(got, ref)
+
+
 def test_expr_function_pickles():
-    fn = ExprFunction("1 + a*sin(2*pi*t)", params={"a": 0.5})
+    # the loaded copy recompiles: every domain-checked operation and a
+    # parameter, on broadcast arrays and on scalars
+    fn = ExprFunction("1 + a*sin(2*pi*t) + sqrt(1 + t*r)/(2 + a)"
+                      " - log(1 + r)*exp(-(max(t, a)^1.5))", params={"a": 0.5})
     clone = pickle.loads(pickle.dumps(fn))
     t = np.linspace(0, 1, 7)
-    assert np.array_equal(np.asarray(fn(t)), np.asarray(clone(t)))
+    r = np.linspace(0.0, 3.0, 13)
+    for args in ((t[:, None], r), (0.3, r), (t,), (0.3, 0.2)):
+        assert bitwise_equal(fn(*args), clone(*args))
+
+
+class TestCompiledDomainChecks:
+    """Each domain check fires inside a compiled ExprFunction, with its
+    error class and one-line message."""
+
+    @pytest.mark.parametrize("text,t,r,message", [
+        ("t/(r-1)", 0.0, [2.0, 1.0, 1.0],
+         "domain error in (t / (r - 1.0)) at value 0.0"),
+        ("(r-3)^0.5", 0.0, [4.0, 1.0, 2.0],
+         "domain error in ((r - 3.0) ^ 0.5) at value -2.0"),
+        ("sqrt(1-t)", [0.5, 3.0, 2.0], 0.0,
+         "domain error in sqrt((1.0 - t)) at value -2.0"),
+        ("2+log(t)", [0.5, 0.0, -1.0], 0.0,
+         "domain error in log(t) at value 0.0"),
+        ("exp(r*t)", 1.0, [1.0, 800.0, 900.0],
+         "domain error in exp((r * t)) at value 800.0")],
+        ids=["divide", "power", "sqrt", "log", "exp"])
+    def test_message(self, text, t, r, message):
+        with pytest.raises(EvalDomainError) as exc:
+            ExprFunction(text)(np.asarray(t), np.asarray(r))
+        assert str(exc.value) == message
+        assert "\n" not in str(exc.value)
 
 
 class TestExprFunctionShape:

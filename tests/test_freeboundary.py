@@ -10,6 +10,7 @@ from stefanlab.freeboundary import (DECAY_SUP, FRONT_STALL, Evidence,
                                     FreeBoundaryState, Outcome, Snapshot,
                                     classify_outcome, decide, front_gradient,
                                     initial_state, simulate, step_free)
+from stefanlab.radialcore import diffusion_bands, solve_tridiag
 
 J01 = 2.4048255576957724
 
@@ -80,6 +81,98 @@ class TestCachedOperator:
             assert traj.h[-1] > spec.h0
             assert np.array_equal(traj.h, fresh.h)
             assert np.array_equal(traj.final.u, fresh.final.u)
+
+
+def allocating_step(state, spec, dt):
+    """step_free with a fresh linspace xi grid, a zeros_like advection
+    array and a full-length right-hand side: the oracle for the in-place
+    step."""
+    fld = spec.field
+    n = state.n
+    dxi = 1.0 / n
+    if dt * fld.alpha2_max() >= 1.0:
+        raise freeboundary.StepSizeTooLarge("dt*max(alpha2) >= 1")
+    h_prime = max(-spec.mu * front_gradient(state), 0.0)
+    if dt * h_prime / state.h > 0.5 * dxi * (1.0 + 1e-12):
+        raise freeboundary.StepSizeTooLarge("front CFL violated")
+    xi = np.linspace(0.0, 1.0, n + 1)
+    r = state.h * xi
+    u = state.u
+    growth = np.asarray(fld.growth(state.t, r), dtype=float)
+    crowd = np.asarray(fld.beta(state.t, r), dtype=float)
+    adv = np.zeros_like(u)
+    adv[:-1] = xi[:-1] * (h_prime / state.h) * (u[1:] - u[:-1]) / dxi
+    rhs = u + dt * (adv + u * (growth - crowd * u))
+    s = dt * (spec.d / state.h ** 2) / dxi ** 2
+    u_new = np.zeros(n + 1)
+    u_new[:n] = solve_tridiag(*diffusion_bands(n, spec.N, s), rhs[:n])
+    u_new[(u_new > freeboundary.NEG_CLIP) & (u_new < 0.0)] = 0.0
+    return (FreeBoundaryState(u=u_new, h=state.h + dt * h_prime,
+                              t=state.t + dt, n=n), h_prime)
+
+
+class _OneOversizedStep(freeboundary._StepSizer):
+    """The step sizer, except that its third step breaks the front CFL
+    bound, so that simulate() retries that step at half size."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.calls = 0
+
+    def __call__(self, state, grad):
+        self.calls += 1
+        if self.calls == 3:
+            return 0.8 * self.dxi * state.h / (-self.mu * grad)
+        return super().__call__(state, grad)
+
+
+class TestInPlaceStep:
+    @staticmethod
+    def recorded(step, steps, retries):
+        def run(state, spec, dt):
+            try:
+                new, h_prime = step(state, spec, dt)
+            except freeboundary.StepSizeTooLarge:
+                retries.append(state.t)
+                raise
+            steps.append((new.u, new.h, h_prime))
+            return new, h_prime
+        return run
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_bit_equal_to_allocating_step(self, N, monkeypatch):
+        fld = CoefficientField.from_expressions(
+            alpha="1 + 0.5*sin(2*pi*t)", gamma="0.2*exp(-r)",
+            beta="1 + 0.1*cos(r*t)", T=1.0)
+        spec = ProblemSpec.build(fld, N=N, d=1.0, mu=4.0, h0=2.0, n=96,
+                                 t_max=1.5)
+        monkeypatch.setattr(freeboundary, "_StepSizer", _OneOversizedStep)
+        runs = []
+        for step in (step_free, allocating_step):
+            steps, retries = [], []
+            monkeypatch.setattr(freeboundary, "step_free",
+                                self.recorded(step, steps, retries))
+            runs.append((simulate(spec), steps, retries))
+        (traj, steps, retries), (_, ref_steps, ref_retries) = runs
+        assert len(retries) == 1 and retries == ref_retries
+        assert traj.h[-1] > spec.h0 and len(steps) == len(ref_steps)
+        for (u, h, hp), (ref_u, ref_h, ref_hp) in zip(steps, ref_steps):
+            assert np.array_equal(u.view(np.uint64), ref_u.view(np.uint64))
+            assert h == ref_h and hp == ref_hp
+
+    def test_xi_cached_read_only(self):
+        spec = favorable_spec(n=96)
+        state = initial_state(spec)
+        other = FreeBoundaryState(u=np.zeros(97), h=5.0, t=1.0, n=96)
+        assert state.xi is other.xi
+        assert state.xi is not FreeBoundaryState(u=np.zeros(65), h=5.0,
+                                                 t=1.0, n=64).xi
+        assert np.array_equal(state.xi, np.linspace(0.0, 1.0, 97))
+        assert not state.xi.flags.writeable
+        with pytest.raises(ValueError):
+            state.xi[1] = 0.5
+        snap = Snapshot(1.0, 5.0, np.zeros(97))
+        assert np.array_equal(snap.r(), 5.0 * np.linspace(0.0, 1.0, 97))
 
 
 class TestSimulate:
