@@ -204,7 +204,8 @@ def validate(spec, lattice=(64, 64), r_extra=None):
     Returns a ValidationReport listing every violated invariant; sampled
     checks can only certify the region up to ``r_check``.  d, mu, h0, the
     dimension N and the period T must be finite and positive; when one is
-    not, the report lists only those.
+    not, the report lists only those.  The time step dt and the horizon
+    t_max must be finite and positive too.
     """
     fld = spec.field
     params = (("d", spec.d), ("mu", spec.mu), ("h0", spec.h0), ("N", spec.N),
@@ -275,8 +276,10 @@ def validate(spec, lattice=(64, 64), r_extra=None):
                              "u0'(0)=%.3e is not ~0" % slope0))
 
     num = spec.numerics
-    if num.dt <= 0:
-        out.append(Violation("BadTimeStep", (), "dt must be > 0"))
+    out += [Violation("BadTimeStep", (), "%s must be finite and > 0, got %r"
+                      % (name, value))
+            for name, value in (("dt", num.dt), ("t_max", num.t_max))
+            if not 0 < value < np.inf]
     if num.n < 16:
         out.append(Violation("GridTooCoarse", (), "n must be >= 16"))
     return ValidationReport(tuple(out), r_check)

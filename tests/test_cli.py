@@ -336,9 +336,16 @@ class TestRejectedConfigs:
         (MINIMAL.replace("beta=1", "beta=1\nT=-1"), 2),
         (MINIMAL.replace("h0=3", "h0=3\nN=0"), 2),
         (MINIMAL.replace("command=simulate", "command=speed")
-         + "[speed]\nr_far=-1\n", 2)],
+         + "[speed]\nr_far=-1\n", 2),
+        # a NaN step or horizon, or a horizon <= 0, wrote a trajectory
+        # that never stepped and a verdict decided at t = 0
+        (MINIMAL.replace("t_max=5", "t_max=5\ndt=nan"), 2),
+        (MINIMAL.replace("t_max=5", "t_max=nan"), 2),
+        (MINIMAL.replace("t_max=5", "t_max=0"), 2),
+        (MINIMAL.replace("t_max=5", "t_max=-1"), 2)],
         ids=["log", "sqrt", "criteria-kind", "no-d-threshold", "T-zero",
-             "T-negative", "N-zero", "r_far-negative"])
+             "T-negative", "N-zero", "r_far-negative", "dt-nan", "t_max-nan",
+             "t_max-zero", "t_max-negative"])
     def test_exit_code(self, tmp_path, monkeypatch, capsys, text, code):
         def one_signed(*args, **kwargs):
             raise NoSignChange(+1)

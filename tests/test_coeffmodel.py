@@ -126,6 +126,15 @@ class TestValidate:
         report = validate(spec)
         assert {"BadTimeStep", "GridTooCoarse"} <= report.kinds()
 
+    # dt <= 0 is covered by test_bad_numerics
+    @pytest.mark.parametrize("name,value", [
+        ("dt", float("nan")), ("dt", float("inf")), ("t_max", 0.0),
+        ("t_max", -1.0), ("t_max", float("nan")), ("t_max", float("inf"))])
+    def test_bad_time_step(self, name, value):
+        report = validate(make_spec().with_(**{name: value}))
+        assert report.kinds() == {"BadTimeStep"}
+        assert report.violations[0].detail.startswith(name + " must be")
+
     def test_r_check_reported(self):
         report = validate(make_spec())
         assert report.r_check >= 4.0 * 1.0
