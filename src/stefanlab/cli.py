@@ -385,9 +385,7 @@ def _cmd_sweep(config, spec, arts, jobs, horizon_scale):
     except StefanLabError:
         overlay["h_star"] = None
     try:
-        dth = eigen.d_thresholds(spec.field, spec.h0, spec.field.T,
-                                 d_lo=1e-2 * spec.d, d_hi=1e2 * spec.d,
-                                 N=spec.N, n=96)
+        dth = freeboundary.spec_d_thresholds(spec)
         overlay["d_star"], overlay["d_upper"] = dth.d_star, dth.d_upper
     except StefanLabError:
         overlay["d_star"] = overlay["d_upper"] = None
@@ -408,20 +406,24 @@ def _section_errors(config):
     """Command-section values the numerics cannot take (each exits 2)."""
     cmd, v = config.command, config.values
     bad = []
-    if cmd == "eigen" and not all(R > 0 for R in v["eigen"]["R"]):
-        bad.append("[eigen] R values must be > 0")
+    if cmd == "eigen" and not (v["eigen"]["R"]
+                               and all(R > 0 for R in v["eigen"]["R"])):
+        bad.append("[eigen] R must list one or more values > 0")
     if cmd == "hstar" and not 0 < v["hstar"]["r_lo"] < v["hstar"]["r_hi"]:
         bad.append("[hstar] needs 0 < r_lo < r_hi")
     if cmd == "speed" and not v["speed"]["r_far"] > 0:
         bad.append("[speed] r_far must be > 0")
     section = cmd.replace("-", "_")
-    if section in ("hstar", "mu_star", "sigma0") and not v[section]["tol"] > 0:
-        # a bisection to a zero width never ends
-        bad.append("[%s] tol must be > 0" % section)
+    if (section in ("hstar", "speed", "mu_star", "sigma0")
+            and not 0 < v[section]["tol"] < math.inf):
+        # a zero tol never ends a bisection, an infinite one ends it at once
+        bad.append("[%s] tol must be finite and > 0" % section)
     if cmd == "sweep":
         sw = v["sweep"]
         for axis, values in ((sw["axis1"], sw["axis1_values"]),
                              (sw["axis2"], sw["axis2_values"])):
+            if not values:
+                bad.append("[sweep] axis %r lists no values" % axis)
             if axis not in SWEEP_AXES:
                 bad.append("[sweep] axis %r is not one of %s"
                            % (axis, ", ".join(SWEEP_AXES)))

@@ -28,16 +28,20 @@ class ConstantFn:
         return "ConstantFn(%r)" % self.c
 
 
-def _as_fn(spec, params=None):
+def _as_fn(spec):
     """Coerce a number, expression string or callable into f(t, r)."""
     if callable(spec):
         return spec
     if isinstance(spec, str):
-        return coeffexpr.ExprFunction(spec, params=params)
+        return coeffexpr.ExprFunction(spec)
     return ConstantFn(spec)
 
 
 PERIODICITY_RTOL = 1e-10
+ENVELOPE_SAMPLES = 96     # radii sampled by an estimated envelope
+HABITAT_SAMPLES = 64      # radii sampled in [0, R] by classify_habitat
+HABITAT_TIME_NODES = 256  # time intervals per period in classify_habitat
+HABITAT_TOL = 1e-8        # margin of a favorable or unfavorable sign
 
 
 @dataclass(frozen=True)
@@ -55,23 +59,23 @@ class CoefficientField:
     beta2: object = None
 
     @staticmethod
-    def from_expressions(alpha, gamma, beta, T, params=None, envelopes=None,
-                         r_max=40.0, samples=96):
+    def from_expressions(alpha, gamma, beta, T, envelopes=None, r_max=40.0):
         """Build a field from expression strings / numbers / callables.
 
-        Missing envelope bounds are estimated by sampling r in [0, r_max]
-        with a small relative padding so the declared ordering holds.
+        Missing envelope bounds are estimated by sampling ENVELOPE_SAMPLES
+        radii in [0, r_max] with a small relative padding so the declared
+        ordering holds.
         """
         env = dict(envelopes or {})
-        fa, fg, fb = (_as_fn(alpha, params), _as_fn(gamma, params), _as_fn(beta, params))
+        fa, fg, fb = _as_fn(alpha), _as_fn(gamma), _as_fn(beta)
         out = {}
         for name, fn in (("alpha", fa), ("gamma", fg), ("beta", fb)):
             lo_key, hi_key = name + "1", name + "2"
             if lo_key in env and hi_key in env:
-                out[lo_key] = _as_fn(env[lo_key], params)
-                out[hi_key] = _as_fn(env[hi_key], params)
+                out[lo_key] = _as_fn(env[lo_key])
+                out[hi_key] = _as_fn(env[hi_key])
             else:
-                out[lo_key], out[hi_key] = _sampled_envelopes(fn, T, r_max, samples)
+                out[lo_key], out[hi_key] = _sampled_envelopes(fn, T, r_max)
         return CoefficientField(alpha=fa, gamma=fg, beta=fb, T=float(T),
                                 alpha1=out["alpha1"], alpha2=out["alpha2"],
                                 gamma1=out["gamma1"], gamma2=out["gamma2"],
@@ -102,9 +106,9 @@ class CoefficientField:
 class _SampledEnvelope:
     """Time-only envelope from a min/max over sampled radii (picklable)."""
 
-    def __init__(self, fn, r_max, samples, which, pad):
+    def __init__(self, fn, r_grid, which, pad):
         self.fn = fn
-        self.r_grid = np.linspace(0.0, r_max, samples)
+        self.r_grid = r_grid
         self.which = which
         self.pad = pad
 
@@ -119,13 +123,12 @@ class _SampledEnvelope:
         return out if np.ndim(out) else float(out)
 
 
-def _sampled_envelopes(fn, T, r_max, samples):
-    probe_t = np.linspace(0.0, T, 33)
-    vals = np.asarray(fn(probe_t[:, None], np.linspace(0.0, r_max, samples)[None, :]))
+def _sampled_envelopes(fn, T, r_max):
+    r_grid = np.linspace(0.0, r_max, ENVELOPE_SAMPLES)
+    vals = np.asarray(fn(np.linspace(0.0, T, 33)[:, None], r_grid[None, :]))
     pad = 1e-12 * (1.0 + float(np.max(np.abs(vals))))
-    lo = _SampledEnvelope(fn, r_max, samples, "min", pad)
-    hi = _SampledEnvelope(fn, r_max, samples, "max", pad)
-    return lo, hi
+    return (_SampledEnvelope(fn, r_grid, "min", pad),
+            _SampledEnvelope(fn, r_grid, "max", pad))
 
 
 def constant_field(a, gamma=0.0, beta=1.0, T=1.0):
@@ -154,11 +157,11 @@ class ProblemSpec:
     numerics: Numerics = dc_field(default_factory=Numerics)
 
     @staticmethod
-    def build(field, N=2, d=1.0, mu=1.0, h0=1.0, u0=None, params=None, **numerics):
+    def build(field, N=2, d=1.0, mu=1.0, h0=1.0, u0=None, **numerics):
         if u0 is None:
             u0 = "cos(pi*r/(2*%r))" % float(h0)
         return ProblemSpec(field=field, N=int(N), d=float(d), mu=float(mu),
-                           h0=float(h0), u0=_as_fn(u0, params),
+                           h0=float(h0), u0=_as_fn(u0),
                            numerics=Numerics(**numerics) if numerics else Numerics())
 
     def u0_values(self, r):
@@ -196,11 +199,11 @@ class ValidationReport:
         return {v.kind for v in self.violations}
 
 
-def validate(spec, lattice=(64, 64), r_extra=None):
+def validate(spec, lattice=(64, 64)):
     """Check the spec invariants on a sampled (t, r) lattice.
 
-    The lattice covers t in [0, T) and r in [0, 4*h0 + r_extra], where
-    r_extra defaults to the semi-wave truncation radius 50*sqrt(d).
+    The lattice covers t in [0, T) and r in [0, 4*h0 + 50*sqrt(d)], the
+    initial radius plus the semi-wave truncation radius 50*sqrt(d).
     Returns a ValidationReport listing every violated invariant; sampled
     checks can only certify the region up to ``r_check``.  d, mu, h0, the
     dimension N and the period T must be finite and positive; when one is
@@ -218,9 +221,7 @@ def validate(spec, lattice=(64, 64), r_extra=None):
         # the lattice and every time stepper a period T > 0
         return ValidationReport(tuple(out), 0.0)
     nt, nr = max(lattice[0], 64), max(lattice[1], 64)
-    if r_extra is None:
-        r_extra = 50.0 * np.sqrt(spec.d)
-    r_check = 4.0 * spec.h0 + r_extra
+    r_check = 4.0 * spec.h0 + 50.0 * np.sqrt(spec.d)
     tg = np.linspace(0.0, fld.T, nt, endpoint=False)
     rg = np.linspace(0.0, r_check, nr)
     tt, rr = tg[:, None], rg[None, :]
@@ -296,25 +297,24 @@ class HabitatReport:
     classification: str   # "Favorable" | "Unfavorable" | "Neutral"
 
 
-def classify_habitat(field, R, samples=64, time_nodes=256, N=2, tol=1e-8):
+def classify_habitat(field, R, N=2):
     """Classify the ball of radius R using period averages of birth/death.
 
     A radius belongs to the favorable set when the period integral of
-    alpha - gamma is positive, to the unfavorable set when negative.
-    Space-time means use the radial volume weight r^(N-1).
+    alpha - gamma is above HABITAT_TOL, to the unfavorable set when below
+    -HABITAT_TOL.  Space-time means use the radial volume weight r^(N-1),
+    on HABITAT_SAMPLES radii and HABITAT_TIME_NODES time intervals.
     """
     if R <= 0:
         raise ValueError("R must be positive")
-    samples = max(int(samples), 16)
-    time_nodes = max(int(time_nodes), 256)
-    tg = np.linspace(0.0, field.T, time_nodes + 1)
-    rg = np.linspace(0.0, R, samples)
+    tg = np.linspace(0.0, field.T, HABITAT_TIME_NODES + 1)
+    rg = np.linspace(0.0, R, HABITAT_SAMPLES)
     shape = (tg.size, rg.size)
     growth = np.broadcast_to(
         np.asarray(field.growth(tg[:, None], rg[None, :]), dtype=float), shape)
     integral = np.trapezoid(growth, tg, axis=0)   # per-radius period integral
-    fav = float(np.mean(integral > tol))
-    unfav = float(np.mean(integral < -tol))
+    fav = float(np.mean(integral > HABITAT_TOL))
+    unfav = float(np.mean(integral < -HABITAT_TOL))
     weight = rg ** (N - 1)
     wsum = np.trapezoid(weight, rg)
     birth = np.broadcast_to(
@@ -323,9 +323,9 @@ def classify_habitat(field, R, samples=64, time_nodes=256, N=2, tol=1e-8):
         np.asarray(field.gamma(tg[:, None], rg[None, :]), dtype=float), shape)
     mean_birth = np.trapezoid(np.trapezoid(birth * weight, rg, axis=1), tg) / (field.T * wsum)
     mean_death = np.trapezoid(np.trapezoid(death * weight, rg, axis=1), tg) / (field.T * wsum)
-    if mean_birth > mean_death + tol:
+    if mean_birth > mean_death + HABITAT_TOL:
         cls = "Favorable"
-    elif mean_death > mean_birth + tol:
+    elif mean_death > mean_birth + HABITAT_TOL:
         cls = "Unfavorable"
     else:
         cls = "Neutral"

@@ -32,6 +32,8 @@ BALL_ZERO = {1: math.pi / 2, 2: 2.4048255576957724, 3: math.pi}
 ENVELOPE_PHASES = 256     # phases of the period means in _envelope_radii
 ENVELOPE_MARGIN = 0.01    # relative widening of the envelope radii that
                           # covers the discretization bias of lambda1
+EIGEN_PHASES = 32         # eigenfunction phases sampled over one period
+MAX_POWER_ITERATIONS = 20000
 
 
 @dataclass(frozen=True)
@@ -78,12 +80,11 @@ def period_map(psi, grid, field, d, T, substeps, solver=None, record=None):
     return u
 
 
-def _power_iteration(grid, field, d, T, substeps, tol, max_iters, psi0,
-                     solver):
+def _power_iteration(grid, field, d, T, substeps, tol, psi0, solver):
     psi = psi0 / np.max(psi0)
     rho_prev = None
     drift = np.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_POWER_ITERATIONS + 1):
         mapped = period_map(psi, grid, field, d, T, substeps, solver=solver)
         rho = float(np.max(mapped))
         if rho <= 0 or np.any(mapped[:-1] < -1e-13 * max(rho, 1.0)):
@@ -95,7 +96,7 @@ def _power_iteration(grid, field, d, T, substeps, tol, max_iters, psi0,
         if rho_prev is not None and abs(rho - rho_prev) <= tol * rho and drift <= tol:
             return rho, psi, it, drift
         rho_prev = rho
-    raise NoConvergence(max_iters, drift)
+    raise NoConvergence(MAX_POWER_ITERATIONS, drift)
 
 
 def default_substeps(d, field, R, T):
@@ -104,31 +105,30 @@ def default_substeps(d, field, R, T):
     return max(256, int(np.ceil(8.0 * T * kappa)))
 
 
-def principal_eigenvalue(d, field, R, T, N=2, tol=1e-7, n=512, substeps=None,
-                         phases=32, max_iters=20000, psi0=None):
+def principal_eigenvalue(d, field, R, T, N=2, tol=1e-7, n=512, psi0=None):
     """Principal eigenvalue and positive eigenfunction on the ball of radius R.
 
-    Power iteration runs at ``substeps`` and ``2*substeps`` per period; the
-    two multiplier estimates are Richardson-extrapolated in the step size
-    and the reported rho is exp(-lambda1*T).
+    Power iteration, within MAX_POWER_ITERATIONS periods, runs at
+    default_substeps rounded up to a multiple of EIGEN_PHASES (the phases
+    of phi) and at twice that; the two multiplier estimates are Richardson-
+    extrapolated in the step size and the reported rho is exp(-lambda1*T).
     """
     if R <= 0 or d <= 0:
         raise ValueError("R and d must be positive")
     grid = RadialGrid(n=n, R=float(R), N=int(N))
-    if substeps is None:
-        substeps = default_substeps(d, field, R, T)
-    substeps = int(np.ceil(substeps / phases)) * phases
+    substeps = default_substeps(d, field, R, T)
+    substeps = int(np.ceil(substeps / EIGEN_PHASES)) * EIGEN_PHASES
     if psi0 is None:
         psi0 = 1.0 - (grid.r / R) ** 2
     psi0 = np.asarray(psi0, dtype=float)
 
     coarse = DiffusionSolver(grid, d, T / substeps)
     rho_c, psi_c, it_c, _ = _power_iteration(grid, field, d, T, substeps,
-                                             tol, max_iters, psi0, coarse)
+                                             tol, psi0, coarse)
     # the fine-step operator also serves the residual and phase maps below
     fine = DiffusionSolver(grid, d, T / (2 * substeps))
     rho_f, psi_f, it_f, drift = _power_iteration(grid, field, d, T, 2 * substeps,
-                                                 tol, max_iters, psi_c, fine)
+                                                 tol, psi_c, fine)
     lam_c = -math.log(rho_c) / T
     lam_f = -math.log(rho_f) / T
     lam = 2.0 * lam_f - lam_c
@@ -137,11 +137,11 @@ def principal_eigenvalue(d, field, R, T, N=2, tol=1e-7, n=512, substeps=None,
     residual = float(np.max(np.abs(mapped - rho_f * psi_f)))
     # eigenfunction phase samples from one extra period of the fine run
     _, shots = period_map(psi_f, grid, field, d, T, 2 * substeps, solver=fine,
-                          record=phases)
+                          record=EIGEN_PHASES)
     phi = np.array([s / max(float(np.max(np.abs(s))), 1e-300) for s in shots])
     phi /= np.max(np.abs(phi))
     phi = np.abs(phi) * np.sign(np.max(phi))
-    phase_times = np.arange(phases) * (T / phases)
+    phase_times = np.arange(EIGEN_PHASES) * (T / EIGEN_PHASES)
     return EigenResult(lambda1=float(lam), rho=float(math.exp(-lam * T)),
                        phi=phi, phases=phase_times, grid=grid,
                        iterations=it_c + it_f, residual=residual)
@@ -252,8 +252,7 @@ def _envelope_radii(d, field, N):
     return j * math.sqrt(d / m_plus), j * math.sqrt(d / m_minus)
 
 
-def _h_star_bracket(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512,
-                    substeps=None, eig_tol=1e-7):
+def _h_star_bracket(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512):
     """Final bracket (lo, hi) of h* and the number of eigen solves spent.
 
     The caller's bracket is first narrowed to the envelope radii widened by
@@ -275,8 +274,8 @@ def _h_star_bracket(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512,
     def lam(R):
         solves[0] += 1
         try:
-            res = principal_eigenvalue(d, field, R, T, N=N, tol=eig_tol, n=n,
-                                       substeps=substeps, psi0=psi_warm[0])
+            res = principal_eigenvalue(d, field, R, T, N=N, n=n,
+                                       psi0=psi_warm[0])
         except NonPositiveIterate:
             # period map underflowed to zero: decay far too strong to
             # represent, so lambda1 is certainly positive at this radius
@@ -317,8 +316,7 @@ def _h_star_bracket(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512,
     return lo, hi, solves[0]
 
 
-def h_star(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512, substeps=None,
-           eig_tol=1e-7):
+def h_star(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512):
     """Habitat-radius threshold: the root of lambda1(R) = 0.
 
     lambda1 is strictly decreasing in R.  The search starts from the
@@ -330,8 +328,7 @@ def h_star(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512, substeps=None,
     bracket expansion the threshold is reported as infinite (math.inf).
     Raises BracketInvalid when lambda1(r_lo) <= 0.
     """
-    lo, hi, _ = _h_star_bracket(d, field, T, r_lo, r_hi, tol=tol, N=N, n=n,
-                                substeps=substeps, eig_tol=eig_tol)
+    lo, hi, _ = _h_star_bracket(d, field, T, r_lo, r_hi, tol=tol, N=N, n=n)
     return 0.5 * (lo + hi)
 
 
@@ -344,8 +341,7 @@ class DThresholds:
     crossings: int
 
 
-def d_thresholds(field, R, T, d_lo, d_hi, tol=1e-3, N=2, points=32, n=256,
-                 substeps=None):
+def d_thresholds(field, R, T, d_lo, d_hi, tol=1e-3, N=2, points=32, n=256):
     """Scan lambda1 over a geometric d-grid and refine the outermost sign
     changes by bisection.
 
@@ -359,8 +355,7 @@ def d_thresholds(field, R, T, d_lo, d_hi, tol=1e-3, N=2, points=32, n=256,
     ds = np.geomspace(d_lo, d_hi, int(points))
 
     def lam(d):
-        return principal_eigenvalue(d, field, R, T, N=N, n=n,
-                                       substeps=substeps).lambda1
+        return principal_eigenvalue(d, field, R, T, N=N, n=n).lambda1
 
     lams = np.array([lam(d) for d in ds])
     signs = lams > 0

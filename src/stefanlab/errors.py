@@ -92,9 +92,9 @@ class BracketInvalid(NumericalError):
 
 
 class NoSignChange(NumericalError):
-    def __init__(self, sign, message=None):
+    def __init__(self, sign):
         self.sign = sign
-        super().__init__(message or "eigenvalue keeps sign %+d over the whole scan" % sign)
+        super().__init__("eigenvalue keeps sign %+d over the whole scan" % sign)
 
 
 class TooManyUndecided(NumericalError):

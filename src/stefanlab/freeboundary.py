@@ -28,6 +28,9 @@ from .radialcore import diffusion_bands, solve_tridiag
 DECAY_SUP = 1e-8          # vanishing-evidence density threshold
 FRONT_STALL = 1e-8        # vanishing-evidence front-speed threshold
 NEG_CLIP = -1e-12
+REL_TOL = 0.01            # margin around h* of a verdict, relative to 1 + h*
+EIGEN_N = 256             # eigen grid intervals of a spec's h*
+D_SCAN_N = 96             # eigen grid intervals of a spec's d thresholds
 
 
 @functools.lru_cache(maxsize=16)
@@ -181,29 +184,27 @@ class _StepSizer:
         return dt
 
 
-def simulate(spec, t_max=None, sample_every=None, stop=None, resume=None):
+def simulate(spec, t_max=None, stop=None, resume=None):
     """Run the free-boundary problem from (u0, h0) to t_max.
 
-    Samples (t, h, h', sup u) every ``sample_every`` time units and stores
-    full snapshots at period boundaries t = k*T.  The step size adapts to
-    the front-CFL bound so fast fronts early in a run do not force a tiny
-    global dt.
+    Samples (t, h, h', sup u) every ``spec.numerics.sample_every`` time
+    units and stores full snapshots at period boundaries t = k*T.  The
+    step size adapts to the front-CFL bound so fast fronts early in a run
+    do not force a tiny global dt.
 
     ``stop(t, h, h_prime, u_sup, period_end)``, when given, is called at
     each recorded sample (``period_end``: the sample falls on a period
     boundary); the run ends at the first sample where it returns true.
 
-    ``resume`` continues a Trajectory of the same spec and sample_every
-    to a later t_max.  It re-takes the trajectory's last step under the
-    new t_max, so the result is bit-identical to one run from t=0, unless
-    an earlier step ended less than 1e-12*t_max (new) but not less than
-    1e-12*t_max (old) short of a sample time or period boundary.
+    ``resume`` continues a Trajectory of the same spec to a later t_max.
+    It re-takes the trajectory's last step under the new t_max, so the
+    result is bit-identical to one run from t=0, unless an earlier step
+    ended less than 1e-12*t_max (new) but not less than 1e-12*t_max (old)
+    short of a sample time or period boundary.
     """
     num = spec.numerics
     if t_max is None:
         t_max = num.t_max
-    if sample_every is None:
-        sample_every = num.sample_every
     T = spec.field.T
     eps = 1e-12 * max(t_max, 1.0)
 
@@ -211,7 +212,7 @@ def simulate(spec, t_max=None, sample_every=None, stop=None, resume=None):
         state = initial_state(spec)
         ts, hs, hps, sups = [0.0], [state.h], [0.0], [state.sup()]
         snapshots = [Snapshot(0.0, state.h, state.u.copy())]
-        next_sample = sample_every if sample_every > 0 else math.inf
+        next_sample = num.sample_every if num.sample_every > 0 else math.inf
         next_period = T
     elif resume.final.t >= t_max - eps:
         return resume
@@ -245,7 +246,7 @@ def simulate(spec, t_max=None, sample_every=None, stop=None, resume=None):
             hps.append(h_prime)
             sups.append(state.sup())
             while next_sample <= state.t + eps:
-                next_sample += sample_every
+                next_sample += num.sample_every
         if hit_period:
             snapshots.append(Snapshot(state.t, state.h, state.u.copy()))
             next_period += T
@@ -273,19 +274,19 @@ class Outcome:
     t_decided: float
 
 
-def _tol_h(h_star_value, rel_tol):
-    return rel_tol * (1.0 + (h_star_value if math.isfinite(h_star_value) else 0.0))
+def _tol_h(h_star_value):
+    return REL_TOL * (1.0 + (h_star_value if math.isfinite(h_star_value) else 0.0))
 
 
-def decide(h, h_prime, u_sup, h_star_value, rel_tol=0.01):
+def decide(h, h_prime, u_sup, h_star_value):
     """Verdict of one sample: "Spreading", "Vanishing" or "Undecided".
 
-    Spreading once the front is past the habitat-radius threshold
-    (h > h* certifies lambda1(d, alpha-gamma, h, T) <= 0 by
-    monotonicity).  Vanishing needs the density below DECAY_SUP, a
-    stalled front, and a radius strictly under the threshold.
+    Spreading once the front is past the habitat-radius threshold by more
+    than REL_TOL*(1 + h*) (h > h* certifies lambda1(d, alpha-gamma, h, T)
+    <= 0 by monotonicity).  Vanishing needs the density below DECAY_SUP, a
+    stalled front, and a radius that much under the threshold.
     """
-    tol_h = _tol_h(h_star_value, rel_tol)
+    tol_h = _tol_h(h_star_value)
     if math.isfinite(h_star_value) and h > h_star_value + tol_h:
         return "Spreading"
     if (u_sup < DECAY_SUP and h_prime < FRONT_STALL
@@ -298,8 +299,8 @@ _CRITERION = {"Spreading": "eigenvalue", "Vanishing": "decay",
               "Undecided": "nearest-miss"}
 
 
-def spec_h_star(spec, h_final=0.0, n=256):
-    """h* of a spec's field, d and N at eigen resolution n.
+def spec_h_star(spec, h_final=0.0):
+    """h* of a spec's field, d and N at eigen resolution EIGEN_N.
 
     The caller bracket is [0.05*h0, max(8*h0, 4*h_final)], so a run's
     classification and the threshold finders that pass no h_final search
@@ -310,12 +311,19 @@ def spec_h_star(spec, h_final=0.0, n=256):
         return eigen.h_star(spec.d, spec.field, spec.field.T,
                             r_lo=0.05 * spec.h0,
                             r_hi=max(8.0 * spec.h0, 4.0 * h_final),
-                            N=spec.N, n=n)
+                            N=spec.N, n=EIGEN_N)
     except BracketInvalid:
         return 0.05 * spec.h0
 
 
-def classify_outcome(traj, spec, h_star_value=None, rel_tol=0.01, eig_n=256):
+def spec_d_thresholds(spec):
+    """d thresholds of a spec at radius h0 on [1e-2*d, 1e2*d], n = D_SCAN_N."""
+    return eigen.d_thresholds(spec.field, spec.h0, spec.field.T,
+                              d_lo=1e-2 * spec.d, d_hi=1e2 * spec.d,
+                              N=spec.N, n=D_SCAN_N)
+
+
+def classify_outcome(traj, spec, h_star_value=None):
     """Classify a trajectory per the spreading-vanishing dichotomy.
 
     The verdict is decide() at the final sample; Undecided is a valid
@@ -324,13 +332,13 @@ def classify_outcome(traj, spec, h_star_value=None, rel_tol=0.01, eig_n=256):
     """
     h_final = float(traj.h[-1])
     if h_star_value is None:
-        h_star_value = spec_h_star(spec, h_final, n=eig_n)
+        h_star_value = spec_h_star(spec, h_final)
     sup_final = float(traj.u_sup[-1])
     verdict = decide(h_final, float(traj.h_prime[-1]), sup_final,
-                     h_star_value, rel_tol)
+                     h_star_value)
     t_decided = float(traj.t[-1])
     if verdict == "Spreading":
-        crossed = traj.t[traj.h > h_star_value + _tol_h(h_star_value, rel_tol)]
+        crossed = traj.t[traj.h > h_star_value + _tol_h(h_star_value)]
         t_decided = float(crossed[0])
     ev = Evidence(_CRITERION[verdict], h_star_value, h_final, sup_final)
     return Outcome(verdict, ev, t_decided)

@@ -20,6 +20,10 @@ from .errors import (DomainNotLargeEnough, NoConvergence, SolverSingular,
 
 VANISH_SUP = 1e-8          # sup-norm threshold separating the zero branch
 PIVOT_EPS = 1e-14
+ATTRACTOR_PHASES = 32      # orbit phases sampled over one period
+ATTRACTOR_DT = 2e-3        # largest time step of periodic_attractor
+MAX_ATTRACTOR_PERIODS = 2000
+NODES_PER_UNIT = 12        # grid intervals per unit radius of a ball
 _ROUTINES = ("dgtsv", "dgttrf", "dgttrs")
 
 
@@ -205,36 +209,30 @@ class PeriodicOrbit:
     residual: float         # sup distance between successive period maps
     periods: int
 
-    def at_phase(self, k=0):
-        return self.values[k]
-
     def interp(self, r, k=0):
         return np.interp(r, self.grid.r, self.values[k])
 
 
-def _substeps_for(T, dt, phases):
-    per_phase = max(1, int(np.ceil(T / (phases * dt))))
-    return per_phase * phases, per_phase
-
-
-def periodic_attractor(grid, field, d, T, tol=1e-6, max_periods=2000,
-                       u_init=None, dt=2e-3, phases=32):
+def periodic_attractor(grid, field, d, T, tol=1e-6, u_init=None):
     """Iterate the period map of the fixed-ball logistic problem.
 
-    Returns the positive periodic orbit once the period map is
-    tol-contracted, or None when the solution decays below the vanishing
-    threshold (the zero branch).
+    Returns the positive periodic orbit, sampled at ATTRACTOR_PHASES
+    phases, once the period map is tol-contracted within
+    MAX_ATTRACTOR_PERIODS periods, or None when the solution decays below
+    the vanishing threshold (the zero branch).  The step is ATTRACTOR_DT
+    shrunk to a whole number of steps per phase.
     """
     if u_init is None:
         u_init = 0.5 * (1.0 - (grid.r / grid.R) ** 2)
     u = np.array(u_init, dtype=float)
     if np.max(u) <= 0:
         raise ValueError("u_init must be nonnegative and not identically zero")
-    substeps, per_phase = _substeps_for(T, dt, phases)
+    per_phase = max(1, int(np.ceil(T / (ATTRACTOR_PHASES * ATTRACTOR_DT))))
+    substeps = per_phase * ATTRACTOR_PHASES
     dt = T / substeps
     solver = DiffusionSolver(grid, d, dt)
     prev = u.copy()
-    for period in range(1, max_periods + 1):
+    for period in range(1, MAX_ATTRACTOR_PERIODS + 1):
         snapshots = [u.copy()]
         for k in range(substeps):
             t = (k * dt)
@@ -248,35 +246,35 @@ def periodic_attractor(grid, field, d, T, tol=1e-6, max_periods=2000,
         # relative to sup: a decaying (zero-branch) solution keeps a fixed
         # relative change per period and never passes this test
         if residual < tol * sup:
-            phase_times = np.arange(phases) * (T / phases)
+            phase_times = np.arange(ATTRACTOR_PHASES) * (T / ATTRACTOR_PHASES)
             return PeriodicOrbit(grid, phase_times, np.array(snapshots),
                                  residual, period)
         prev = u.copy()
-    raise NoConvergence(max_periods, residual)
+    raise NoConvergence(MAX_ATTRACTOR_PERIODS, residual)
 
 
 def entire_space_periodic(field, d, T, R_list=(10.0, 20.0, 40.0, 80.0),
-                          tol=1e-2, dt=2e-3, N=2, nodes_per_unit=12,
-                          max_periods=2000):
-    """Approximate the positive periodic solution on the whole space by
+                          tol=1e-2):
+    """Approximate the positive periodic solution on the plane (N = 2) by
     escalating Dirichlet balls until the core region stops changing.
 
-    The core region is [0, R_list[0]].  Raises DomainNotLargeEnough when
-    the successive difference is still above tol at the final radius.
+    Each ball has max(128, NODES_PER_UNIT*R) grid intervals.  The core
+    region is [0, R_list[0]].  Raises DomainNotLargeEnough when the
+    successive difference is still above tol at the final radius.
     """
     core = R_list[0]
     prev_orbit = None
     diff = np.inf
     for R in R_list:
-        n = max(128, int(np.ceil(nodes_per_unit * R)))
-        grid = RadialGrid(n=n, R=float(R), N=N)
+        n = max(128, int(np.ceil(NODES_PER_UNIT * R)))
+        grid = RadialGrid(n=n, R=float(R), N=2)
         if prev_orbit is None:
             u_init = None
         else:
             u_init = prev_orbit.interp(grid.r)
             u_init[-1] = 0.0
         orbit = periodic_attractor(grid, field, d, T, tol=min(1e-6, tol * 1e-2),
-                                   max_periods=max_periods, u_init=u_init, dt=dt)
+                                   u_init=u_init)
         if orbit is None:
             return None
         if prev_orbit is not None:

@@ -20,18 +20,26 @@ from .radialcore import FactoredTridiag
 # because perfbench/test_tracer.py checks that the tracer wraps this binding
 from .radialcore import solve_tridiag  # noqa: F401
 
+PHASES = 64               # phases of a semi-wave profile and of the drift k0
+MEAN_NODES = 1025         # trapezoid nodes of a period mean
+LOGISTIC_PHASES = 256     # phases kept of the periodic logistic orbit
+MAX_LOGISTIC_PERIODS = 20000
+MAX_PROFILE_PERIODS = 5000
+K0_RELAX = 0.5            # damping of the drift iteration
+MAX_K0_ITERATIONS = 200
+ENVELOPE_RADII = 64       # far-field radii sampled by envelope_speeds
 
-def _periodic_fn(fn_or_values, T, phases=None):
-    """Normalize a(t) given as callable, scalar, or phase samples into a
-    callable of t (periodic)."""
+
+def _periodic_fn(fn_or_values, T):
+    """Normalize a(t) given as callable, scalar, or samples at evenly
+    spaced phases of [0, T) into a callable of t (periodic)."""
     if callable(fn_or_values):
         return fn_or_values
     arr = np.asarray(fn_or_values, dtype=float)
     if arr.ndim == 0:
         c = float(arr)
         return lambda t: c + 0.0 * np.asarray(t)
-    tp = phases if phases is not None else np.arange(arr.size) * (T / arr.size)
-    tp = np.concatenate([tp, [T]])
+    tp = np.concatenate([np.arange(arr.size) * (T / arr.size), [T]])
     vals = np.concatenate([arr, arr[:1]])
     return lambda t: np.interp(np.mod(t, T), tp, vals)
 
@@ -39,7 +47,7 @@ def _periodic_fn(fn_or_values, T, phases=None):
 @dataclass(frozen=True)
 class PeriodicLogisticSolution:
     T: float
-    times: np.ndarray      # >= 256 phases spanning [0, T]
+    times: np.ndarray      # LOGISTIC_PHASES + 1 times spanning [0, T]
     values: np.ndarray
 
     def __call__(self, t):
@@ -55,21 +63,20 @@ def _on_times(fn, times):
     return np.broadcast_to(np.asarray(fn(times), dtype=float), times.shape)
 
 
-def _mean(fn, T, nodes=1025):
-    t = np.linspace(0.0, T, nodes)
+def _mean(fn, T):
+    t = np.linspace(0.0, T, MEAN_NODES)
     return float(np.trapezoid(_on_times(fn, t), t) / T)
 
 
-def periodic_logistic(a, b, T, tol=1e-10, steps_per_period=2048,
-                      max_periods=20000, phases=256):
+def periodic_logistic(a, b, T, tol=1e-10, steps_per_period=2048):
     """Positive T-periodic orbit of dV/dt = V(a(t) - b(t) V).
 
     Integrates with classical RK4 from the mean equilibrium and iterates
-    the period map to a fixed point.  A callable a or b is evaluated on
-    1-D arrays of times (a scalar return is broadcast): once for the
-    period means and once on the RK4 stage times of one period, however
-    many periods the iteration takes.  Raises NonPositive when the orbit
-    collapses (mean growth rate <= 0).
+    the period map to a fixed point within MAX_LOGISTIC_PERIODS periods.
+    A callable a or b is evaluated on 1-D arrays of times (a scalar return
+    is broadcast): once for the period means and once on the RK4 stage
+    times of one period, however many periods the iteration takes.  Raises
+    NonPositive when the orbit collapses (mean growth rate <= 0).
     """
     a = _periodic_fn(a, T)
     b = _periodic_fn(b, T)
@@ -78,8 +85,8 @@ def periodic_logistic(a, b, T, tol=1e-10, steps_per_period=2048,
     if bbar <= 0:
         raise ValueError("b must be positive on average")
     v = max(abar, 1e-3) / bbar
-    steps = max(int(steps_per_period), 2 * phases)
-    steps = int(np.ceil(steps / phases)) * phases
+    steps = max(int(steps_per_period), 2 * LOGISTIC_PHASES)
+    steps = int(np.ceil(steps / LOGISTIC_PHASES)) * LOGISTIC_PHASES
     dt = T / steps
     half = dt / 2
     sixth = dt / 6
@@ -89,7 +96,7 @@ def periodic_logistic(a, b, T, tol=1e-10, steps_per_period=2048,
     sb = _on_times(b, stage_t).reshape(3, steps).tolist()
     # per step: a and b at t, t + dt/2 and t + dt
     stages = (sa[0], sb[0], sa[1], sb[1], sa[2], sb[2])
-    for period in range(1, max_periods + 1):
+    for period in range(1, MAX_LOGISTIC_PERIODS + 1):
         v0 = v
         trace = [v]
         for a0, b0, a1, b1, a2, b2 in zip(*stages):
@@ -105,10 +112,10 @@ def periodic_logistic(a, b, T, tol=1e-10, steps_per_period=2048,
                 raise NonPositive("orbit left the positive cone (mean growth <= 0?)")
             trace.append(v)
         if abs(v - v0) <= tol * (1.0 + abs(v)):
-            keep = slice(0, steps + 1, steps // phases)
+            keep = slice(0, steps + 1, steps // LOGISTIC_PHASES)
             return PeriodicLogisticSolution(T, (np.arange(steps + 1) * dt)[keep],
                                             np.array(trace)[keep])
-    raise NoConvergence(max_periods, abs(v - v0))
+    raise NoConvergence(MAX_LOGISTIC_PERIODS, abs(v - v0))
 
 
 @dataclass(frozen=True)
@@ -131,15 +138,15 @@ class SemiWaveProfile:
         return self.values[k]
 
 
-def semiwave_profile(k, a, b, d, T, L=None, n=1024, tol=1e-7, phases=64,
-                     dt=None, max_periods=5000, u_init=None, V=None):
+def semiwave_profile(k, a, b, d, T, n=1024, tol=1e-7, u_init=None, V=None):
     """T-periodic half-line profile with drift k(t), or None (zero branch).
 
-    Dirichlet 0 at x = 0; the right boundary is clamped to the periodic
-    logistic orbit V(t), which is the profile's uniform far-field limit.
-    Diffusion implicit; the -k(t)U_x advection uses first-order upwinding
-    (k >= 0 fixes the wind direction).  Returns None when the period-mean
-    condition mean(a) > (mean k)^2 / (4d) fails.
+    On [0, L], L = 50*sqrt(d), at PHASES phases, within MAX_PROFILE_PERIODS
+    periods.  Dirichlet 0 at x = 0; the right boundary is clamped to the
+    periodic logistic orbit V(t), which is the profile's uniform far-field
+    limit.  Diffusion implicit; the -k(t)U_x advection uses first-order
+    upwinding (k >= 0 fixes the wind direction).  Returns None when the
+    period-mean condition mean(a) > (mean k)^2 / (4d) fails.
 
     A callable k, a or b is evaluated on 1-D arrays of times (a scalar
     return is broadcast): once for the period means and once on the step
@@ -153,16 +160,14 @@ def semiwave_profile(k, a, b, d, T, L=None, n=1024, tol=1e-7, phases=64,
     kbar = _mean(k, T)
     if abar <= kbar ** 2 / (4.0 * d) + 1e-14:
         return None
-    if L is None:
-        L = 50.0 * math.sqrt(d)
+    L = 50.0 * math.sqrt(d)
     n = int(n)
     if V is None:
         V = periodic_logistic(a, b, T)
-    if dt is None:
-        dt = min(0.45 / max(abar, 1.0), T / 256)
-    steps = max(int(np.ceil(T / dt / phases)) * phases, phases)
+    dt = min(0.45 / max(abar, 1.0), T / 256)
+    steps = max(int(np.ceil(T / dt / PHASES)) * PHASES, PHASES)
     dt = T / steps
-    per_phase = steps // phases
+    per_phase = steps // PHASES
 
     x = np.linspace(0.0, L, n + 1)
     dx = L / n
@@ -186,7 +191,7 @@ def semiwave_profile(k, a, b, d, T, L=None, n=1024, tol=1e-7, phases=64,
     # built in place in two buffers
     rhs, work = np.empty(n - 1), np.empty(n - 1)
     prev = u
-    for period in range(1, max_periods + 1):
+    for period in range(1, MAX_PROFILE_PERIODS + 1):
         shots = [u]
         for step, (kt, at, bt, vb) in enumerate(coeffs, start=1):
             # upwind: u_t = -k u_x with k >= 0 -> backward difference
@@ -218,10 +223,10 @@ def semiwave_profile(k, a, b, d, T, L=None, n=1024, tol=1e-7, phases=64,
             if abs(mid - float(V(T))) > 0.01 * max(float(V(T)), 1e-12):
                 raise TruncationTooSmall(
                     "profile at L/2 differs from V by %.3g" % abs(mid - float(V(T))))
-            phase_times = np.arange(phases) * (T / phases)
+            phase_times = np.arange(PHASES) * (T / PHASES)
             return SemiWaveProfile(T, L, x, phase_times, values, V, residual, period)
         prev = u
-    raise NoConvergence(max_periods, residual)
+    raise NoConvergence(MAX_PROFILE_PERIODS, residual)
 
 
 @dataclass(frozen=True)
@@ -235,17 +240,18 @@ class SpeedResult:
     bound: float              # 2*sqrt(d*mean(a)); c must stay inside (0, bound)
 
 
-def k0_fixed_point(mu, a, b, d, T, tol=1e-6, relax=0.5, phases=64,
-                   max_iters=200, profile_kwargs=None):
+def k0_fixed_point(mu, a, b, d, T, tol=1e-6, profile_kwargs=None):
     """Self-consistent drift: damped iteration of k <- mu * U_r(t, 0).
 
-    Starts from k = 0, bootstraps each profile solve from the previous
-    profile, and stops when the sup change in k is below tol*(1 + sup k).
-    The converged period mean must lie strictly inside (0, 2*sqrt(d*abar)).
-    a and b are callables of t, scalars or phase samples; a callable is
-    evaluated on 1-D arrays of times (a scalar return is broadcast), a
-    fixed number of times per profile.  Raises HypothesisHFailed when the
-    period mean of a is not positive: no semi-wave exists.
+    Starts from k = 0 at PHASES phases, bootstraps each profile solve from
+    the previous profile (``profile_kwargs``: its n and tol), damps by
+    K0_RELAX, and stops when the sup change in k is below tol*(1 + sup k),
+    within MAX_K0_ITERATIONS profiles.  The converged period mean must lie
+    strictly inside (0, 2*sqrt(d*abar)).  a and b are callables of t,
+    scalars or phase samples; a callable is evaluated on 1-D arrays of
+    times (a scalar return is broadcast), a fixed number of times per
+    profile.  Raises HypothesisHFailed when the period mean of a is not
+    positive: no semi-wave exists.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -255,22 +261,20 @@ def k0_fixed_point(mu, a, b, d, T, tol=1e-6, relax=0.5, phases=64,
     if abar <= 0:
         raise HypothesisHFailed("mean growth rate %.6g is not positive" % abar)
     bound = 2.0 * math.sqrt(d * abar)
-    kwargs = dict(profile_kwargs or {})
-    kwargs.setdefault("phases", phases)
     V = periodic_logistic(a_fn, b_fn, T)
 
-    phase_times = np.arange(phases) * (T / phases)
-    kvals = np.zeros(phases)
+    phase_times = np.arange(PHASES) * (T / PHASES)
+    kvals = np.zeros(PHASES)
     u_prev = None
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_K0_ITERATIONS + 1):
         prof = semiwave_profile(_periodic_fn(kvals, T), a_fn, b_fn, d, T,
-                                u_init=u_prev, V=V, **kwargs)
+                                u_init=u_prev, V=V, **(profile_kwargs or {}))
         if prof is None:
             raise NoConvergence(it, math.inf,
                                 "drift iterate killed the semi-wave profile")
         u_prev = prof.values[0]
         target = mu * prof.slope_at_origin()
-        new = (1.0 - relax) * kvals + relax * target
+        new = (1.0 - K0_RELAX) * kvals + K0_RELAX * target
         new = np.clip(new, 0.0, None)
         change = float(np.max(np.abs(new - kvals)))
         kvals = new
@@ -283,7 +287,7 @@ def k0_fixed_point(mu, a, b, d, T, tol=1e-6, relax=0.5, phases=64,
             return SpeedResult(k0_phases=phase_times, k0=kvals, c=c,
                                profile=prof, iterations=it, residual=change,
                                bound=bound)
-    raise NoConvergence(max_iters, change)
+    raise NoConvergence(MAX_K0_ITERATIONS, change)
 
 
 @dataclass(frozen=True)
@@ -298,22 +302,21 @@ class EnvelopeSpeeds:
     lower: SpeedResult
 
 
-def envelope_speeds(field, mu, d, T=None, eps=1e-3, r_star=10.0, r_samples=64,
-                    phases=64, k0_kwargs=None):
+def envelope_speeds(field, mu, d, eps=1e-3, r_star=10.0):
     """Upper/lower asymptotic speed bounds from the far-field envelopes.
 
-    eta_hi/eta_lo are phase-wise max/min of alpha-gamma over radii in
-    [r_star, 10*r_star]; the eps-perturbed pairs (eta_hi+eps, beta1-eps)
-    and (eta_lo-eps, beta2+eps) feed the drift fixed point.  Raises
-    HypothesisHFailed when the lower envelope has nonpositive time mean.
+    eta_hi/eta_lo are max/min of alpha-gamma over ENVELOPE_RADII radii in
+    [r_star, 10*r_star] at PHASES phases of the field's period; the
+    eps-perturbed pairs (eta_hi+eps, beta1-eps) and (eta_lo-eps,
+    beta2+eps) feed the drift fixed point.  Raises HypothesisHFailed when
+    the lower envelope has nonpositive time mean.
     """
-    if T is None:
-        T = field.T
-    phase_times = np.arange(phases) * (T / phases)
-    rr = np.linspace(r_star, 10.0 * r_star, r_samples)
+    T = field.T
+    phase_times = np.arange(PHASES) * (T / PHASES)
+    rr = np.linspace(r_star, 10.0 * r_star, ENVELOPE_RADII)
     g = np.broadcast_to(
         np.asarray(field.growth(phase_times[:, None], rr[None, :]), dtype=float),
-        (phases, r_samples))
+        (PHASES, ENVELOPE_RADII))
     eta_hi = np.max(g, axis=1)
     eta_lo = np.min(g, axis=1)
     if np.trapezoid(np.concatenate([eta_lo, eta_lo[:1]]),
@@ -324,11 +327,8 @@ def envelope_speeds(field, mu, d, T=None, eps=1e-3, r_star=10.0, r_samples=64,
     beta2 = np.asarray(field.beta2(phase_times, 0.0), dtype=float) + 0 * phase_times
     b_hi_pair = np.clip(beta1 - eps, 1e-6, None)
     b_lo_pair = beta2 + eps
-    kwargs = dict(k0_kwargs or {})
-    upper = k0_fixed_point(mu, eta_hi + eps, b_hi_pair, d, T,
-                           phases=phases, **kwargs)
-    lower = k0_fixed_point(mu, eta_lo - eps, b_lo_pair, d, T,
-                           phases=phases, **kwargs)
+    upper = k0_fixed_point(mu, eta_hi + eps, b_hi_pair, d, T)
+    lower = k0_fixed_point(mu, eta_lo - eps, b_lo_pair, d, T)
     return EnvelopeSpeeds(c_upper=upper.c, c_lower=lower.c, eta_hi=eta_hi,
                           eta_lo=eta_lo, phases=phase_times, eps=eps,
                           upper=upper, lower=lower)

@@ -22,6 +22,7 @@ log = logging.getLogger("stefanlab")
 HORIZON_START = 50.0     # in periods
 HORIZON_CAP = 400.0
 MAX_ESCALATIONS = 5
+CRITERIA_AMPLITUDES = (0.05, 0.5, 5.0)   # small, medium and large sigma
 
 
 @dataclass(frozen=True)
@@ -58,24 +59,18 @@ class StretchedProfile:
         return np.asarray(self.base(t, self.scale * np.asarray(r)), dtype=float)
 
 
-def respan_initial_profile(spec, h0_new):
-    """Spec copy with the new initial radius and the profile stretched to
-    cover it (keeping u0(h0) = 0 and the origin slope)."""
-    return spec.with_(h0=float(h0_new),
-                      u0=StretchedProfile(spec.u0, spec.h0 / float(h0_new)))
-
-
 def spec_at(spec, param, value):
     """Spec copy with one probe parameter set to ``value``.
 
     ``sigma`` scales the initial profile (u0 = sigma * spec.u0), ``h0``
-    respans it onto the new radius, and any other name is a ProblemSpec
-    field or numerics key.
+    stretches it onto the new radius (keeping u0(h0) = 0 and the origin
+    slope), and any other name is a ProblemSpec field or numerics key.
     """
     if param == "sigma":
         return spec.with_(u0=ScaledProfile(spec.u0, value))
     if param == "h0":
-        return respan_initial_profile(spec, value)
+        return spec.with_(h0=float(value),
+                          u0=StretchedProfile(spec.u0, spec.h0 / float(value)))
     return spec.with_(**{param: value})
 
 
@@ -239,21 +234,19 @@ class CriteriaReport:
     matches: bool
 
 
-def criteria_experiment(kind, spec, amplitudes=(0.05, 0.5, 5.0)):
+def criteria_experiment(kind, spec):
     """Qualitative regime check: slow/fast diffusion, large/small habitat.
 
     Computes the thresholds, moves the spec into the requested regime,
-    runs three initial amplitudes and reports whether the verdict pattern
+    runs the CRITERIA_AMPLITUDES and reports whether the verdict pattern
     matches the regime's prediction.  Mismatches are reported, not thrown.
     When the d scan fails numerically, a diffusion regime raises the
     scan's error and the habitat regimes report NaN d thresholds.
     """
     if kind not in CRITERIA_KINDS:
         raise ValueError("unknown experiment kind %r" % kind)
-    fld = spec.field
     try:
-        dth = eigen.d_thresholds(fld, spec.h0, fld.T, d_lo=1e-2 * spec.d,
-                                 d_hi=1e2 * spec.d, N=spec.N, n=96)
+        dth = freeboundary.spec_d_thresholds(spec)
         d_star, d_upper = dth.d_star, dth.d_upper
     except NumericalError:
         if kind.endswith("Diffusion"):
@@ -276,7 +269,7 @@ def criteria_experiment(kind, spec, amplitudes=(0.05, 0.5, 5.0)):
     hs = freeboundary.spec_h_star(probe_spec)
     prober = _Prober(probe_spec, hs)
     verdicts = []
-    for amp in amplitudes:
+    for amp in CRITERIA_AMPLITUDES:
         try:
             verdicts.append(prober.verdict(sigma=amp))
         except TooManyUndecided:

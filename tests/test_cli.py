@@ -322,6 +322,16 @@ class TestRejectedConfigs:
     without a traceback, an artifact or an eigen solve."""
 
     CRITERIA = MINIMAL.replace("command=simulate", "command=criteria")
+    SPEED = MINIMAL.replace("command=simulate", "command=speed")
+    HSTAR = (MINIMAL.replace("command=simulate", "command=hstar")
+             + "[hstar]\nr_lo=1\nr_hi=4\n")
+    MU_STAR = (MINIMAL.replace("command=simulate", "command=mu-star")
+               + "[mu_star]\nmu_lo=0.2\nmu_hi=6\n")
+    SIGMA0 = (MINIMAL.replace("command=simulate", "command=sigma0")
+              + "[sigma0]\nsigma_lo=0.1\nsigma_hi=4\n")
+    SWEEP = (MINIMAL.replace("command=simulate", "command=sweep")
+             + "[sweep]\naxis1=d\naxis1_values=1,2\naxis2=mu\n"
+             "axis2_values=1,2\n")
 
     @pytest.mark.parametrize("text,code", [
         (MINIMAL.replace("alpha=1", "alpha=2+log(t)"), 2),
@@ -342,10 +352,27 @@ class TestRejectedConfigs:
         (MINIMAL.replace("t_max=5", "t_max=5\ndt=nan"), 2),
         (MINIMAL.replace("t_max=5", "t_max=nan"), 2),
         (MINIMAL.replace("t_max=5", "t_max=0"), 2),
-        (MINIMAL.replace("t_max=5", "t_max=-1"), 2)],
+        (MINIMAL.replace("t_max=5", "t_max=-1"), 2),
+        # an infinite tol ended the drift iteration or a bisection at its
+        # first step; a NaN or negative one ran the drift iteration's
+        # whole budget
+        (SPEED + "[speed]\ntol=inf\n", 2),
+        (SPEED + "[speed]\ntol=nan\n", 2),
+        (SPEED + "[speed]\ntol=-1\n", 2),
+        (HSTAR + "tol=inf\n", 2),
+        (MU_STAR + "tol=inf\n", 2),
+        (SIGMA0 + "tol=inf\n", 2),
+        # an empty list wrote a header-only artifact
+        (MINIMAL.replace("command=simulate", "command=eigen")
+         + "[eigen]\nR=\n", 2),
+        (SWEEP.replace("axis1_values=1,2", "axis1_values="), 2),
+        (SWEEP.replace("axis2_values=1,2", "axis2_values="), 2)],
         ids=["log", "sqrt", "criteria-kind", "no-d-threshold", "T-zero",
              "T-negative", "N-zero", "r_far-negative", "dt-nan", "t_max-nan",
-             "t_max-zero", "t_max-negative"])
+             "t_max-zero", "t_max-negative", "speed-tol-inf", "speed-tol-nan",
+             "speed-tol-negative", "hstar-tol-inf", "mu-star-tol-inf",
+             "sigma0-tol-inf", "eigen-R-empty", "sweep-axis1-empty",
+             "sweep-axis2-empty"])
     def test_exit_code(self, tmp_path, monkeypatch, capsys, text, code):
         def one_signed(*args, **kwargs):
             raise NoSignChange(+1)
