@@ -345,7 +345,8 @@ def _cmd_speed(config, spec, arts):
                                   tol=v["tol"])
     arts.json("speed.json", {
         "c": res.c, "bound": res.bound, "iterations": res.iterations,
-        "residual": res.residual, "r_far": r_far,
+        "profile_periods": res.profile_periods, "residual": res.residual,
+        "r_far": r_far,
         "k0": [float(x) for x in res.k0]})
 
 

@@ -207,8 +207,8 @@ def validate(spec, lattice=(64, 64)):
     Returns a ValidationReport listing every violated invariant; sampled
     checks can only certify the region up to ``r_check``.  d, mu, h0, the
     dimension N and the period T must be finite and positive; when one is
-    not, the report lists only those.  The time step dt and the horizon
-    t_max must be finite and positive too.
+    not, the report lists only those.  The time step dt, the horizon t_max
+    and the sampling interval sample_every must be finite and positive too.
     """
     fld = spec.field
     params = (("d", spec.d), ("mu", spec.mu), ("h0", spec.h0), ("N", spec.N),
@@ -279,7 +279,8 @@ def validate(spec, lattice=(64, 64)):
     num = spec.numerics
     out += [Violation("BadTimeStep", (), "%s must be finite and > 0, got %r"
                       % (name, value))
-            for name, value in (("dt", num.dt), ("t_max", num.t_max))
+            for name, value in (("dt", num.dt), ("t_max", num.t_max),
+                                ("sample_every", num.sample_every))
             if not 0 < value < np.inf]
     if num.n < 16:
         out.append(Violation("GridTooCoarse", (), "n must be >= 16"))

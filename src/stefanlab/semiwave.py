@@ -26,6 +26,9 @@ LOGISTIC_PHASES = 256     # phases kept of the periodic logistic orbit
 MAX_LOGISTIC_PERIODS = 20000
 MAX_PROFILE_PERIODS = 5000
 K0_RELAX = 0.5            # damping of the drift iteration
+PROFILE_TOL = 1e-7        # default profile tol, also k0_fixed_point's last
+PROFILE_TOL_RATIO = 0.03  # drift iterate's profile tol per relative k change
+PROFILE_TOL_CAP = 1e-2    # loosest profile tol: the first drift iterate's
 MAX_K0_ITERATIONS = 200
 ENVELOPE_RADII = 64       # far-field radii sampled by envelope_speeds
 
@@ -138,7 +141,8 @@ class SemiWaveProfile:
         return self.values[k]
 
 
-def semiwave_profile(k, a, b, d, T, n=1024, tol=1e-7, u_init=None, V=None):
+def semiwave_profile(k, a, b, d, T, n=1024, tol=PROFILE_TOL, u_init=None,
+                     V=None):
     """T-periodic half-line profile with drift k(t), or None (zero branch).
 
     On [0, L], L = 50*sqrt(d), at PHASES phases, within MAX_PROFILE_PERIODS
@@ -238,6 +242,7 @@ class SpeedResult:
     iterations: int
     residual: float
     bound: float              # 2*sqrt(d*mean(a)); c must stay inside (0, bound)
+    profile_periods: int      # summed over the profiles of every iterate
 
 
 def k0_fixed_point(mu, a, b, d, T, tol=1e-6, profile_kwargs=None):
@@ -246,9 +251,16 @@ def k0_fixed_point(mu, a, b, d, T, tol=1e-6, profile_kwargs=None):
     Starts from k = 0 at PHASES phases, bootstraps each profile solve from
     the previous profile (``profile_kwargs``: its n and tol), damps by
     K0_RELAX, and stops when the sup change in k is below tol*(1 + sup k),
-    within MAX_K0_ITERATIONS profiles.  The converged period mean must lie
-    strictly inside (0, 2*sqrt(d*abar)).  a and b are callables of t,
-    scalars or phase samples; a callable is evaluated on 1-D arrays of
+    within MAX_K0_ITERATIONS profiles.  The profile tol ptol
+    (``profile_kwargs["tol"]``, default PROFILE_TOL) is the tol of the last
+    profile only: iterate j solves its profile at
+    max(ptol, min(PROFILE_TOL_CAP, PROFILE_TOL_RATIO * change / (1 + sup k)))
+    with the change and k of iterate j - 1 (the first at PROFILE_TOL_CAP),
+    and at ptol once that change met the stop test.  The iteration stops
+    only on an iterate whose profile was solved at ptol, so the returned
+    profile and drift are those of a ptol solve.  The converged period mean
+    must lie strictly inside (0, 2*sqrt(d*abar)).  a and b are callables of
+    t, scalars or phase samples; a callable is evaluated on 1-D arrays of
     times (a scalar return is broadcast), a fixed number of times per
     profile.  Raises HypothesisHFailed when the period mean of a is not
     positive: no semi-wave exists.
@@ -266,19 +278,28 @@ def k0_fixed_point(mu, a, b, d, T, tol=1e-6, profile_kwargs=None):
     phase_times = np.arange(PHASES) * (T / PHASES)
     kvals = np.zeros(PHASES)
     u_prev = None
+    kwargs = dict(profile_kwargs or {})
+    ptol = kwargs.pop("tol", PROFILE_TOL)
+    rel_change = math.inf     # last change in k per unit of 1 + sup k
+    periods = 0
     for it in range(1, MAX_K0_ITERATIONS + 1):
+        prof_tol = max(ptol, min(PROFILE_TOL_CAP,
+                                 PROFILE_TOL_RATIO * rel_change))
         prof = semiwave_profile(_periodic_fn(kvals, T), a_fn, b_fn, d, T,
-                                u_init=u_prev, V=V, **(profile_kwargs or {}))
+                                tol=prof_tol, u_init=u_prev, V=V, **kwargs)
         if prof is None:
             raise NoConvergence(it, math.inf,
                                 "drift iterate killed the semi-wave profile")
+        periods += prof.periods
         u_prev = prof.values[0]
         target = mu * prof.slope_at_origin()
         new = (1.0 - K0_RELAX) * kvals + K0_RELAX * target
         new = np.clip(new, 0.0, None)
         change = float(np.max(np.abs(new - kvals)))
         kvals = new
-        if change <= tol * (1.0 + float(np.max(kvals))):
+        scale = 1.0 + float(np.max(kvals))
+        converged = change <= tol * scale
+        if converged and prof_tol == ptol:
             c = float(np.mean(kvals))
             if not (0.0 < c < bound):
                 raise BoundViolated(
@@ -286,7 +307,9 @@ def k0_fixed_point(mu, a, b, d, T, tol=1e-6, profile_kwargs=None):
                     % (c, bound))
             return SpeedResult(k0_phases=phase_times, k0=kvals, c=c,
                                profile=prof, iterations=it, residual=change,
-                               bound=bound)
+                               bound=bound, profile_periods=periods)
+        # a drift that met the stop test gets its next profile at ptol
+        rel_change = 0.0 if converged else change / scale
     raise NoConvergence(MAX_K0_ITERATIONS, change)
 
 

@@ -263,6 +263,15 @@ class TestRun:
         assert np.all(k0 > 0.0)
         assert float(np.mean(k0)) == pytest.approx(speed["c"], rel=1e-12)
 
+    def test_speed_reports_profile_periods(self, tmp_path):
+        text = MINIMAL.replace("command=simulate", "command=speed")
+        text += "\n[speed]\ntol=1e-4\n"
+        out = str(tmp_path / "speed")
+        assert cli.run(cli.loads_config(text), out_dir=out) == 0
+        with open(os.path.join(out, "speed.json")) as fh:
+            speed = json.load(fh)
+        # every drift iterate solves one profile of at least one period
+        assert speed["profile_periods"] >= speed["iterations"] > 0
 
     def test_speed_nonpositive_mean_growth_exit(self, tmp_path):
         # alpha - gamma has mean -0.3 in the far field: no semi-wave
@@ -353,6 +362,12 @@ class TestRejectedConfigs:
         (MINIMAL.replace("t_max=5", "t_max=nan"), 2),
         (MINIMAL.replace("t_max=5", "t_max=0"), 2),
         (MINIMAL.replace("t_max=5", "t_max=-1"), 2),
+        # a sampling interval that is not finite and > 0 recorded only
+        # t = 0 and t_max, and cost the threshold probes their early stop
+        (MINIMAL.replace("t_max=5", "t_max=5\nsample_every=0"), 2),
+        (MINIMAL.replace("t_max=5", "t_max=5\nsample_every=-1"), 2),
+        (MINIMAL.replace("t_max=5", "t_max=5\nsample_every=nan"), 2),
+        (MINIMAL.replace("t_max=5", "t_max=5\nsample_every=inf"), 2),
         # an infinite tol ended the drift iteration or a bisection at its
         # first step; a NaN or negative one ran the drift iteration's
         # whole budget
@@ -369,7 +384,9 @@ class TestRejectedConfigs:
         (SWEEP.replace("axis2_values=1,2", "axis2_values="), 2)],
         ids=["log", "sqrt", "criteria-kind", "no-d-threshold", "T-zero",
              "T-negative", "N-zero", "r_far-negative", "dt-nan", "t_max-nan",
-             "t_max-zero", "t_max-negative", "speed-tol-inf", "speed-tol-nan",
+             "t_max-zero", "t_max-negative", "sample_every-zero",
+             "sample_every-negative", "sample_every-nan", "sample_every-inf",
+             "speed-tol-inf", "speed-tol-nan",
              "speed-tol-negative", "hstar-tol-inf", "mu-star-tol-inf",
              "sigma0-tol-inf", "eigen-R-empty", "sweep-axis1-empty",
              "sweep-axis2-empty"])

@@ -343,6 +343,84 @@ class TestK0FixedPoint:
         assert np.max(np.abs(back - res.k0)) < 1e-4 * (1 + np.max(res.k0))
 
 
+def reference_k0_fixed_point(mu, a, b, d, T, tol, profile_kwargs):
+    """k0_fixed_point with every drift iterate's profile solved at the
+    final profile tol: returns c and the summed profile periods."""
+    a = semiwave._periodic_fn(a, T)
+    b = semiwave._periodic_fn(b, T)
+    V = periodic_logistic(a, b, T)
+    kvals = np.zeros(semiwave.PHASES)
+    u_prev, periods = None, 0
+    for _ in range(semiwave.MAX_K0_ITERATIONS):
+        prof = semiwave_profile(semiwave._periodic_fn(kvals, T), a, b, d, T,
+                                u_init=u_prev, V=V, **profile_kwargs)
+        periods += prof.periods
+        u_prev = prof.values[0]
+        target = mu * prof.slope_at_origin()
+        new = np.clip((1.0 - semiwave.K0_RELAX) * kvals
+                      + semiwave.K0_RELAX * target, 0.0, None)
+        change = float(np.max(np.abs(new - kvals)))
+        kvals = new
+        if change <= tol * (1.0 + float(np.max(kvals))):
+            return float(np.mean(kvals)), periods
+    raise AssertionError("reference k0_fixed_point did not converge")
+
+
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """(tol, periods) of every profile that k0_fixed_point solves."""
+    calls = []
+    real = semiwave.semiwave_profile
+
+    def recorded(*args, **kwargs):
+        prof = real(*args, **kwargs)
+        calls.append((kwargs["tol"], prof.periods))
+        return prof
+
+    monkeypatch.setattr(semiwave, "semiwave_profile", recorded)
+    return calls
+
+
+class TestInexactProfiles:
+    """Early drift iterates solve their profiles loosely; the answer keeps
+    the contract of the loop that solves every profile at the final tol."""
+
+    MU, TOL = 5.0, 1e-6
+    PROFILE = {"n": 256}          # the default profile tol, on a coarse grid
+
+    @pytest.mark.parametrize("kind", ["constant", "phase-samples",
+                                      "expression"])
+    def test_matches_full_tol_loop(self, kind, profile_calls):
+        a, b = COEFFICIENTS[kind]
+        c_ref, periods_ref = reference_k0_fixed_point(
+            self.MU, a, b, 1.0, PERIOD, self.TOL, self.PROFILE)
+        res = k0_fixed_point(self.MU, a, b, 1.0, PERIOD, tol=self.TOL,
+                             profile_kwargs=self.PROFILE)
+        tols, periods = zip(*profile_calls)
+        scale = 1.0 + float(np.max(res.k0))
+        assert abs(res.c - c_ref) <= self.TOL * scale
+        # the returned profile is a solve at the final profile tol
+        ptol = semiwave.PROFILE_TOL
+        assert tols[0] == semiwave.PROFILE_TOL_CAP and tols[-1] == ptol
+        sup = max(float(np.max(res.profile.values)),
+                  float(np.max(res.profile.V.values)))
+        assert res.profile.residual < ptol * (1.0 + sup)
+        back = self.MU * res.profile.slope_at_origin()
+        assert np.max(np.abs(back - res.k0)) <= self.TOL * scale
+        assert res.profile_periods == sum(periods)
+        assert 2 * res.profile_periods <= periods_ref
+
+    def test_caller_tol_is_final_tol(self, profile_calls):
+        res = k0_fixed_point(1.0, 1.0, 1.0, 1.0, 1.0, tol=1e-2,
+                             profile_kwargs={"n": 256, "tol": 1e-4})
+        tols = [tol for tol, _ in profile_calls]
+        # loosest first and never below the caller's tol; the loose
+        # iterate that met the stop test is followed by one at that tol
+        assert tols[0] == semiwave.PROFILE_TOL_CAP
+        assert min(tols) == tols[-1] == 1e-4 < tols[-2]
+        assert res.iterations == len(tols)
+
+
 class TestEnvelopeSpeeds:
     def test_space_constant_coincide(self):
         fld = constant_field(1.0, gamma=0.5)
