@@ -428,8 +428,8 @@ def _section_errors(config):
             if axis not in SWEEP_AXES:
                 bad.append("[sweep] axis %r is not one of %s"
                            % (axis, ", ".join(SWEEP_AXES)))
-            elif axis in ("d", "h0") and not all(x > 0 for x in values):
-                bad.append("[sweep] %s values must be > 0" % axis)
+            elif not all(0 < x < math.inf for x in values):
+                bad.append("[sweep] %s values must be finite and > 0" % axis)
     kinds = thresholds.CRITERIA_KINDS
     if cmd == "criteria" and v["criteria"]["kind"] not in kinds:
         bad.append("[criteria] kind %r is not one of %s"

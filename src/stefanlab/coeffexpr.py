@@ -1,11 +1,12 @@
 """Small expression language for user-defined coefficients and profiles.
 
-Expressions are functions of the time variable ``t``, the radius ``r`` and
-optional named parameters.  Supported: ``+ - * / ^`` (``^`` right
-associative), unary minus, ``sin cos exp log sqrt abs min max tanh``, and
-the constants ``pi`` and ``e``.  Evaluation is numpy-vectorized so ``t``
-and ``r`` may be arrays; an ExprFunction compiles its expression once, into
-a tree of closures, and each call runs only the numpy operations.
+Expressions are functions of the time variable ``t`` and the radius
+``r``.  Supported: ``+ - * / ^`` (``^`` right associative), unary minus,
+``sin cos exp log sqrt abs min max tanh``, and the constants ``pi`` and
+``e``; any other name is an UnknownIdentifier.  Evaluation is
+numpy-vectorized so ``t`` and ``r`` may be arrays; an ExprFunction
+compiles its expression once, into a tree of closures, and each call runs
+only the numpy operations.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalDomainError, ExprSyntaxError, UnboundParameter, UnknownIdentifier
+from .errors import EvalDomainError, ExprSyntaxError, UnknownIdentifier
 
 FUNCTIONS = {
     "sin": 1, "cos": 1, "exp": 1, "log": 1, "sqrt": 1,
@@ -36,11 +37,6 @@ class Num:
 @dataclass(frozen=True)
 class Var:
     name: str  # "t" or "r"
-
-
-@dataclass(frozen=True)
-class Param:
-    name: str
 
 
 @dataclass(frozen=True)
@@ -119,10 +115,9 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, toks, params):
+    def __init__(self, toks):
         self.toks = toks
         self.pos = 0
-        self.params = frozenset(params)
 
     def peek(self):
         return self.toks[self.pos]
@@ -198,20 +193,18 @@ class _Parser:
                 return Const(value)
             if value in VARIABLES:
                 return Var(value)
-            if value in self.params:
-                return Param(value)
             raise UnknownIdentifier(value, off)
         raise ExprSyntaxError(off, ["number", "identifier", "("])
 
 
-def parse(text, params=()):
-    """Parse ``text`` into an AST. ``params`` lists the allowed parameter names."""
+def parse(text):
+    """Parse ``text`` into an AST."""
     if not text or not text.strip():
         raise ExprSyntaxError(0, ["expression"], "empty expression")
     if len(text.encode()) > MAX_SOURCE_BYTES:
         raise ExprSyntaxError(0, ["expression"],
                               "expression longer than %d bytes" % MAX_SOURCE_BYTES)
-    parser = _Parser(_tokenize(text), params)
+    parser = _Parser(_tokenize(text))
     node = parser.expr()
     kind, _, off = parser.peek()
     if kind != "end":
@@ -233,13 +226,13 @@ def _check_finite(node, arg, out):
         raise _domain_error(node, arg, ~np.isfinite(out))
 
 
-def evaluate(ast, t=0.0, r=0.0, params=None):
+def evaluate(ast, t=0.0, r=0.0):
     """Evaluate ``ast`` at (t, r). Scalars or numpy arrays are accepted.
 
     Raises EvalDomainError for log/sqrt of negative arguments, division by
     zero and non-finite results instead of propagating NaN/inf.
     """
-    return _compile(ast, params or {})(t, r)
+    return _compile(ast)(t, r)
 
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
@@ -247,31 +240,24 @@ _UFUNCS = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh, "abs": np.abs,
            "min": np.minimum, "max": np.maximum}
 
 
-def _compile(ast, params):
+def _compile(ast):
     """``ast`` as a function f(t, r): a tree of closures built once.
 
     Each closure evaluates its children left to right and then applies
     its own numpy operation, so a call does the arithmetic of a recursive
     walk of the tree, in the same order.  The domain checks run at every
-    call.  A parameter missing from ``params`` raises
-    UnboundParameter at the call, in walk order too.
+    call.
     """
-    if isinstance(ast, Param) and ast.name not in params:
-        def unbound(t, r):
-            raise UnboundParameter(ast.name)
-        return unbound
-    if isinstance(ast, (Num, Const, Param)):
-        value = (ast.value if isinstance(ast, Num) else
-                 CONSTANTS[ast.name] if isinstance(ast, Const) else
-                 params[ast.name])
+    if isinstance(ast, (Num, Const)):
+        value = ast.value if isinstance(ast, Num) else CONSTANTS[ast.name]
         return lambda t, r: value
     if isinstance(ast, Var):
         return (lambda t, r: t) if ast.name == "t" else (lambda t, r: r)
     if isinstance(ast, Unary):
-        child = _compile(ast.child, params)
+        child = _compile(ast.child)
         return lambda t, r: -child(t, r)
     if isinstance(ast, Bin):
-        left, right = _compile(ast.left, params), _compile(ast.right, params)
+        left, right = _compile(ast.left), _compile(ast.right)
         if ast.op in _ARITH:
             op = _ARITH[ast.op]
             return lambda t, r: op(left(t, r), right(t, r))
@@ -292,7 +278,7 @@ def _compile(ast, params):
             return out if np.ndim(out) else float(out)
         return power
     if isinstance(ast, Call):
-        args = [_compile(child, params) for child in ast.args]
+        args = [_compile(child) for child in ast.args]
         if ast.fn in ("min", "max"):
             fn, (first, second) = _UFUNCS[ast.fn], args
             return lambda t, r: fn(first(t, r), second(t, r))
@@ -332,7 +318,7 @@ def pretty(ast):
     parse(pretty(a)) is structurally identical to ``a``."""
     if isinstance(ast, Num):
         return repr(ast.value)
-    if isinstance(ast, (Var, Param, Const)):
+    if isinstance(ast, (Var, Const)):
         return ast.name
     if isinstance(ast, Unary):
         return "(-%s)" % pretty(ast.child)
@@ -346,11 +332,10 @@ def pretty(ast):
 class ExprFunction:
     """Picklable callable wrapping a parsed expression: f(t, r) -> value."""
 
-    def __init__(self, text, params=None):
+    def __init__(self, text):
         self.text = text
-        self.params = dict(params or {})
-        self.ast = parse(text, params=self.params.keys())
-        self._fn = _compile(self.ast, self.params)
+        self.ast = parse(text)
+        self._fn = _compile(self.ast)
 
     def __call__(self, t, r=0.0):
         """Value at (t, r) with the broadcast shape of t and r, also when
@@ -366,8 +351,6 @@ class ExprFunction:
     def __repr__(self):
         return "ExprFunction(%r)" % self.text
 
-    def __getstate__(self):
-        return {"text": self.text, "params": self.params}
-
-    def __setstate__(self, state):
-        self.__init__(state["text"], state["params"])
+    def __reduce__(self):
+        # a copy recompiles its text: the closures do not pickle
+        return ExprFunction, (self.text,)

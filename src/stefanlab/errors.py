@@ -34,12 +34,6 @@ class UnknownIdentifier(ExprError):
         super().__init__("unknown identifier %r" % name)
 
 
-class UnboundParameter(ExprError):
-    def __init__(self, name):
-        self.name = name
-        super().__init__("parameter %r has no bound value" % name)
-
-
 class EvalDomainError(ExprError):
     def __init__(self, node, value, message):
         self.node = node
@@ -106,10 +100,6 @@ class BoundViolated(NumericalError):
 
 
 class HypothesisHFailed(NumericalError):
-    pass
-
-
-class NotSpreading(NumericalError):
     pass
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BoundViolated, HypothesisHFailed, NoConvergence, NonPositive,
-                     NotSpreading, TruncationTooSmall)
-from .radialcore import FactoredTridiag
+                     TruncationTooSmall)
+from .radialcore import FactoredTridiag, diffusion_bands
 # no semi-wave step calls solve_tridiag any more; the name stays bound here
 # because perfbench/test_tracer.py checks that the tracer wraps this binding
 from .radialcore import solve_tridiag  # noqa: F401
@@ -181,11 +181,11 @@ def semiwave_profile(k, a, b, d, T, n=1024, tol=PROFILE_TOL, u_init=None,
         u = np.array(u_init, dtype=float)
     u[0] = 0.0
 
-    # implicit tridiagonal for 1-D diffusion, interior unknowns 1..n-1;
-    # the matrix is the same at every step, so it is factored once
+    # implicit 1-D diffusion on the interior unknowns 1..n-1: rows 1..n-1
+    # of the N=1 radial operator, whose row 0 is the reflecting origin; the
+    # matrix is the same at every step, so it is factored once
     s = dt * d / dx ** 2
-    op = FactoredTridiag(np.full(n - 1, -s), np.full(n - 1, 1.0 + 2.0 * s),
-                         np.full(n - 1, -s))
+    op = FactoredTridiag(*(band[1:] for band in diffusion_bands(n, 1, s)))
     # drift, coefficients and the far-field value of every step of a period
     t = np.arange(steps) * dt
     coeffs = list(zip(*(_on_times(fn, t).tolist() for fn in (k, a, b)),
@@ -357,15 +357,11 @@ def envelope_speeds(field, mu, d, eps=1e-3, r_star=10.0):
                           upper=upper, lower=lower)
 
 
-def measure_front_speed(traj, window_fraction=0.25, require_spreading=None):
+def measure_front_speed(traj, window_fraction=0.25):
     """Trailing-window least-squares slope of h(t).
 
-    ``require_spreading`` may carry the Outcome of classify_outcome; a
-    non-Spreading verdict raises NotSpreading.  Also returns the crude
-    h(t_final)/t_final estimate for comparison.
+    Also returns the crude h(t_final)/t_final estimate for comparison.
     """
-    if require_spreading is not None and require_spreading.verdict != "Spreading":
-        raise NotSpreading("trajectory verdict is %s" % require_spreading.verdict)
     if not (0.0 < window_fraction <= 0.5):
         raise ValueError("window_fraction must be in (0, 0.5]")
     t, h = np.asarray(traj.t), np.asarray(traj.h)

@@ -8,7 +8,7 @@ import pytest
 from stefanlab import cli, eigen, freeboundary, semiwave
 from stefanlab.errors import (ConfigError, EvalDomainError, ExpressionError,
                               MissingKey, NoSignChange, NumericalError,
-                              TypeMismatch, UnknownKey)
+                              TypeMismatch, UnknownIdentifier, UnknownKey)
 
 MINIMAL = """
 [run]
@@ -76,6 +76,18 @@ class TestLoadConfig:
             cli.loads_config(text)
         assert exc.value.key == "alpha"
         assert exc.value.offset == 5
+
+    def test_unknown_identifier_exit(self, tmp_path):
+        # an expression may name only t, r, pi, e and the functions
+        text = MINIMAL.replace("alpha=1", "alpha=1+a*t")
+        with pytest.raises(ExpressionError) as exc:
+            cli.loads_config(text)
+        assert exc.value.key == "alpha"
+        assert exc.value.offset == 2
+        assert isinstance(exc.value.cause, UnknownIdentifier)
+        out = str(tmp_path / "out")
+        assert cli.main(["--config", write(tmp_path, text), "--out", out]) == 2
+        assert not os.path.exists(out)
 
     def test_type_mismatch(self):
         text = MINIMAL.replace("d=1", "d=abc")
@@ -313,7 +325,7 @@ class TestMain:
         assert {e.__name__ for e in subclasses(NumericalError)} == {
             "NoConvergence", "TooManyUndecided", "NoSignChange",
             "BracketInvalid", "DomainNotLargeEnough", "TruncationTooSmall",
-            "BoundViolated", "NotSpreading", "StepSizeTooLarge",
+            "BoundViolated", "StepSizeTooLarge",
             "SolverSingular", "FrontRetreat", "NonPositiveIterate",
             "NonPositive", "HypothesisHFailed"}
 
@@ -381,7 +393,15 @@ class TestRejectedConfigs:
         (MINIMAL.replace("command=simulate", "command=eigen")
          + "[eigen]\nR=\n", 2),
         (SWEEP.replace("axis1_values=1,2", "axis1_values="), 2),
-        (SWEEP.replace("axis2_values=1,2", "axis2_values="), 2)],
+        (SWEEP.replace("axis2_values=1,2", "axis2_values="), 2),
+        # a sweep value that is not finite and > 0 ended in a traceback
+        # (d=inf) or wrote verdicts for cells that validate rejects
+        (SWEEP.replace("axis1_values=1,2", "axis1_values=1,inf"), 2),
+        (SWEEP.replace("axis1=d\naxis1_values=1,2",
+                       "axis1=h0\naxis1_values=1,inf"), 2),
+        (SWEEP.replace("axis2_values=1,2", "axis2_values=0,1"), 2),
+        (SWEEP.replace("axis2=mu\naxis2_values=1,2",
+                       "axis2=sigma\naxis2_values=-1,1"), 2)],
         ids=["log", "sqrt", "criteria-kind", "no-d-threshold", "T-zero",
              "T-negative", "N-zero", "r_far-negative", "dt-nan", "t_max-nan",
              "t_max-zero", "t_max-negative", "sample_every-zero",
@@ -389,7 +409,8 @@ class TestRejectedConfigs:
              "speed-tol-inf", "speed-tol-nan",
              "speed-tol-negative", "hstar-tol-inf", "mu-star-tol-inf",
              "sigma0-tol-inf", "eigen-R-empty", "sweep-axis1-empty",
-             "sweep-axis2-empty"])
+             "sweep-axis2-empty", "sweep-d-inf", "sweep-h0-inf",
+             "sweep-mu-zero", "sweep-sigma-negative"])
     def test_exit_code(self, tmp_path, monkeypatch, capsys, text, code):
         def one_signed(*args, **kwargs):
             raise NoSignChange(+1)

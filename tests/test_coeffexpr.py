@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stefanlab import coeffexpr
-from stefanlab.coeffexpr import (Bin, Call, Const, Num, Param, Unary, Var,
+from stefanlab.coeffexpr import (Bin, Call, Const, Num, Unary, Var,
                                  ExprFunction, evaluate, parse, pretty)
 from stefanlab.coeffmodel import ConstantFn
-from stefanlab.errors import (EvalDomainError, ExprSyntaxError,
-                              UnboundParameter, UnknownIdentifier)
+from stefanlab.errors import EvalDomainError, ExprSyntaxError, UnknownIdentifier
 
 
 class TestParse:
@@ -52,10 +51,6 @@ class TestParse:
             parse("1 + bogus")
         assert exc.value.name == "bogus"
 
-    def test_declared_parameter(self):
-        ast = parse("a*t", params=("a",))
-        assert evaluate(ast, t=3.0, params={"a": 2.0}) == 6.0
-
     def test_source_size_cap(self):
         with pytest.raises(ExprSyntaxError):
             parse("1+" * 40000 + "1")
@@ -86,10 +81,6 @@ class TestEvaluate:
     def test_exp_overflow(self):
         with pytest.raises(EvalDomainError):
             evaluate(parse("exp(t)"), t=1e4)
-
-    def test_unbound_parameter(self):
-        with pytest.raises(UnboundParameter):
-            evaluate(parse("a+1", params=("a",)))
 
     def test_constants(self):
         assert evaluate(parse("pi")) == math.pi
@@ -213,10 +204,10 @@ def test_compiled_matches_reference_bitwise(ast, t, r):
 
 
 def test_expr_function_pickles():
-    # the loaded copy recompiles: every domain-checked operation and a
-    # parameter, on broadcast arrays and on scalars
-    fn = ExprFunction("1 + a*sin(2*pi*t) + sqrt(1 + t*r)/(2 + a)"
-                      " - log(1 + r)*exp(-(max(t, a)^1.5))", params={"a": 0.5})
+    # the loaded copy recompiles: every domain-checked operation, on
+    # broadcast arrays and on scalars
+    fn = ExprFunction("1 + 0.5*sin(2*pi*t) + sqrt(1 + t*r)/(2 + 0.5)"
+                      " - log(1 + r)*exp(-(max(t, 0.5)^1.5))")
     clone = pickle.loads(pickle.dumps(fn))
     t = np.linspace(0, 1, 7)
     r = np.linspace(0.0, 3.0, 13)

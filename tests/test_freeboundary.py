@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stefanlab import freeboundary
 from stefanlab.coeffmodel import (CoefficientField, ProblemSpec,
@@ -111,30 +112,11 @@ def allocating_step(state, spec, dt):
                               t=state.t + dt, n=n), h_prime)
 
 
-class _OneOversizedStep(freeboundary._StepSizer):
-    """The step sizer, except that its third step breaks the front CFL
-    bound, so that simulate() retries that step at half size."""
-
-    def __init__(self, spec):
-        super().__init__(spec)
-        self.calls = 0
-
-    def __call__(self, state, grad):
-        self.calls += 1
-        if self.calls == 3:
-            return 0.8 * self.dxi * state.h / (-self.mu * grad)
-        return super().__call__(state, grad)
-
-
 class TestInPlaceStep:
     @staticmethod
-    def recorded(step, steps, retries):
+    def recorded(step, steps):
         def run(state, spec, dt):
-            try:
-                new, h_prime = step(state, spec, dt)
-            except freeboundary.StepSizeTooLarge:
-                retries.append(state.t)
-                raise
+            new, h_prime = step(state, spec, dt)
             steps.append((new.u, new.h, h_prime))
             return new, h_prime
         return run
@@ -146,15 +128,13 @@ class TestInPlaceStep:
             beta="1 + 0.1*cos(r*t)", T=1.0)
         spec = ProblemSpec.build(fld, N=N, d=1.0, mu=4.0, h0=2.0, n=96,
                                  t_max=1.5)
-        monkeypatch.setattr(freeboundary, "_StepSizer", _OneOversizedStep)
         runs = []
         for step in (step_free, allocating_step):
-            steps, retries = [], []
+            steps = []
             monkeypatch.setattr(freeboundary, "step_free",
-                                self.recorded(step, steps, retries))
-            runs.append((simulate(spec), steps, retries))
-        (traj, steps, retries), (_, ref_steps, ref_retries) = runs
-        assert len(retries) == 1 and retries == ref_retries
+                                self.recorded(step, steps))
+            runs.append((simulate(spec), steps))
+        (traj, steps), (_, ref_steps) = runs
         assert traj.h[-1] > spec.h0 and len(steps) == len(ref_steps)
         for (u, h, hp), (ref_u, ref_h, ref_hp) in zip(steps, ref_steps):
             assert np.array_equal(u.view(np.uint64), ref_u.view(np.uint64))
@@ -173,6 +153,27 @@ class TestInPlaceStep:
             state.xi[1] = 0.5
         snap = Snapshot(1.0, 5.0, np.zeros(97))
         assert np.array_equal(snap.r(), 5.0 * np.linspace(0.0, 1.0, 97))
+
+
+class TestStepSizer:
+    """The step that _StepSizer picks passes both guards of step_free, so
+    simulate() takes every step at the size it picked, with no retry."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=st.floats(1e-2, 1e3),
+           slope=st.just(0.0) | st.floats(1e-6, 1e4),
+           mu=st.floats(1e-2, 1e2), n=st.integers(8, 512),
+           dt=st.floats(1e-4, 1.0), a=st.floats(1e-2, 1e2))
+    @example(h=1.0, slope=10.0, mu=1.0, n=64, dt=0.1, a=1.0)   # CFL binds
+    @example(h=1.0, slope=0.0, mu=1.0, n=64, dt=1.0, a=50.0)   # positivity
+    def test_sized_step_passes_guards(self, h, slope, mu, n, dt, a):
+        spec = ProblemSpec.build(constant_field(a), mu=mu, n=n, dt=dt)
+        # the front stencil is exact on a linear profile: u_r = -slope up
+        # to rounding, and h' = mu*slope
+        u = slope * h * (1.0 - np.linspace(0.0, 1.0, n + 1))
+        state = FreeBoundaryState(u=u, h=h, t=0.0, n=n)
+        sized = freeboundary._StepSizer(spec)(state, front_gradient(state))
+        step_free(state, spec, sized)
 
 
 class TestSimulate:

@@ -7,7 +7,7 @@ import pytest
 from stefanlab import semiwave
 from stefanlab.coeffexpr import ExprFunction
 from stefanlab.coeffmodel import CoefficientField, constant_field
-from stefanlab.errors import HypothesisHFailed, NonPositive, NotSpreading
+from stefanlab.errors import HypothesisHFailed, NonPositive
 from stefanlab.radialcore import solve_tridiag
 from stefanlab.semiwave import (PeriodicLogisticSolution, SemiWaveProfile,
                                 envelope_speeds, k0_fixed_point,
@@ -227,11 +227,6 @@ class TestTabulatedCoefficients:
 class FakeTraj:
     t: np.ndarray
     h: np.ndarray
-
-
-@dataclass
-class FakeOutcome:
-    verdict: str
 
 
 class TestPeriodicLogistic:
@@ -461,12 +456,6 @@ class TestMeasureFrontSpeed:
                         np.concatenate([[5.0], 2.0 * t + np.sin(t)]))
         slope, _ = measure_front_speed(traj, window_fraction=0.5)
         assert slope == pytest.approx(2.0, abs=1e-2)
-
-    def test_not_spreading_guard(self):
-        t = np.linspace(0.0, 10.0, 11)
-        with pytest.raises(NotSpreading):
-            measure_front_speed(FakeTraj(t, np.full(11, 1.0)),
-                                require_spreading=FakeOutcome("Vanishing"))
 
     def test_bad_window(self):
         t = np.linspace(0.0, 10.0, 11)
