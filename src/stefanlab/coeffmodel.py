@@ -125,7 +125,10 @@ class _SampledEnvelope:
 
 def _sampled_envelopes(fn, T, r_max):
     r_grid = np.linspace(0.0, r_max, ENVELOPE_SAMPLES)
-    vals = np.asarray(fn(np.linspace(0.0, T, 33)[:, None], r_grid[None, :]))
+    # a period that validate rejects (not finite and > 0) is not sampled:
+    # linspace(0, inf) warns before validate can report it
+    t = np.linspace(0.0, T, 33) if 0 < T < np.inf else np.zeros(1)
+    vals = np.asarray(fn(t[:, None], r_grid[None, :]))
     pad = 1e-12 * (1.0 + float(np.max(np.abs(vals))))
     return (_SampledEnvelope(fn, r_grid, "min", pad),
             _SampledEnvelope(fn, r_grid, "max", pad))

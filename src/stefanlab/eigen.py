@@ -25,7 +25,9 @@ from .radialcore import DiffusionSolver, RadialGrid
 log = logging.getLogger("stefanlab")
 
 H_STAR_INFINITE = math.inf
-POTENTIAL_BLOCK = 64      # substeps per coefficient evaluation in period_map
+POTENTIAL_BLOCK = 64      # substeps per coefficient evaluation of a _Period
+FACTOR_TABLE_BYTES = 4 * 2 ** 20   # largest potential-factor table a _Period
+                                   # keeps; substeps grow as d/R**2
 # first zero of the Bessel function J_{N/2-1}: the Dirichlet ball of radius
 # R in dimension N has principal Laplace eigenvalue (j/R)^2
 BALL_ZERO = {1: math.pi / 2, 2: 2.4048255576957724, 3: math.pi}
@@ -47,45 +49,79 @@ class EigenResult:
     residual: float
 
 
-def period_map(psi, grid, field, d, T, substeps, solver=None, record=None):
-    """Evolve the linear problem over one period and return psi(T).
+class _Period:
+    """One period of the linear problem at a fixed substep count.
 
-    Each substep multiplies by exp(dt*(alpha-gamma)) at the interval
-    midpoint and then applies the implicit diffusion sweep with the
-    solver's once-factored operator.  The potential factors are evaluated
+    Holds the implicit diffusion operator at dt = T/substeps, LU-factored
+    once, and, when substeps*n*8 bytes fit in FACTOR_TABLE_BYTES, the
+    (substeps, n) table of the potential factors exp(dt*(alpha-gamma)) at
+    the substep midpoints on the n unknowns.  The factors are evaluated
     for POTENTIAL_BLOCK substeps per coefficient call (midpoint times as a
-    column, radii as a row), so memory stays O(POTENTIAL_BLOCK * n) and
-    every factor equals its one-substep evaluation.  If ``record`` is an
-    integer P, snapshots at P evenly spaced phases are appended to the
-    returned list.
+    column, radii as a row) and exponentiated a block at a time, so every
+    factor equals its one-substep evaluation.  A period over the cap keeps
+    no table and regenerates the same blocks on every map, so memory stays
+    O(POTENTIAL_BLOCK * n) and the factors keep their bits.
     """
-    dt = T / substeps
-    if solver is None:
-        solver = DiffusionSolver(grid, d, dt)
-    r = grid.r
+
+    def __init__(self, grid, field, d, T, substeps):
+        self.grid, self.field, self.substeps = grid, field, substeps
+        self.dt = T / substeps
+        self.op = DiffusionSolver(grid, d, self.dt).op
+        self.table = None
+        if substeps * grid.n * 8 <= FACTOR_TABLE_BYTES:
+            self.table = np.empty((substeps, grid.n))
+            for k0, block in self._blocks():
+                self.table[k0:k0 + len(block)] = block
+
+    def _blocks(self):
+        r, dt = self.grid.r, self.dt
+        for k0 in range(0, self.substeps, POTENTIAL_BLOCK):
+            k1 = min(k0 + POTENTIAL_BLOCK, self.substeps)
+            t_mid = ((np.arange(k0, k1) + 0.5) * dt)[:, None]
+            pot = np.broadcast_to(np.asarray(self.field.growth(t_mid, r),
+                                             dtype=float), (k1 - k0, r.size))
+            yield k0, np.exp(dt * pot)[:, :self.grid.n]
+
+    def factors(self):
+        """The potential factors of the substeps in order, n per row."""
+        if self.table is not None:
+            return self.table
+        return (row for _, block in self._blocks() for row in block)
+
+
+def period_map(psi, period, record=None):
+    """Evolve the linear problem over one _Period and return psi(T).
+
+    Each substep multiplies the n unknowns in place by that substep's
+    potential factor, taken from the period's table (or its regenerated
+    block when the period is over FACTOR_TABLE_BYTES), and then solves
+    the period's factored diffusion operator in place; node n is the
+    Dirichlet zero.  No coefficient is evaluated in a tabulated period.
+    If ``record`` is an integer P, snapshots at P evenly spaced phases are
+    appended to the returned list.
+    """
     u = np.array(psi, dtype=float)
     shots = [u.copy()] if record else None
-    per_phase = substeps // record if record else 0
-    for k0 in range(0, substeps, POTENTIAL_BLOCK):
-        k1 = min(k0 + POTENTIAL_BLOCK, substeps)
-        t_mid = ((np.arange(k0, k1) + 0.5) * dt)[:, None]
-        pot = np.broadcast_to(np.asarray(field.growth(t_mid, r), dtype=float),
-                              (k1 - k0, r.size))
-        for k, factor in zip(range(k0, k1), np.exp(dt * pot)):
-            u = solver.solve(u * factor)
-            if record and (k + 1) % per_phase == 0 and (k + 1) < substeps:
-                shots.append(u.copy())
+    per_phase = period.substeps // record if record else 0
+    u[-1] = 0.0
+    unknowns = u[:-1]
+    solve = period.op.solve_in_place
+    for k, factor in enumerate(period.factors(), 1):
+        unknowns *= factor
+        solve(unknowns)
+        if record and k % per_phase == 0 and k < period.substeps:
+            shots.append(u.copy())
     if record:
         return u, shots
     return u
 
 
-def _power_iteration(grid, field, d, T, substeps, tol, psi0, solver):
+def _power_iteration(period, tol, psi0):
     psi = psi0 / np.max(psi0)
     rho_prev = None
     drift = np.inf
     for it in range(1, MAX_POWER_ITERATIONS + 1):
-        mapped = period_map(psi, grid, field, d, T, substeps, solver=solver)
+        mapped = period_map(psi, period)
         rho = float(np.max(mapped))
         if rho <= 0 or np.any(mapped[:-1] < -1e-13 * max(rho, 1.0)):
             raise NonPositiveIterate(
@@ -112,6 +148,13 @@ def principal_eigenvalue(d, field, R, T, N=2, tol=1e-7, n=512, psi0=None):
     default_substeps rounded up to a multiple of EIGEN_PHASES (the phases
     of phi) and at twice that; the two multiplier estimates are Richardson-
     extrapolated in the step size and the reported rho is exp(-lambda1*T).
+    Each step count is one _Period, built once per solve: its operator is
+    factored once and its potential factors are evaluated once (one
+    coefficient call per POTENTIAL_BLOCK substeps) into a table that every
+    power iteration reuses.  A table is kept only while it fits in
+    FACTOR_TABLE_BYTES, and the coarse period is released before the fine
+    one is built, so a solve holds at most one table; a larger period
+    evaluates its coefficients again on every map.
     """
     if R <= 0 or d <= 0:
         raise ValueError("R and d must be positive")
@@ -122,22 +165,20 @@ def principal_eigenvalue(d, field, R, T, N=2, tol=1e-7, n=512, psi0=None):
         psi0 = 1.0 - (grid.r / R) ** 2
     psi0 = np.asarray(psi0, dtype=float)
 
-    coarse = DiffusionSolver(grid, d, T / substeps)
-    rho_c, psi_c, it_c, _ = _power_iteration(grid, field, d, T, substeps,
-                                             tol, psi0, coarse)
-    # the fine-step operator also serves the residual and phase maps below
-    fine = DiffusionSolver(grid, d, T / (2 * substeps))
-    rho_f, psi_f, it_f, drift = _power_iteration(grid, field, d, T, 2 * substeps,
-                                                 tol, psi_c, fine)
+    # the coarse period is dropped before the fine one is built
+    rho_c, psi_c, it_c, _ = _power_iteration(
+        _Period(grid, field, d, T, substeps), tol, psi0)
+    # the fine period also serves the residual and phase maps below
+    fine = _Period(grid, field, d, T, 2 * substeps)
+    rho_f, psi_f, it_f, drift = _power_iteration(fine, tol, psi_c)
     lam_c = -math.log(rho_c) / T
     lam_f = -math.log(rho_f) / T
     lam = 2.0 * lam_f - lam_c
     # residual of the converged fine-step eigenpair
-    mapped = period_map(psi_f, grid, field, d, T, 2 * substeps, solver=fine)
+    mapped = period_map(psi_f, fine)
     residual = float(np.max(np.abs(mapped - rho_f * psi_f)))
     # eigenfunction phase samples from one extra period of the fine run
-    _, shots = period_map(psi_f, grid, field, d, T, 2 * substeps, solver=fine,
-                          record=EIGEN_PHASES)
+    _, shots = period_map(psi_f, fine, record=EIGEN_PHASES)
     phi = np.array([s / max(float(np.max(np.abs(s))), 1e-300) for s in shots])
     phi /= np.max(np.abs(phi))
     phi = np.abs(phi) * np.sign(np.max(phi))

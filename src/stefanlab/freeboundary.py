@@ -178,8 +178,11 @@ class _StepSizer:
     def __call__(self, state, grad):
         h_prime = max(-self.mu * grad, 0.0)
         dt = min(self.dt_spec, self.dt_react)
-        if h_prime > 0:
-            dt = min(dt, 0.45 * self.dxi * state.h / h_prime)
+        bound = 0.45 * self.dxi * state.h
+        # with dt*h' at most half the bound, bound/h' > dt cannot bind;
+        # skipping it keeps a subnormal h' from overflowing the quotient
+        if dt * h_prime > 0.5 * bound:
+            dt = min(dt, bound / h_prime)
         return dt
 
 

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ t_max=5
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def subclasses(cls):
@@ -300,6 +303,21 @@ class TestMain:
         path = write(tmp_path, MINIMAL.replace("mu=1\n", ""))
         assert cli.main(["--config", path]) == 2
 
+    def test_infinite_period_prints_only_the_error(self, tmp_path):
+        # in a fresh interpreter, so stderr holds every warning and log line
+        text = MINIMAL.replace("alpha=1", "alpha=1+0.5*sin(2*pi*t)")
+        path = write(tmp_path, text.replace("beta=1", "beta=1\nT=inf"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stefanlab", "--config", path,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and "T must be finite and > 0, got inf" in err[0]
+
     def test_missing_file(self):
         assert cli.main(["--config", "/nonexistent/x.cfg"]) == 2
 
@@ -365,6 +383,8 @@ class TestRejectedConfigs:
         # a period that is not positive made simulate step forever
         (MINIMAL.replace("beta=1", "beta=1\nT=0"), 2),
         (MINIMAL.replace("beta=1", "beta=1\nT=-1"), 2),
+        # an infinite period warned while the envelopes were sampled
+        (MINIMAL.replace("beta=1", "beta=1\nT=inf"), 2),
         (MINIMAL.replace("h0=3", "h0=3\nN=0"), 2),
         (MINIMAL.replace("command=simulate", "command=speed")
          + "[speed]\nr_far=-1\n", 2),
@@ -403,8 +423,8 @@ class TestRejectedConfigs:
         (SWEEP.replace("axis2=mu\naxis2_values=1,2",
                        "axis2=sigma\naxis2_values=-1,1"), 2)],
         ids=["log", "sqrt", "criteria-kind", "no-d-threshold", "T-zero",
-             "T-negative", "N-zero", "r_far-negative", "dt-nan", "t_max-nan",
-             "t_max-zero", "t_max-negative", "sample_every-zero",
+             "T-negative", "T-inf", "N-zero", "r_far-negative", "dt-nan",
+             "t_max-nan", "t_max-zero", "t_max-negative", "sample_every-zero",
              "sample_every-negative", "sample_every-nan", "sample_every-inf",
              "speed-tol-inf", "speed-tol-nan",
              "speed-tol-negative", "hstar-tol-inf", "mu-star-tol-inf",

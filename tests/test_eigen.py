@@ -8,8 +8,9 @@ import pytest
 
 from stefanlab import eigen
 from stefanlab.coeffmodel import CoefficientField, ConstantFn, constant_field
-from stefanlab.eigen import (H_STAR_INFINITE, POTENTIAL_BLOCK, d_thresholds,
-                             h_star, period_map, principal_eigenvalue)
+from stefanlab.eigen import (FACTOR_TABLE_BYTES, H_STAR_INFINITE, POTENTIAL_BLOCK,
+                             _Period, d_thresholds, default_substeps, h_star,
+                             period_map, principal_eigenvalue)
 from stefanlab.errors import BracketInvalid, NonPositiveIterate, NoSignChange
 from stefanlab.radialcore import DiffusionSolver, RadialGrid
 
@@ -62,16 +63,16 @@ class TestPeriodMap:
         fld = constant_field(0.0, gamma=1.0)   # growth 0
         grid = RadialGrid(n=128, R=1.0, N=2)
         psi = 1.0 - grid.r ** 2
-        out = period_map(psi, grid, fld, 1e-8, 1.0, substeps=256)
+        out = period_map(psi, _Period(grid, fld, 1e-8, 1.0, 256))
         assert np.max(np.abs(out - psi)) < 1e-4
 
     def test_linearity(self):
         fld = constant_field(1.0)
         grid = RadialGrid(n=64, R=2.0, N=2)
         psi = np.cos(np.pi * grid.r / 4.0)
-        solver = DiffusionSolver(grid, 1.0, 1.0 / 512)
-        a = period_map(2.0 * psi, grid, fld, 1.0, 1.0, 512, solver=solver)
-        b = period_map(psi, grid, fld, 1.0, 1.0, 512, solver=solver)
+        period = _Period(grid, fld, 1.0, 1.0, 512)
+        a = period_map(2.0 * psi, period)
+        b = period_map(psi, period)
         assert np.max(np.abs(a - 2.0 * b)) < 1e-12
 
     def test_ground_mode_separation_of_variables(self):
@@ -83,7 +84,7 @@ class TestPeriodMap:
         grid = RadialGrid(n=n, R=R, N=2)
         psi = np.zeros(n + 1)
         psi[:n] = mode / np.max(mode)
-        out = period_map(psi, grid, fld, d, T, substeps=16384)
+        out = period_map(psi, _Period(grid, fld, d, T, 16384))
         ratio = np.max(out) / np.max(psi)
         assert ratio == pytest.approx(math.exp((c - lam_D) * T), rel=2e-3)
 
@@ -116,9 +117,26 @@ BLOCK_FIELDS = {
 }
 
 
+class CountingField:
+    """Constant growth 0.5 that records the shape of each time argument."""
+
+    T = 1.0
+
+    def __init__(self):
+        self.calls = []
+
+    def growth(self, t, r):
+        self.calls.append(np.shape(t))
+        return 0.5 + 0.0 * t * r
+
+    def alpha2_max(self):
+        return 0.5
+
+
 class TestBlockedPotential:
-    """period_map evaluates the potential for a block of substeps per
-    call; every output must equal the per-substep loop bit for bit."""
+    """A _Period evaluates the potential for a block of substeps per call
+    and tabulates the factors; every output of period_map must equal the
+    per-substep loop bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(BLOCK_FIELDS))
     @pytest.mark.parametrize("substeps", [128, 200])   # 200: partial block
@@ -126,7 +144,7 @@ class TestBlockedPotential:
         fld = BLOCK_FIELDS[name]
         grid = RadialGrid(n=48, R=2.5, N=2)
         psi = 1.0 - (grid.r / 2.5) ** 2
-        out = period_map(psi, grid, fld, 1.0, 1.0, substeps)
+        out = period_map(psi, _Period(grid, fld, 1.0, 1.0, substeps))
         ref, _ = per_substep_period_map(psi, grid, fld, 1.0, 1.0, substeps)
         assert np.array_equal(out, ref)
 
@@ -135,7 +153,7 @@ class TestBlockedPotential:
         fld = BLOCK_FIELDS[name]
         grid = RadialGrid(n=48, R=2.5, N=3)
         psi = np.cos(np.pi * grid.r / 5.0)
-        out, shots = period_map(psi, grid, fld, 0.7, 1.0, 200, record=8)
+        out, shots = period_map(psi, _Period(grid, fld, 0.7, 1.0, 200), record=8)
         ref, ref_shots = per_substep_period_map(psi, grid, fld, 0.7, 1.0, 200,
                                                 record=8)
         assert np.array_equal(out, ref)
@@ -143,19 +161,59 @@ class TestBlockedPotential:
         assert all(np.array_equal(a, b) for a, b in zip(shots, ref_shots))
 
     def test_coefficient_calls_per_block(self):
-        calls = []
-
-        class Counting:
-            T = 1.0
-
-            def growth(self, t, r):
-                calls.append(np.shape(t))
-                return 0.5 + 0.0 * t * r
-
+        fld = CountingField()
         grid = RadialGrid(n=16, R=1.0, N=2)
-        period_map(np.ones(17), grid, Counting(), 1.0, 1.0,
-                   3 * POTENTIAL_BLOCK + 8)
-        assert [c[0] for c in calls] == [POTENTIAL_BLOCK] * 3 + [8]
+        period = _Period(grid, fld, 1.0, 1.0, 3 * POTENTIAL_BLOCK + 8)
+        assert [c[0] for c in fld.calls] == [POTENTIAL_BLOCK] * 3 + [8]
+        period_map(np.ones(17), period)
+        period_map(np.ones(17), period)
+        assert len(fld.calls) == 4      # the maps read the table
+
+    @pytest.mark.parametrize("R", [1.0, 3.0])
+    def test_one_evaluation_per_block_per_solve(self, R):
+        # whatever the iteration count, a solve tabulates the coarse and
+        # the fine period once each
+        fld = CountingField()
+        res = principal_eigenvalue(1.0, fld, R, 1.0, n=32)
+        S = default_substeps(1.0, fld, R, 1.0)
+        S = -(-S // eigen.EIGEN_PHASES) * eigen.EIGEN_PHASES
+        assert res.iterations > 2
+        assert len(fld.calls) == (-(-S // POTENTIAL_BLOCK)
+                                  + -(-2 * S // POTENTIAL_BLOCK))
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_FIELDS))
+    def test_period_over_the_cap_keeps_no_table(self, name, monkeypatch):
+        fld = BLOCK_FIELDS[name]
+        grid = RadialGrid(n=48, R=2.5, N=2)
+        psi = 1.0 - (grid.r / 2.5) ** 2
+        tabulated = _Period(grid, fld, 1.0, 1.0, 200)
+        assert tabulated.table.nbytes == 200 * 48 * 8 <= FACTOR_TABLE_BYTES
+        monkeypatch.setattr(eigen, "FACTOR_TABLE_BYTES", 200 * 48 * 8 - 1)
+        untabulated = _Period(grid, fld, 1.0, 1.0, 200)
+        assert untabulated.table is None
+        out, shots = period_map(psi, untabulated, record=8)
+        ref, ref_shots = period_map(psi, tabulated, record=8)
+        assert np.array_equal(out, ref)
+        assert all(np.array_equal(a, b) for a, b in zip(shots, ref_shots))
+
+    def test_period_over_the_cap_evaluates_on_every_map(self, monkeypatch):
+        monkeypatch.setattr(eigen, "FACTOR_TABLE_BYTES", 0)
+        fld = CountingField()
+        grid = RadialGrid(n=16, R=1.0, N=2)
+        period = _Period(grid, fld, 1.0, 1.0, 3 * POTENTIAL_BLOCK + 8)
+        assert fld.calls == []
+        for maps in (1, 2):
+            period_map(np.ones(17), period)
+            assert [c[0] for c in fld.calls] == maps * ([POTENTIAL_BLOCK] * 3 + [8])
+
+    def test_cap_binds_on_a_small_ball(self):
+        # R = 0.05*h0 at h0 = 2, d = 1, n = 256, the lower end of the
+        # caller bracket of h*: about 4700 coarse substeps, a 9.6 MB table
+        fld = constant_field(1.0)
+        grid = RadialGrid(n=256, R=0.1, N=2)
+        S = default_substeps(1.0, fld, 0.1, 1.0)
+        assert S * 256 * 8 > 2 * FACTOR_TABLE_BYTES
+        assert _Period(grid, fld, 1.0, 1.0, S).table is None
 
 
 class TestPrincipalEigenvalue:
