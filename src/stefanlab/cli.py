@@ -11,7 +11,6 @@ configuration, validation or expression error, 3 numerical failure, 4
 internal invariant breach.
 """
 
-import argparse
 import hashlib
 import json
 import logging
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import __version__, coeffexpr, eigen, freeboundary, semiwave, thresholds
+from . import __version__, coeffexpr, eigen, freeboundary
 from .coeffmodel import CoefficientField, ProblemSpec, validate
 from .errors import (ConfigError, ExpressionError, ExprError, MissingKey,
                      StefanLabError, TypeMismatch, UnknownKey)
@@ -337,6 +336,7 @@ def _cmd_hstar(config, spec, arts):
 
 
 def _cmd_speed(config, spec, arts):
+    from . import semiwave
     v = config.values["speed"]
     r_far = v["r_far"]
     fld = spec.field
@@ -351,6 +351,7 @@ def _cmd_speed(config, spec, arts):
 
 
 def _cmd_mu_star(config, spec, arts):
+    from . import thresholds
     v = config.values["mu_star"]
     res = thresholds.mu_star(spec, v["mu_lo"], v["mu_hi"], tol=v["tol"])
     _threshold_csv(arts, "mu_star", res.value, *res.bracket, res.evaluations,
@@ -358,6 +359,7 @@ def _cmd_mu_star(config, spec, arts):
 
 
 def _cmd_sigma0(config, spec, arts):
+    from . import thresholds
     v = config.values["sigma0"]
     zeta = coeffexpr.ExprFunction(v["zeta"]) if v["zeta"] else spec.u0
     res = thresholds.sigma0(spec, zeta, v["sigma_lo"], v["sigma_hi"],
@@ -367,6 +369,7 @@ def _cmd_sigma0(config, spec, arts):
 
 
 def _cmd_sweep(config, spec, arts, jobs, horizon_scale):
+    from . import thresholds
     v = config.values["sweep"]
     a1, a2 = v["axis1"], v["axis2"]
     t_max = horizon_scale * spec.numerics.t_max
@@ -394,6 +397,7 @@ def _cmd_sweep(config, spec, arts, jobs, horizon_scale):
 
 
 def _cmd_criteria(config, spec, arts):
+    from . import thresholds
     kind = config.get("criteria", "kind")
     rep = thresholds.criteria_experiment(kind, spec)
     arts.json("outcome.json", {
@@ -430,10 +434,11 @@ def _section_errors(config):
                            % (axis, ", ".join(SWEEP_AXES)))
             elif not all(0 < x < math.inf for x in values):
                 bad.append("[sweep] %s values must be finite and > 0" % axis)
-    kinds = thresholds.CRITERIA_KINDS
-    if cmd == "criteria" and v["criteria"]["kind"] not in kinds:
-        bad.append("[criteria] kind %r is not one of %s"
-                   % (v["criteria"]["kind"], ", ".join(kinds)))
+    if cmd == "criteria":
+        from .thresholds import CRITERIA_KINDS
+        if v["criteria"]["kind"] not in CRITERIA_KINDS:
+            bad.append("[criteria] kind %r is not one of %s"
+                       % (v["criteria"]["kind"], ", ".join(CRITERIA_KINDS)))
     return bad
 
 
@@ -484,6 +489,8 @@ def run(config, out_dir=None, jobs=None, horizon_scale=1.0):
 
 
 def main(argv=None):
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="stefanlab",
         description="Free-boundary invasion model laboratory")

@@ -36,6 +36,9 @@ ENVELOPE_MARGIN = 0.01    # relative widening of the envelope radii that
                           # covers the discretization bias of lambda1
 EIGEN_PHASES = 32         # eigenfunction phases sampled over one period
 MAX_POWER_ITERATIONS = 20000
+STALL_WINDOW = 100        # trailing power iterations whose drift contraction
+                          # projects the iterations still needed
+MODEL_PROBES = 3          # h* probes from the ball model before a sign change
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,7 @@ class EigenResult:
     grid: RadialGrid
     iterations: int
     residual: float
+    coarse: np.ndarray      # (n+1,) coarse-step eigenvector, max 1
 
 
 class _Period:
@@ -117,9 +121,17 @@ def period_map(psi, period, record=None):
 
 
 def _power_iteration(period, tol, psi0):
+    """Power iteration of the period map from psi0 to a drift within tol.
+
+    Raises NoConvergence once the geometric contraction of the drift over
+    the last STALL_WINDOW iterations projects more than twice the
+    iterations left in MAX_POWER_ITERATIONS, so a stalled run stops early
+    and a converging one keeps a 2x margin for a misjudged contraction.
+    """
     psi = psi0 / np.max(psi0)
     rho_prev = None
     drift = np.inf
+    drifts = []
     for it in range(1, MAX_POWER_ITERATIONS + 1):
         mapped = period_map(psi, period)
         rho = float(np.max(mapped))
@@ -132,6 +144,15 @@ def _power_iteration(period, tol, psi0):
         if rho_prev is not None and abs(rho - rho_prev) <= tol * rho and drift <= tol:
             return rho, psi, it, drift
         rho_prev = rho
+        drifts.append(drift)
+        if it > STALL_WINDOW and drift > tol:
+            rate = math.log(drift / drifts[it - 1 - STALL_WINDOW]) / STALL_WINDOW
+            if not rate < 0 or math.log(tol / drift) / rate > 2 * (
+                    MAX_POWER_ITERATIONS - it):
+                raise NoConvergence(
+                    it, drift, "power iteration stalled after %d iterations "
+                    "(drift %.3e, contracting %.6f per iteration)"
+                    % (it, drift, math.exp(rate)))
     raise NoConvergence(MAX_POWER_ITERATIONS, drift)
 
 
@@ -141,7 +162,7 @@ def default_substeps(d, field, R, T):
     return max(256, int(np.ceil(8.0 * T * kappa)))
 
 
-def principal_eigenvalue(d, field, R, T, N=2, tol=1e-7, n=512, psi0=None):
+def principal_eigenvalue(d, field, R, T, N=2, tol=1e-7, n=512, warm=None):
     """Principal eigenvalue and positive eigenfunction on the ball of radius R.
 
     Power iteration, within MAX_POWER_ITERATIONS periods, runs at
@@ -155,22 +176,29 @@ def principal_eigenvalue(d, field, R, T, N=2, tol=1e-7, n=512, psi0=None):
     FACTOR_TABLE_BYTES, and the coarse period is released before the fine
     one is built, so a solve holds at most one table; a larger period
     evaluates its coefficients again on every map.
+
+    The coarse run starts from 1 - (r/R)**2 and the fine run from the
+    coarse eigenvector.  ``warm``, the EigenResult of a solve with the same
+    n and N at a nearby R, warm-starts both: the coarse run from its coarse
+    eigenvector, the fine run from its phase-0 fine eigenvector plus the
+    change of the coarse eigenvector, clipped at 0.
     """
     if R <= 0 or d <= 0:
         raise ValueError("R and d must be positive")
     grid = RadialGrid(n=n, R=float(R), N=int(N))
     substeps = default_substeps(d, field, R, T)
     substeps = int(np.ceil(substeps / EIGEN_PHASES)) * EIGEN_PHASES
-    if psi0 is None:
-        psi0 = 1.0 - (grid.r / R) ** 2
-    psi0 = np.asarray(psi0, dtype=float)
+    psi0 = 1.0 - (grid.r / R) ** 2 if warm is None else warm.coarse
 
     # the coarse period is dropped before the fine one is built
     rho_c, psi_c, it_c, _ = _power_iteration(
         _Period(grid, field, d, T, substeps), tol, psi0)
+    psi_f0 = psi_c
+    if warm is not None:
+        psi_f0 = np.clip(warm.phi[0] + (psi_c - warm.coarse), 0.0, None)
     # the fine period also serves the residual and phase maps below
     fine = _Period(grid, field, d, T, 2 * substeps)
-    rho_f, psi_f, it_f, drift = _power_iteration(fine, tol, psi_c)
+    rho_f, psi_f, it_f, drift = _power_iteration(fine, tol, psi_f0)
     lam_c = -math.log(rho_c) / T
     lam_f = -math.log(rho_f) / T
     lam = 2.0 * lam_f - lam_c
@@ -185,7 +213,8 @@ def principal_eigenvalue(d, field, R, T, N=2, tol=1e-7, n=512, psi0=None):
     phase_times = np.arange(EIGEN_PHASES) * (T / EIGEN_PHASES)
     return EigenResult(lambda1=float(lam), rho=float(math.exp(-lam * T)),
                        phi=phi, phases=phase_times, grid=grid,
-                       iterations=it_c + it_f, residual=residual)
+                       iterations=it_c + it_f, residual=residual,
+                       coarse=psi_c)
 
 
 def _midpoint(lo, hi, f_lo, f_hi):
@@ -296,75 +325,98 @@ def _envelope_radii(d, field, N):
 def _h_star_bracket(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512):
     """Final bracket (lo, hi) of h* and the number of eigen solves spent.
 
-    The caller's bracket is first narrowed to the envelope radii widened by
-    ENVELOPE_MARGIN, each end verified by a solve: a probe with lambda1 > 0
-    becomes lo, any other becomes hi, so a wrong envelope costs a solve but
-    never the answer.  A caller end is solved only when no probe verified
-    that side.  An infinite threshold is the bracket (4*r_hi, inf).  The
-    verified bracket then shrinks to at most tol by _bisect, fed the
-    lambda1 values at the ends, with the _IllinoisSplit steps: secant
-    estimates in 1/R**2, a closing probe tol/2 beyond an end once an
-    estimate lands within tol/2 of it, and midpoint fallbacks.
+    Each probe is one eigen solve, warm-started from the last one: a probe
+    with lambda1 > 0 becomes lo, any other becomes hi.  When the envelope
+    radii apply, the search starts from the ball model: lambda1 =
+    d*j**2*x - m in x = 1/R**2, whose root x0 is the mean of the envelope
+    radii's x.  It probes x0, then takes a Newton step with the model slope
+    d*j**2, then secant steps, with a closing probe tol/2 beyond the last
+    probe once an estimate lands within tol/2 of it.  The model phase ends
+    once two probes straddle h*, after MODEL_PROBES probes, at an infinite
+    lambda1, or at an estimate outside the bracket or outside the envelope
+    radii widened by ENVELOPE_MARGIN.  A side that is still unverified is
+    then checked at its widened envelope radius, and then at the caller's
+    end, so a wrong envelope costs solves but never the answer.  An
+    infinite threshold is the bracket (4*r_hi, inf).  The verified bracket
+    then shrinks to at most tol by _bisect, fed the lambda1 values at the
+    ends, with the _IllinoisSplit steps.
     """
     if not (0 < r_lo < r_hi):
         raise ValueError("need 0 < r_lo < r_hi")
 
-    psi_warm = [None]
-    solves = [0]
+    lo, hi = float(r_lo), float(r_hi)
+    f_lo = f_hi = None          # lambda1 at a verified end
+    warm = None
+    solves = 0
 
-    def lam(R):
-        solves[0] += 1
+    def probe(R):
+        nonlocal lo, hi, f_lo, f_hi, warm, solves
+        solves += 1
         try:
-            res = principal_eigenvalue(d, field, R, T, N=N, n=n,
-                                       psi0=psi_warm[0])
+            warm = principal_eigenvalue(d, field, R, T, N=N, n=n, warm=warm)
+            f_R = warm.lambda1
         except NonPositiveIterate:
             # period map underflowed to zero: decay far too strong to
             # represent, so lambda1 is certainly positive at this radius
-            return math.inf
-        psi_warm[0] = res.phi[0]
-        return res.lambda1
+            f_R = math.inf
+        if f_R > 0:
+            lo, f_lo = R, f_R
+        else:
+            hi, f_hi = R, f_R
+        return f_R
 
-    lo, hi = float(r_lo), float(r_hi)
-    f_lo = f_hi = None          # lambda1 at a verified end
     radii = _envelope_radii(d, field, N)
     if radii is None:
         log.debug("h* bracket from the caller: [%.10g, %.10g]", lo, hi)
     else:
-        probes = (radii[0] * (1.0 - ENVELOPE_MARGIN),
-                  radii[1] * (1.0 + ENVELOPE_MARGIN))
-        log.debug("h* bracket from the envelope radii: [%.10g, %.10g]", *probes)
-        for R in probes:
-            if lo < R < hi:
-                f_R = lam(R)
-                if f_R > 0:
-                    lo, f_lo = R, f_R
-                else:
-                    hi, f_hi = R, f_R
-    if f_lo is None:
-        f_lo = lam(lo)
-        if f_lo <= 0:
-            raise BracketInvalid("lambda1(r_lo=%g) <= 0; threshold below bracket"
-                                 % lo)
-    if f_hi is None:
-        f_hi = lam(hi)
-        if f_hi > 0:
-            lo, f_lo, hi = hi, f_hi, 4.0 * hi
-            f_hi = lam(hi)
-            if f_hi > 0:
-                return hi, H_STAR_INFINITE, solves[0]
-    lo, hi = _bisect(lam, lo, hi, lambda lo, hi: hi - lo > tol,
+        env_lo = radii[0] * (1.0 - ENVELOPE_MARGIN)
+        env_hi = radii[1] * (1.0 + ENVELOPE_MARGIN)
+        model_slope = d * BALL_ZERO[N] ** 2     # d lambda1 / dx
+        x = 0.5 * (radii[0] ** -2 + radii[1] ** -2)
+        log.debug("h* model root %.10g in the envelope radii [%.10g, %.10g]",
+                  x ** -0.5, env_lo, env_hi)
+        kind, last = "model", None
+        for _ in range(MODEL_PROBES):
+            R = x ** -0.5
+            if not (lo < R < hi and env_lo <= R <= env_hi):
+                break
+            log.debug("%s [%.10g, %.10g]: probe %.10g", kind, lo, hi, R)
+            f_R = probe(R)
+            if not math.isfinite(f_R) or (f_lo is not None and f_hi is not None):
+                break
+            kind, slope = "newton", model_slope
+            if last is not None and (f_R - last[1]) / (x - last[0]) > 0:
+                kind, slope = "secant", (f_R - last[1]) / (x - last[0])
+            last, x = (x, f_R), x - f_R / slope
+            if not x > 0:
+                break
+            if abs(x ** -0.5 - R) <= 0.5 * tol:
+                kind = "closing"
+                x = (R + 0.5 * tol if f_R > 0 else R - 0.5 * tol) ** -2
+        if f_lo is None and lo < env_lo < hi:
+            probe(env_lo)
+        if f_hi is None and lo < env_hi < hi:
+            probe(env_hi)
+    if f_lo is None and probe(lo) <= 0:
+        raise BracketInvalid("lambda1(r_lo=%g) <= 0; threshold below bracket"
+                             % lo)
+    if f_hi is None and probe(hi) > 0:
+        # lambda1(r_hi) > 0 made r_hi the lo end: try once 4x further out
+        if probe(4.0 * hi) > 0:
+            return lo, H_STAR_INFINITE, solves
+    lo, hi = _bisect(probe, lo, hi, lambda lo, hi: hi - lo > tol,
                      split=_IllinoisSplit(tol), f_lo=f_lo, f_hi=f_hi)
-    return lo, hi, solves[0]
+    return lo, hi, solves
 
 
 def h_star(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512):
     """Habitat-radius threshold: the root of lambda1(R) = 0.
 
-    lambda1 is strictly decreasing in R.  The search starts from the
-    envelope comparison radii when they apply and from [r_lo, r_hi]
-    otherwise, and shrinks the bracket by Illinois false position in
-    1/R**2 with closing probes and midpoint fallbacks (see
-    _IllinoisSplit).  Returns the midpoint of the final bracket, at most
+    lambda1 is strictly decreasing in R.  The search starts at the root
+    of the ball model between the envelope comparison radii when they
+    apply and from [r_lo, r_hi] otherwise (see _h_star_bracket), and
+    shrinks the bracket by Illinois false position in 1/R**2 with closing
+    probes and midpoint fallbacks (see _IllinoisSplit).  Returns the midpoint of the final bracket, at most
     ``tol`` wide.  If lambda1 is still positive at r_hi after one 4x
     bracket expansion the threshold is reported as infinite (math.inf).
     Raises BracketInvalid when lambda1(r_lo) <= 0.
@@ -378,7 +430,6 @@ class DThresholds:
     d_star: float
     d_upper: float
     scan_d: np.ndarray
-    scan_lambda: np.ndarray
     crossings: int
 
 
@@ -417,4 +468,4 @@ def d_thresholds(field, R, T, d_lo, d_hi, tol=1e-3, N=2, points=32, n=256):
     d_star = refine(first)
     d_upper = d_star if last == first else refine(last)
     return DThresholds(d_star=float(d_star), d_upper=float(d_upper),
-                       scan_d=ds, scan_lambda=lams, crossings=int(flips.size))
+                       scan_d=ds, crossings=int(flips.size))

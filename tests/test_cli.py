@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -449,6 +450,46 @@ class TestRejectedConfigs:
         assert cli.main(["--config", write(tmp_path, text), "--out", out]) == code
         assert "Traceback" not in capsys.readouterr().err
         assert not os.path.exists(out) or not os.listdir(out)
+
+
+class TestStalledSolve:
+    def test_slow_diffusion_stall_exits_quickly(self, tmp_path):
+        # the d scan's solve at d=0.01, R=100 contracts its drift by about
+        # 0.9999 per power iteration, far too slowly for the budget: it ran
+        # all 20000 iterations (about 34 s) before exiting 3
+        text = (TestRejectedConfigs.CRITERIA.replace("h0=3", "h0=100")
+                + "[criteria]\nkind=SlowDiffusion\n")
+        out = str(tmp_path / "out")
+        t0 = time.monotonic()
+        assert cli.main(["--config", write(tmp_path, text), "--out", out]) == 3
+        assert time.monotonic() - t0 < 10.0
+        assert not os.path.exists(out) or not os.listdir(out)
+
+
+def fresh_interpreter(code):
+    """Run ``code`` in a new interpreter with src on its path; its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120).stdout
+
+
+class TestStartup:
+    def test_cli_import_leaves_unused_modules_out(self):
+        code = ("import sys\n"
+                "import stefanlab.cli\n"
+                "print(sorted(m for m in ('stefanlab.semiwave',\n"
+                "    'stefanlab.thresholds', 'argparse') if m in sys.modules))\n")
+        assert fresh_interpreter(code).split() == ["[]"]
+
+    def test_star_import_binds_all(self):
+        code = ("import stefanlab\n"
+                "from stefanlab import *\n"
+                "print(len(stefanlab.__all__),\n"
+                "      [n for n in stefanlab.__all__ if n not in globals()])\n")
+        assert fresh_interpreter(code).split() == ["24", "[]"]
 
 
 class TestNonPositiveValues:

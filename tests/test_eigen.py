@@ -11,7 +11,8 @@ from stefanlab.coeffmodel import CoefficientField, ConstantFn, constant_field
 from stefanlab.eigen import (FACTOR_TABLE_BYTES, H_STAR_INFINITE, POTENTIAL_BLOCK,
                              _Period, d_thresholds, default_substeps, h_star,
                              period_map, principal_eigenvalue)
-from stefanlab.errors import BracketInvalid, NonPositiveIterate, NoSignChange
+from stefanlab.errors import (BracketInvalid, NoConvergence, NonPositiveIterate,
+                              NoSignChange)
 from stefanlab.radialcore import DiffusionSolver, RadialGrid
 
 
@@ -298,6 +299,15 @@ class TestPrincipalEigenvalue:
                                    tol=tol, n=128)
         assert res.residual <= 10.0 * tol
 
+    def test_stall_fails_fast(self):
+        # the spectral gap at d=0.01, R=100 is so small that the drift
+        # contracts about 0.9999 per period: tol 1e-7 is about 30000
+        # iterations away, more than MAX_POWER_ITERATIONS allows
+        with pytest.raises(NoConvergence) as info:
+            principal_eigenvalue(0.01, constant_field(1.0), 100.0, 1.0, n=64)
+        assert info.value.iterations < eigen.MAX_POWER_ITERATIONS / 4
+        assert "stalled" in str(info.value)
+
 
 class TestHStar:
     def test_constants_d1(self):
@@ -356,6 +366,19 @@ SEASONAL = dict(alpha="1.2+0.5*sin(2*pi*t)", gamma="0.2+0.3*exp(-(r^2))",
                 beta="1", T=1.0)
 
 
+class TestWarmStart:
+    @pytest.mark.parametrize("R", [2.51, 2.6, 3.5])
+    def test_matches_a_cold_solve(self, R):
+        fld = CoefficientField.from_expressions(**SEASONAL)
+        warm = principal_eigenvalue(1.0, fld, 2.5, 1.0, n=64)
+        cold = principal_eigenvalue(1.0, fld, R, 1.0, n=64)
+        res = principal_eigenvalue(1.0, fld, R, 1.0, n=64, warm=warm)
+        # both runs stop at the power-iteration tol
+        assert abs(res.lambda1 - cold.lambda1) <= 1e-7
+        assert res.iterations <= cold.iterations
+        assert np.max(np.abs(res.phi - cold.phi)) <= 1e-6
+
+
 class TestEnvelopeBracket:
     @pytest.mark.parametrize("N, j", [(1, math.pi / 2), (2, J01),
                                       (3, math.pi)])
@@ -387,13 +410,12 @@ class TestEnvelopeBracket:
         lo, hi, solves = eigen._h_star_bracket(1.0, constant_field(1.0), 1.0,
                                                r_lo=0.1, r_hi=12.8, n=128)
         assert solves == len(radii) == len(set(radii))
-        # two verified probes replace both caller ends; lambda1 is linear
-        # in 1/R**2 here, so one estimate and one closing probe finish:
-        # 16 solves when bisecting the caller's bracket, 8 the envelope's
-        assert solves == 4
-        assert 0.1 not in radii and 12.8 not in radii
-        assert radii[:2] == [pytest.approx(J01 * (1 - eigen.ENVELOPE_MARGIN)),
-                             pytest.approx(J01 * (1 + eigen.ENVELOPE_MARGIN))]
+        # lambda1 is linear in 1/R**2 here, so the first probe at the model
+        # root lands within tol/2 of h* and one closing probe finishes: 16
+        # solves when bisecting the caller's bracket, 8 the envelope's
+        assert solves == 2
+        assert radii[0] == pytest.approx(J01, rel=1e-12)
+        assert abs(radii[1] - radii[0]) == pytest.approx(5e-4)
         assert hi - lo <= 1e-3
         assert 0.5 * (lo + hi) == pytest.approx(J01, abs=1e-3)
 
@@ -427,10 +449,40 @@ class TestEnvelopeBracket:
         ref = reference_h_star(1.0, fld, 1.0, 1.0, 6.0, tol=1e-3, n=128)
         radii = counting_eigen(monkeypatch)
         hs = h_star(1.0, fld, 1.0, r_lo=1.0, r_hi=6.0, tol=1e-3, n=128)
-        # the probe failed its check, so the caller's end was solved
-        assert caller_end in radii
+        # the model root lies on one side of h*, and its Newton step leaves
+        # the widened envelope radii, which ends the model phase: the
+        # missing side is checked at its envelope radius, found on the
+        # same side, and then at the caller's end
+        r_plus, r_minus = J01 / math.sqrt(declared[1]), J01 / math.sqrt(declared[0])
+        env = (r_plus * (1 - eigen.ENVELOPE_MARGIN) if caller_end < J01
+               else r_minus * (1 + eigen.ENVELOPE_MARGIN))
+        assert radii[:3] == [
+            pytest.approx(math.sqrt(2.0 / (r_plus ** -2 + r_minus ** -2))),
+            pytest.approx(env), caller_end]
         assert abs(hs - ref) <= 1e-3
         assert hs == pytest.approx(J01, abs=1e-3)
+
+    @pytest.mark.parametrize("lambda1, underflow_below, model_probes", [
+        # lambda1 barely positive up to 2.42: each estimate is a closing
+        # probe on the same side, so the model phase ends after
+        # MODEL_PROBES probes without a sign change
+        (lambda R: 1e-6 if R < 2.42 else -1.0, 0.0, eigen.MODEL_PROBES),
+        # the period map underflows at the model root: an infinite lambda1
+        # ends the model phase after its first probe
+        (lambda R: (J01 / R) ** 2 - 1.0, 2.41, 1),
+    ])
+    def test_model_guards(self, monkeypatch, lambda1, underflow_below,
+                          model_probes):
+        radii = fake_lambda1(monkeypatch, lambda1, underflow_below)
+        lo, hi, solves = eigen._h_star_bracket(
+            1.0, constant_field(1.0), 1.0, r_lo=0.1, r_hi=12.8)
+        assert solves == len(radii) == len(set(radii))
+        model = [J01 + 5e-4 * k for k in range(model_probes)]
+        # then the missing hi side is checked at its widened envelope radius
+        assert radii[:model_probes + 1] == pytest.approx(
+            model + [J01 * (1 + eigen.ENVELOPE_MARGIN)])
+        assert (lo < underflow_below or lambda1(lo) > 0) and lambda1(hi) <= 0
+        assert hi - lo <= 1e-3
 
     def test_logs_the_bracket(self, caplog):
         unfavorable = CoefficientField.from_expressions(alpha="0.5",
@@ -444,8 +496,8 @@ class TestEnvelopeBracket:
                  if r.name == "stefanlab" and r.getMessage().startswith("h*")]
         p_lo = J01 * (1 - eigen.ENVELOPE_MARGIN)
         p_hi = J01 * (1 + eigen.ENVELOPE_MARGIN)
-        assert lines == ["h* bracket from the envelope radii: [%.10g, %.10g]"
-                         % (p_lo, p_hi),
+        assert lines == ["h* model root %.10g in the envelope radii "
+                         "[%.10g, %.10g]" % (J01, p_lo, p_hi),
                          "h* bracket from the caller: [1, 4]"]
 
 
