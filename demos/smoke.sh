@@ -1,0 +1,27 @@
+#!/usr/bin/env bash
+# Smoke run of every demo and of the CLI on the demo configs.
+#
+# The demos are the library's only callers outside the tests and the
+# benchmark; python -m stefanlab is the stefanlab console script.  Run
+# from the repository root:  bash demos/smoke.sh
+set -euo pipefail
+export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+
+for demo in demos/*.py; do
+  echo "== $demo"
+  python "$demo"
+done
+# the sweep once serially and once through the process pool, which
+# pickles the coefficient expressions: the artifact bodies (every line
+# not starting with '#') must agree
+python -m stefanlab --config demos/phase_sweep.cfg \
+  --out "$scratch/serial" --jobs 1 --horizon-scale 0.2
+python -m stefanlab --config demos/phase_sweep.cfg \
+  --out "$scratch/pooled" --jobs 2 --horizon-scale 0.2
+for f in phase.csv overlay.json; do
+  diff <(grep -v '^#' "$scratch/serial/$f") <(grep -v '^#' "$scratch/pooled/$f")
+done
+python -m stefanlab --config demos/speed.cfg --out "$scratch/speed"
+python -m stefanlab --config demos/hstar.cfg --out "$scratch/hstar"

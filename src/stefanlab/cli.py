@@ -18,12 +18,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
 from . import __version__, coeffexpr, eigen, freeboundary
-from .coeffmodel import CoefficientField, ProblemSpec, validate
+from .coeffmodel import CoefficientField, Numerics, ProblemSpec, validate
 from .errors import (ConfigError, ExpressionError, ExprError, MissingKey,
                      StefanLabError, TypeMismatch, UnknownKey)
 
@@ -39,8 +39,8 @@ _SCHEMA = {
               "beta": ("expr", "1"), "T": ("float", 1.0)},
     "problem": {"d": ("float", None), "mu": ("float", None),
                 "h0": ("float", None), "N": ("int", 2), "u0": ("expr", "")},
-    "numerics": {"n": ("int", 256), "dt": ("float", 2e-3),
-                 "t_max": ("float", 50.0), "sample_every": ("float", 0.25)},
+    "numerics": {key: (type(default).__name__, default)
+                 for key, default in asdict(Numerics()).items()},
     "eigen": {"R": ("floatlist", None)},
     "hstar": {"r_lo": ("float", None), "r_hi": ("float", None),
               "tol": ("float", 1e-3)},

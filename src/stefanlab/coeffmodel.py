@@ -59,27 +59,20 @@ class CoefficientField:
     beta2: object = None
 
     @staticmethod
-    def from_expressions(alpha, gamma, beta, T, envelopes=None, r_max=40.0):
+    def from_expressions(alpha, gamma, beta, T, r_max=40.0):
         """Build a field from expression strings / numbers / callables.
 
-        Missing envelope bounds are estimated by sampling ENVELOPE_SAMPLES
+        The envelope bounds are estimated by sampling ENVELOPE_SAMPLES
         radii in [0, r_max] with a small relative padding so the declared
         ordering holds.
         """
-        env = dict(envelopes or {})
         fa, fg, fb = _as_fn(alpha), _as_fn(gamma), _as_fn(beta)
-        out = {}
-        for name, fn in (("alpha", fa), ("gamma", fg), ("beta", fb)):
-            lo_key, hi_key = name + "1", name + "2"
-            if lo_key in env and hi_key in env:
-                out[lo_key] = _as_fn(env[lo_key])
-                out[hi_key] = _as_fn(env[hi_key])
-            else:
-                out[lo_key], out[hi_key] = _sampled_envelopes(fn, T, r_max)
+        alpha1, alpha2 = _sampled_envelopes(fa, T, r_max)
+        gamma1, gamma2 = _sampled_envelopes(fg, T, r_max)
+        beta1, beta2 = _sampled_envelopes(fb, T, r_max)
         return CoefficientField(alpha=fa, gamma=fg, beta=fb, T=float(T),
-                                alpha1=out["alpha1"], alpha2=out["alpha2"],
-                                gamma1=out["gamma1"], gamma2=out["gamma2"],
-                                beta1=out["beta1"], beta2=out["beta2"])
+                                alpha1=alpha1, alpha2=alpha2, gamma1=gamma1,
+                                gamma2=gamma2, beta1=beta1, beta2=beta2)
 
     def growth(self, t, r):
         """alpha - gamma at (t, r); vectorized."""

@@ -38,7 +38,6 @@ EIGEN_PHASES = 32         # eigenfunction phases sampled over one period
 MAX_POWER_ITERATIONS = 20000
 STALL_WINDOW = 100        # trailing power iterations whose drift contraction
                           # projects the iterations still needed
-MODEL_PROBES = 3          # h* probes from the ball model before a sign change
 
 
 @dataclass(frozen=True)
@@ -243,28 +242,37 @@ def _bisect(f, lo, hi, wide, split=_midpoint, f_lo=None, f_hi=None):
 
 
 class _IllinoisSplit:
-    """Illinois false-position steps for the root of lambda1 in x = 1/R**2.
+    """Steps for the root of lambda1 in x = 1/R**2: the ball model while an
+    end is unsolved, then Illinois false position.
 
     On an r-independent potential lambda1 = d*(j/R)**2 - mean(alpha-gamma)
-    is linear in x, and otherwise smooth and decreasing in R, so the secant
-    root in x lands close to h*.  An end kept by two probes in a row has
-    its lambda1 weight halved (Illinois), which stops one end from going
-    stale.  An estimate within tol/2 of an end means the root is that
-    close: the probe then goes tol/2 beyond that end instead (a closing
-    probe), which leaves a tol/2 bracket when the estimate was right.  A
-    midpoint step is taken when an end's lambda1 is not finite (an
-    underflowed period map), after a closing probe that did not end the
-    search, and after three probes in a row that did not halve the
-    bracket, so the bracket at least halves over every four probes.
+    is linear in x, and otherwise smooth and decreasing in R.  ``model`` is
+    (x0, d*j**2), the root and slope of the ball model, or None when both
+    ends come solved.  While an end's lambda1 is unknown (None) the probe
+    is x0, then a Newton step with the model slope from the solved end, and
+    the unsolved end itself when an estimate leaves the open bracket (as an
+    infinite lambda1 sends it) or after a closing probe.  With both ends
+    solved the probe is the secant root in x, and an end kept by two probes
+    in a row has its lambda1 weight halved (Illinois), so that neither end
+    goes stale.  An estimate within tol/2 of a solved end becomes a closing
+    probe tol/2 beyond that end, which leaves a tol/2 bracket when the
+    estimate was right.  A midpoint step is taken when an end's lambda1 is
+    not finite (an underflowed period map), after a closing probe that did
+    not end the search, and after three probes in a row that did not halve
+    the bracket, so the bracket at least halves over every four probes.
     """
 
-    def __init__(self, tol):
-        self.tol = tol
-        self.steps = []             # (lo, hi, kind) at each probe so far
+    def __init__(self, tol, model):
+        self.tol, self.model = tol, model
+        self.kind = None            # kind of the last model step
+        self.steps = []             # (lo, hi, kind) at each two-ended probe
         self.weight = [1.0, 1.0]    # Illinois factors of lambda1 at lo, hi
         self.moved = None           # end the last probe replaced: 0 lo, 1 hi
 
     def __call__(self, lo, hi, f_lo, f_hi):
+        if f_lo is None or f_hi is None:
+            x, self.kind = self._model_step(lo, hi, f_lo, f_hi)
+            return x, self.kind
         if self.steps:
             moved = 0 if lo != self.steps[-1][0] else 1
             self.weight[moved] = 1.0
@@ -274,6 +282,23 @@ class _IllinoisSplit:
         x, kind = self._step(lo, hi, f_lo, f_hi)
         self.steps.append((lo, hi, kind))
         return x, kind
+
+    def _model_step(self, lo, hi, f_lo, f_hi):
+        x, slope = self.model
+        R, kind = x ** -0.5, "model"
+        if self.kind == "closing":
+            # it did not end the search: the unsolved end is probed below
+            R = lo if f_lo is None else hi
+        elif f_lo is not None or f_hi is not None:
+            end, f_end = (lo, f_lo) if f_hi is None else (hi, f_hi)
+            x = end ** -2 - f_end / slope
+            R, kind = (x ** -0.5 if x > 0 else math.inf), "newton"
+            if abs(R - end) <= 0.5 * self.tol:
+                R = end + (0.5 if f_hi is None else -0.5) * self.tol
+                kind = "closing"
+        if not lo < R < hi:
+            return (lo if R <= lo else hi), "end"
+        return R, kind
 
     def _step(self, lo, hi, f_lo, f_hi):
         half = 0.5 * self.tol
@@ -327,25 +352,19 @@ def _h_star_bracket(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512):
 
     Each probe is one eigen solve, warm-started from the last one: a probe
     with lambda1 > 0 becomes lo, any other becomes hi.  When the envelope
-    radii apply, the search starts from the ball model: lambda1 =
-    d*j**2*x - m in x = 1/R**2, whose root x0 is the mean of the envelope
-    radii's x.  It probes x0, then takes a Newton step with the model slope
-    d*j**2, then secant steps, with a closing probe tol/2 beyond the last
-    probe once an estimate lands within tol/2 of it.  The model phase ends
-    once two probes straddle h*, after MODEL_PROBES probes, at an infinite
-    lambda1, or at an estimate outside the bracket or outside the envelope
-    radii widened by ENVELOPE_MARGIN.  A side that is still unverified is
-    then checked at its widened envelope radius, and then at the caller's
-    end, so a wrong envelope costs solves but never the answer.  An
-    infinite threshold is the bracket (4*r_hi, inf).  The verified bracket
-    then shrinks to at most tol by _bisect, fed the lambda1 values at the
-    ends, with the _IllinoisSplit steps.
+    radii apply, _bisect first searches between them, widened by
+    ENVELOPE_MARGIN and clipped to [r_lo, r_hi], from the root x0 of the
+    ball model, the mean of the radii's x = 1/R**2 (see _IllinoisSplit).
+    A caller's end still unsolved is then solved, so a wrong envelope
+    costs solves but never the answer.  An infinite threshold is the
+    bracket (4*r_hi, inf).  The verified bracket then shrinks to at most
+    tol by _bisect, fed the lambda1 values at the ends.
     """
     if not (0 < r_lo < r_hi):
         raise ValueError("need 0 < r_lo < r_hi")
 
     lo, hi = float(r_lo), float(r_hi)
-    f_lo = f_hi = None          # lambda1 at a verified end
+    f_lo = f_hi = None          # lambda1 at a solved end
     warm = None
     solves = 0
 
@@ -365,47 +384,31 @@ def _h_star_bracket(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512):
             hi, f_hi = R, f_R
         return f_R
 
+    def wide(lo, hi):
+        return hi - lo > tol
+
     radii = _envelope_radii(d, field, N)
+    model = None
     if radii is None:
         log.debug("h* bracket from the caller: [%.10g, %.10g]", lo, hi)
     else:
+        model = (0.5 * (radii[0] ** -2 + radii[1] ** -2), d * BALL_ZERO[N] ** 2)
         env_lo = radii[0] * (1.0 - ENVELOPE_MARGIN)
         env_hi = radii[1] * (1.0 + ENVELOPE_MARGIN)
-        model_slope = d * BALL_ZERO[N] ** 2     # d lambda1 / dx
-        x = 0.5 * (radii[0] ** -2 + radii[1] ** -2)
         log.debug("h* model root %.10g in the envelope radii [%.10g, %.10g]",
-                  x ** -0.5, env_lo, env_hi)
-        kind, last = "model", None
-        for _ in range(MODEL_PROBES):
-            R = x ** -0.5
-            if not (lo < R < hi and env_lo <= R <= env_hi):
-                break
-            log.debug("%s [%.10g, %.10g]: probe %.10g", kind, lo, hi, R)
-            f_R = probe(R)
-            if not math.isfinite(f_R) or (f_lo is not None and f_hi is not None):
-                break
-            kind, slope = "newton", model_slope
-            if last is not None and (f_R - last[1]) / (x - last[0]) > 0:
-                kind, slope = "secant", (f_R - last[1]) / (x - last[0])
-            last, x = (x, f_R), x - f_R / slope
-            if not x > 0:
-                break
-            if abs(x ** -0.5 - R) <= 0.5 * tol:
-                kind = "closing"
-                x = (R + 0.5 * tol if f_R > 0 else R - 0.5 * tol) ** -2
-        if f_lo is None and lo < env_lo < hi:
-            probe(env_lo)
-        if f_hi is None and lo < env_hi < hi:
-            probe(env_hi)
-    if f_lo is None and probe(lo) <= 0:
+                  model[0] ** -0.5, env_lo, env_hi)
+        _bisect(probe, max(lo, env_lo), min(hi, env_hi), wide,
+                split=_IllinoisSplit(tol, model))
+    # lo == hi: a probe at that caller's end already put it on the other side
+    if f_lo is None and (lo == hi or probe(lo) <= 0):
         raise BracketInvalid("lambda1(r_lo=%g) <= 0; threshold below bracket"
                              % lo)
-    if f_hi is None and probe(hi) > 0:
+    if f_hi is None and (lo == hi or probe(hi) > 0):
         # lambda1(r_hi) > 0 made r_hi the lo end: try once 4x further out
         if probe(4.0 * hi) > 0:
             return lo, H_STAR_INFINITE, solves
-    lo, hi = _bisect(probe, lo, hi, lambda lo, hi: hi - lo > tol,
-                     split=_IllinoisSplit(tol), f_lo=f_lo, f_hi=f_hi)
+    lo, hi = _bisect(probe, lo, hi, wide, split=_IllinoisSplit(tol, model),
+                     f_lo=f_lo, f_hi=f_hi)
     return lo, hi, solves
 
 
@@ -415,11 +418,11 @@ def h_star(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512):
     lambda1 is strictly decreasing in R.  The search starts at the root
     of the ball model between the envelope comparison radii when they
     apply and from [r_lo, r_hi] otherwise (see _h_star_bracket), and
-    shrinks the bracket by Illinois false position in 1/R**2 with closing
-    probes and midpoint fallbacks (see _IllinoisSplit).  Returns the midpoint of the final bracket, at most
-    ``tol`` wide.  If lambda1 is still positive at r_hi after one 4x
-    bracket expansion the threshold is reported as infinite (math.inf).
-    Raises BracketInvalid when lambda1(r_lo) <= 0.
+    shrinks the bracket by model Newton steps and then Illinois false
+    position in 1/R**2 (see _IllinoisSplit).  Returns the midpoint of the
+    final bracket, at most ``tol`` wide.  If lambda1 is still positive at
+    r_hi after one 4x bracket expansion the threshold is reported as
+    infinite (math.inf).  Raises BracketInvalid when lambda1(r_lo) <= 0.
     """
     lo, hi, _ = _h_star_bracket(d, field, T, r_lo, r_hi, tol=tol, N=N, n=n)
     return 0.5 * (lo + hi)

@@ -137,9 +137,6 @@ class SemiWaveProfile:
         dx = self.x[1] - self.x[0]
         return (4.0 * self.values[:, 1] - self.values[:, 2]) / (2.0 * dx)
 
-    def at_phase(self, k=0):
-        return self.values[k]
-
 
 def semiwave_profile(k, a, b, d, T, n=1024, tol=PROFILE_TOL, u_init=None,
                      V=None):

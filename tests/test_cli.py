@@ -4,11 +4,13 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from stefanlab import cli, eigen, freeboundary, semiwave
+from stefanlab.coeffmodel import Numerics
 from stefanlab.errors import (ConfigError, EvalDomainError, ExpressionError,
                               MissingKey, NoSignChange, NumericalError,
                               TypeMismatch, UnknownIdentifier, UnknownKey)
@@ -67,6 +69,13 @@ class TestLoadConfig:
         assert cfg.command == "simulate"
         assert cfg.get("problem", "mu") == 1.0
         assert cfg.get("field", "alpha") == "1"
+
+    def test_numerics_defaults(self):
+        text = MINIMAL.split("[numerics]")[0]
+        numerics = cli.loads_config(text).values["numerics"]
+        assert numerics == asdict(Numerics())
+        assert [type(v) for v in numerics.values()] == [
+            type(v) for v in asdict(Numerics()).values()]
 
     def test_missing_mu(self):
         text = MINIMAL.replace("mu=1\n", "")

@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,9 +106,9 @@ class TestValidate:
         assert "PeriodicityViolation" in report.kinds()
 
     def test_envelope_violation(self):
-        fld = CoefficientField.from_expressions(
-            alpha="1 + r/(1+r)", gamma="0.1", beta="1", T=1.0,
-            envelopes={"alpha1": "0.9", "alpha2": "1.1"})
+        fld = replace(CoefficientField.from_expressions(
+            alpha="1 + r/(1+r)", gamma="0.1", beta="1", T=1.0),
+            alpha1=ConstantFn(0.9), alpha2=ConstantFn(1.1))
         report = validate(make_spec(field=fld))
         assert "EnvelopeViolation" in report.kinds()
 

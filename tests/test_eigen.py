@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import re
@@ -366,6 +367,14 @@ SEASONAL = dict(alpha="1.2+0.5*sin(2*pi*t)", gamma="0.2+0.3*exp(-(r^2))",
                 beta="1", T=1.0)
 
 
+def declared_growth(alpha1, alpha2):
+    """alpha = 1, gamma = 0 with the declared birth envelopes alpha1, alpha2."""
+    fld = CoefficientField.from_expressions(alpha="1", gamma="0", beta="1",
+                                            T=1.0)
+    return dataclasses.replace(fld, alpha1=ConstantFn(alpha1),
+                               alpha2=ConstantFn(alpha2))
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("R", [2.51, 2.6, 3.5])
     def test_matches_a_cold_solve(self, R):
@@ -443,16 +452,14 @@ class TestEnvelopeBracket:
     ])
     def test_wrong_envelopes_keep_the_answer(self, monkeypatch, declared,
                                              caller_end):
-        fld = CoefficientField.from_expressions(
-            alpha="1", gamma="0", beta="1", T=1.0,
-            envelopes={"alpha1": declared[0], "alpha2": declared[1]})
+        fld = declared_growth(*declared)
         ref = reference_h_star(1.0, fld, 1.0, 1.0, 6.0, tol=1e-3, n=128)
         radii = counting_eigen(monkeypatch)
         hs = h_star(1.0, fld, 1.0, r_lo=1.0, r_hi=6.0, tol=1e-3, n=128)
         # the model root lies on one side of h*, and its Newton step leaves
-        # the widened envelope radii, which ends the model phase: the
-        # missing side is checked at its envelope radius, found on the
-        # same side, and then at the caller's end
+        # the widened envelope radii: the unsolved end is probed at its
+        # envelope radius, found on the same side, and then at the caller's
+        # end
         r_plus, r_minus = J01 / math.sqrt(declared[1]), J01 / math.sqrt(declared[0])
         env = (r_plus * (1 - eigen.ENVELOPE_MARGIN) if caller_end < J01
                else r_minus * (1 + eigen.ENVELOPE_MARGIN))
@@ -463,12 +470,11 @@ class TestEnvelopeBracket:
         assert hs == pytest.approx(J01, abs=1e-3)
 
     @pytest.mark.parametrize("lambda1, underflow_below, model_probes", [
-        # lambda1 barely positive up to 2.42: each estimate is a closing
-        # probe on the same side, so the model phase ends after
-        # MODEL_PROBES probes without a sign change
-        (lambda R: 1e-6 if R < 2.42 else -1.0, 0.0, eigen.MODEL_PROBES),
+        # lambda1 barely positive up to 2.42: the Newton estimate is a
+        # closing probe on the same side, which did not end the search
+        (lambda R: 1e-6 if R < 2.42 else -1.0, 0.0, 2),
         # the period map underflows at the model root: an infinite lambda1
-        # ends the model phase after its first probe
+        # sends the Newton estimate out of the bracket
         (lambda R: (J01 / R) ** 2 - 1.0, 2.41, 1),
     ])
     def test_model_guards(self, monkeypatch, lambda1, underflow_below,
@@ -478,11 +484,73 @@ class TestEnvelopeBracket:
             1.0, constant_field(1.0), 1.0, r_lo=0.1, r_hi=12.8)
         assert solves == len(radii) == len(set(radii))
         model = [J01 + 5e-4 * k for k in range(model_probes)]
-        # then the missing hi side is checked at its widened envelope radius
+        # then the unsolved hi end is probed at its widened envelope radius
         assert radii[:model_probes + 1] == pytest.approx(
             model + [J01 * (1 + eigen.ENVELOPE_MARGIN)])
         assert (lo < underflow_below or lambda1(lo) > 0) and lambda1(hi) <= 0
         assert hi - lo <= 1e-3
+
+    @pytest.mark.parametrize("field, r_lo, r_hi, n, probes, root", [
+        # the benchmark's seasonal field: the model root lies above h*, its
+        # Newton step below, then one Illinois step and one closing probe
+        (CoefficientField.from_expressions(**SEASONAL), 0.1, 16.0, 256,
+         [2.608399546, 2.548956729, 2.553602416, 2.554102416],
+         2.5538524158083042),
+        # lambda1 is linear in 1/R**2: the model root is h*, and one
+        # closing probe ends the search
+        (constant_field(1.0), 0.1, 12.8, 128, [2.404825558, 2.404325558],
+         2.4045755576957726),
+    ])
+    def test_probe_radii(self, monkeypatch, field, r_lo, r_hi, n, probes,
+                         root):
+        radii = counting_eigen(monkeypatch)
+        hs = h_star(1.0, field, 1.0, r_lo=r_lo, r_hi=r_hi, tol=1e-3, n=n)
+        assert radii == pytest.approx(probes, rel=1e-9)
+        assert hs == pytest.approx(root, rel=1e-9)
+
+    @pytest.mark.parametrize("field, N, r_lo, r_hi, most_solves, outcome", [
+        # the model root lies above r_hi
+        (CoefficientField.from_expressions(**SEASONAL), 2, 1.0, 2.5, 6,
+         2.5537),
+        # h* lies below r_lo, above or below the widened envelope radius
+        (CoefficientField.from_expressions(**SEASONAL), 2, 2.7, 6.0, 2,
+         BracketInvalid),
+        (CoefficientField.from_expressions(**SEASONAL), 2, 2.58, 6.0, 2,
+         BracketInvalid),
+        (CoefficientField.from_expressions(**SEASONAL), 2, 2.45, 2.56, 4,
+         2.5537),
+        # both envelope radii lie above r_hi: one 4x expansion
+        (constant_field(1.0), 2, 0.5, 2.0, 5, 2.4049),
+        (constant_field(1.0), 2, 2.405, 2.5, 2, BracketInvalid),
+        (constant_field(1.0), 2, 2.3, 2.4048, 3, 2.4049),
+        (CoefficientField.from_expressions(alpha="0.5", gamma="1", beta="1",
+                                           T=1.0), 2, 1.0, 4.0, 3,
+         H_STAR_INFINITE),
+        (constant_field(1.0), 4, 0.1, 8.0, 6, 3.8315),
+    ])
+    def test_caller_brackets_that_cut_the_envelope(
+            self, monkeypatch, field, N, r_lo, r_hi, most_solves, outcome):
+        radii = counting_eigen(monkeypatch)
+        if outcome is BracketInvalid:
+            with pytest.raises(BracketInvalid):
+                eigen._h_star_bracket(1.0, field, 1.0, r_lo=r_lo, r_hi=r_hi,
+                                      N=N, n=64)
+        else:
+            lo, hi, solves = eigen._h_star_bracket(
+                1.0, field, 1.0, r_lo=r_lo, r_hi=r_hi, N=N, n=64)
+            assert solves == len(radii)
+            if outcome == H_STAR_INFINITE:
+                assert hi == H_STAR_INFINITE
+            else:
+                assert hi - lo <= 1e-3
+                assert 0.5 * (lo + hi) == pytest.approx(outcome, abs=1e-3)
+        # no probe leaves the caller's bracket until the one 4x expansion,
+        # and none after it leaves [r_hi, 4*r_hi]; no radius is solved
+        # twice, and at most most_solves are
+        k = radii.index(4.0 * r_hi) if 4.0 * r_hi in radii else len(radii)
+        assert all(r_lo <= R <= r_hi for R in radii[:k])
+        assert all(r_hi <= R <= 4.0 * r_hi for R in radii[k:])
+        assert len(set(radii)) == len(radii) <= most_solves
 
     def test_logs_the_bracket(self, caplog):
         unfavorable = CoefficientField.from_expressions(alpha="0.5",
@@ -521,7 +589,7 @@ def fake_lambda1(monkeypatch, lambda1, underflow_below=0.0):
 
 class TestIllinoisSplit:
     @pytest.mark.parametrize("field, N, r_lo, r_hi", [
-        # envelopes apply: the search starts from the two envelope probes
+        # envelopes apply: the search starts from the ball model
         (constant_field(1.0), 2, 1.0, 6.0),
         # N = 4 has no ball zero, so the caller's bracket is searched and
         # the period map underflows at r_lo: lambda1(r_lo) = inf
@@ -540,12 +608,8 @@ class TestIllinoisSplit:
     @pytest.mark.parametrize("field, N, r_lo, r_hi", [
         (constant_field(1.0), 2, 0.1, 12.8),
         (CoefficientField.from_expressions(**SEASONAL), 2, 1.0, 6.0),
-        (CoefficientField.from_expressions(
-            alpha="1", gamma="0", beta="1", T=1.0,
-            envelopes={"alpha1": 0.25, "alpha2": 0.3}), 2, 1.0, 6.0),
-        (CoefficientField.from_expressions(
-            alpha="1", gamma="0", beta="1", T=1.0,
-            envelopes={"alpha1": 3.0, "alpha2": 4.0}), 2, 1.0, 6.0),
+        (declared_growth(0.25, 0.3), 2, 1.0, 6.0),
+        (declared_growth(3.0, 4.0), 2, 1.0, 6.0),
         (constant_field(1.0), 4, 0.1, 8.0),
     ])
     def test_no_more_solves_than_bisection(self, monkeypatch, field, N, r_lo,
@@ -560,7 +624,8 @@ class TestIllinoisSplit:
         radii = bracket()
         assert len(set(radii)) == len(radii)
         monkeypatch.undo()
-        monkeypatch.setattr(eigen, "_IllinoisSplit", lambda tol: eigen._midpoint)
+        monkeypatch.setattr(eigen, "_IllinoisSplit",
+                            lambda tol, model: eigen._midpoint)
         assert len(radii) <= len(bracket())
 
     @pytest.mark.parametrize("lambda1, root, underflow_below, N", [
@@ -591,7 +656,8 @@ class TestIllinoisSplit:
 
         radii = bracket()
         assert len(set(radii)) == len(radii)
-        monkeypatch.setattr(eigen, "_IllinoisSplit", lambda tol: eigen._midpoint)
+        monkeypatch.setattr(eigen, "_IllinoisSplit",
+                            lambda tol, model: eigen._midpoint)
         assert len(radii) <= len(bracket())
 
     def test_logs_each_probe(self, monkeypatch, caplog):

@@ -1,12 +1,12 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from stefanlab import semiwave
 from stefanlab.coeffexpr import ExprFunction
-from stefanlab.coeffmodel import CoefficientField, constant_field
+from stefanlab.coeffmodel import CoefficientField, ConstantFn, constant_field
 from stefanlab.errors import HypothesisHFailed, NonPositive
 from stefanlab.radialcore import solve_tridiag
 from stefanlab.semiwave import (PeriodicLogisticSolution, SemiWaveProfile,
@@ -266,7 +266,7 @@ class TestSemiWaveProfile:
     def test_no_drift_monotone_to_one(self):
         prof = semiwave_profile(0.0, 1.0, 1.0, 1.0, 1.0)
         assert prof is not None
-        u = prof.at_phase(0)
+        u = prof.values[0]
         assert np.all(np.diff(u) >= -1e-10)
         far = np.interp(0.9 * prof.L, prof.x, u)
         assert far == pytest.approx(1.0, abs=0.01)
@@ -299,7 +299,7 @@ class TestSemiWaveProfile:
         prof = semiwave_profile(0.0, 1.0, 1.0, 1.0, 1.0, n=256, tol=1e-5)
         assert prof.x.size == 257
         assert prof.values.shape[1] == 257
-        far = np.interp(0.9 * prof.L, prof.x, prof.at_phase(0))
+        far = np.interp(0.9 * prof.L, prof.x, prof.values[0])
         assert far == pytest.approx(1.0, abs=0.01)
 
 
@@ -431,9 +431,9 @@ class TestEnvelopeSpeeds:
         assert env.c_upper == pytest.approx(env.c_lower, rel=0.01)
 
     def test_beta_spread_strict(self):
-        fld = CoefficientField.from_expressions(
+        fld = replace(CoefficientField.from_expressions(
             alpha="1.2", gamma="0.2", beta="0.5 + 1.5*r/(1+r)", T=1.0,
-            r_max=200.0, envelopes={"beta1": "0.5", "beta2": "2"})
+            r_max=200.0), beta1=ConstantFn(0.5), beta2=ConstantFn(2.0))
         env = envelope_speeds(fld, 1.0, 1.0, eps=1e-4)
         assert env.c_lower <= env.c_upper
 
