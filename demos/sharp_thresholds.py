@@ -2,8 +2,10 @@
 
 For a habitat seeded inside the radius threshold the verdict is monotone
 in the expansion coefficient mu and in the initial amplitude sigma, so
-bisection brackets the critical values mu* and sigma0.  Runs a few
-minutes: every probe is a full free-boundary simulation.
+bisection brackets the critical values mu* and sigma0.  Every probe is
+a free-boundary simulation that stops once its verdict is certain; on
+the constant field an upper solution certifies the vanishing probes
+early.  Runs in a few seconds.
 """
 
 import numpy as np

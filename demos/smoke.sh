@@ -25,3 +25,12 @@ for f in phase.csv overlay.json; do
 done
 python -m stefanlab --config demos/speed.cfg --out "$scratch/speed"
 python -m stefanlab --config demos/hstar.cfg --out "$scratch/hstar"
+# the mu-star benchmark config (seed 0): mu* = 1.75 in [1.3, 2.2]
+python -m stefanlab --config demos/mu_star.cfg --out "$scratch/mu_star"
+grep -v '^#' "$scratch/mu_star/threshold.csv" | python -c '
+import csv, math, sys
+row, = csv.DictReader(sys.stdin)
+got = [float(row[k]) for k in ("value", "lo", "hi")]
+if not all(math.isclose(g, w, abs_tol=1e-12) for g, w in zip(got, (1.75, 1.3, 2.2))):
+    sys.exit("mu_star.cfg: mu* %r in [%r, %r], expected 1.75 in [1.3, 2.2]" % tuple(got))
+'

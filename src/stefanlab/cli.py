@@ -457,6 +457,12 @@ def run(config, out_dir=None, jobs=None, horizon_scale=1.0):
         invalid = ["%s at %s: %s" % (viol.kind, viol.where, viol.detail)
                    for viol in validate(spec).violations]
         invalid += _section_errors(config)
+        if (config.command in ("simulate", "sweep")
+                and not 0 < horizon_scale < math.inf):
+            # a horizon <= 0 or nan never stepped, an infinite one made
+            # simulate's end test nan: each wrote a verdict at t = 0
+            invalid.append("--horizon-scale must be finite and > 0, got %r"
+                           % horizon_scale)
         if invalid:
             for msg in invalid:
                 log.error("validation: %s", msg)

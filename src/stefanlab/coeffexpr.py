@@ -313,6 +313,19 @@ def _compile(ast):
     raise TypeError("not an AST node: %r" % (ast,))
 
 
+def variables(ast):
+    """The set of variable names (``t``, ``r``) that ``ast`` reads."""
+    if isinstance(ast, Var):
+        return {ast.name}
+    if isinstance(ast, Unary):
+        return variables(ast.child)
+    if isinstance(ast, Bin):
+        return variables(ast.left) | variables(ast.right)
+    if isinstance(ast, Call):
+        return set().union(*map(variables, ast.args))
+    return set()
+
+
 def pretty(ast):
     """Render an AST back to source. Fully parenthesized so that
     parse(pretty(a)) is structurally identical to ``a``."""

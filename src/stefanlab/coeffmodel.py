@@ -37,11 +37,21 @@ def _as_fn(spec):
     return ConstantFn(spec)
 
 
+def r_independent(fn):
+    """True when f(t, r) is known not to depend on r: a ConstantFn or an
+    expression that never reads r.  A plain callable is not known to be."""
+    if isinstance(fn, ConstantFn):
+        return True
+    return (isinstance(fn, coeffexpr.ExprFunction)
+            and "r" not in coeffexpr.variables(fn.ast))
+
+
 PERIODICITY_RTOL = 1e-10
 ENVELOPE_SAMPLES = 96     # radii sampled by an estimated envelope
 HABITAT_SAMPLES = 64      # radii sampled in [0, R] by classify_habitat
 HABITAT_TIME_NODES = 256  # time intervals per period in classify_habitat
 HABITAT_TOL = 1e-8        # margin of a favorable or unfavorable sign
+MAX_GRID_N = 2 ** 16      # largest [numerics] n that validate accepts
 
 
 @dataclass(frozen=True)
@@ -204,7 +214,8 @@ def validate(spec, lattice=(64, 64)):
     checks can only certify the region up to ``r_check``.  d, mu, h0, the
     dimension N and the period T must be finite and positive; when one is
     not, the report lists only those.  The time step dt, the horizon t_max
-    and the sampling interval sample_every must be finite and positive too.
+    and the sampling interval sample_every must be finite and positive too,
+    and the grid needs 16 <= n <= MAX_GRID_N intervals.
     """
     fld = spec.field
     params = (("d", spec.d), ("mu", spec.mu), ("h0", spec.h0), ("N", spec.N),
@@ -280,6 +291,10 @@ def validate(spec, lattice=(64, 64)):
             if not 0 < value < np.inf]
     if num.n < 16:
         out.append(Violation("GridTooCoarse", (), "n must be >= 16"))
+    elif num.n > MAX_GRID_N:
+        # a larger grid's arrays would not fit in memory
+        out.append(Violation("GridTooFine", (),
+                             "n must be <= %d, got %d" % (MAX_GRID_N, num.n)))
     return ValidationReport(tuple(out), r_check)
 
 

@@ -355,10 +355,10 @@ def _h_star_bracket(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512):
     radii apply, _bisect first searches between them, widened by
     ENVELOPE_MARGIN and clipped to [r_lo, r_hi], from the root x0 of the
     ball model, the mean of the radii's x = 1/R**2 (see _IllinoisSplit).
-    A caller's end still unsolved is then solved, so a wrong envelope
-    costs solves but never the answer.  An infinite threshold is the
-    bracket (4*r_hi, inf).  The verified bracket then shrinks to at most
-    tol by _bisect, fed the lambda1 values at the ends.
+    A caller's end still unsolved is then solved (a ``check`` probe), so
+    a wrong envelope costs solves but never the answer.  An infinite
+    threshold is the bracket (4*r_hi, inf).  The verified bracket then
+    shrinks to at most tol by _bisect, fed the lambda1 values at the ends.
     """
     if not (0 < r_lo < r_hi):
         raise ValueError("need 0 < r_lo < r_hi")
@@ -399,13 +399,18 @@ def _h_star_bracket(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512):
                   model[0] ** -0.5, env_lo, env_hi)
         _bisect(probe, max(lo, env_lo), min(hi, env_hi), wide,
                 split=_IllinoisSplit(tol, model))
+
+    def check(R):
+        log.debug("check [%.10g, %.10g]: probe %.10g", lo, hi, R)
+        return probe(R)
+
     # lo == hi: a probe at that caller's end already put it on the other side
-    if f_lo is None and (lo == hi or probe(lo) <= 0):
+    if f_lo is None and (lo == hi or check(lo) <= 0):
         raise BracketInvalid("lambda1(r_lo=%g) <= 0; threshold below bracket"
                              % lo)
-    if f_hi is None and (lo == hi or probe(hi) > 0):
+    if f_hi is None and (lo == hi or check(hi) > 0):
         # lambda1(r_hi) > 0 made r_hi the lo end: try once 4x further out
-        if probe(4.0 * hi) > 0:
+        if check(4.0 * hi) > 0:
             return lo, H_STAR_INFINITE, solves
     lo, hi = _bisect(probe, lo, hi, wide, split=_IllinoisSplit(tol, model),
                      f_lo=f_lo, f_hi=f_hi)

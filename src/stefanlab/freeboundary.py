@@ -194,9 +194,10 @@ def simulate(spec, t_max=None, stop=None, resume=None):
     step size adapts to the front-CFL bound so fast fronts early in a run
     do not force a tiny global dt.
 
-    ``stop(t, h, h_prime, u_sup, period_end)``, when given, is called at
-    each recorded sample (``period_end``: the sample falls on a period
-    boundary); the run ends at the first sample where it returns true.
+    ``stop(state, h_prime, u_sup, period_end)``, when given, is called at
+    each recorded sample with the FreeBoundaryState there (``period_end``:
+    the sample falls on a period boundary); the run ends at the first
+    sample where it returns true.
 
     ``resume`` continues a Trajectory of the same spec to a later t_max.
     It re-takes the trajectory's last step under the new t_max, so the
@@ -249,7 +250,7 @@ def simulate(spec, t_max=None, stop=None, resume=None):
             snapshots.append(Snapshot(state.t, state.h, state.u.copy()))
             next_period += T
         if (recorded and stop is not None
-                and stop(state.t, state.h, h_prime, sups[-1], hit_period)):
+                and stop(state, h_prime, sups[-1], hit_period)):
             break
 
     return Trajectory(t=np.array(ts), h=np.array(hs), h_prime=np.array(hps),

@@ -5,7 +5,9 @@ sigma, with verdicts from the free-boundary classifier.  Monotonicity of
 the verdict in mu and sigma comes from the comparison principle; ladder
 audits detect violations instead of silently bisecting a non-monotone
 function.  A probe stops once its verdict is certain, and an Undecided
-probe is resumed to a longer horizon before the bracket shrinks.
+probe is resumed to a longer horizon before the bracket shrinks.  When
+the growth rate does not depend on r, a probe is also certified
+Vanishing at a period end where an upper solution lies above it.
 """
 
 import logging
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import eigen, freeboundary
+from . import eigen, freeboundary, radialcore
+from .coeffmodel import r_independent
 from .errors import BracketInvalid, NumericalError, TooManyUndecided
 
 log = logging.getLogger("stefanlab")
@@ -23,6 +26,10 @@ HORIZON_START = 50.0     # in periods
 HORIZON_CAP = 400.0
 MAX_ESCALATIONS = 5
 CRITERIA_AMPLITUDES = (0.05, 0.5, 5.0)   # small, medium and large sigma
+BALL_N = 256              # grid intervals of the unit-ball eigenfunction
+BALL_ITERATIONS = 100     # inverse iterations of the unit-ball eigenpair
+GROWTH_PHASES = 1024      # phases of the growth rate's period mean
+UPPER_SPLITS = (0.25, 0.5, 0.75)   # h1 tried at these fractions of (g, H)
 
 
 @dataclass(frozen=True)
@@ -74,11 +81,88 @@ def spec_at(spec, param, value):
     return spec.with_(**{param: value})
 
 
+def _ball_eigenpair(n, N):
+    """Principal Dirichlet eigenpair of the radial Laplacian on the unit ball.
+
+    Inverse iteration on the diffusion band pattern of an n-interval grid
+    (off-diagonals negated, as diffusion_bands does), factored once.
+    Returns (kappa, phi): kappa approximates BALL_ZERO[N]**2 to O(n**-2),
+    and phi on the n + 1 nodes is positive inside, decreasing, with
+    phi(0) = 1 and the Dirichlet zero phi(1) = 0.
+    """
+    lower, diag, upper = radialcore._band_pattern(n, N)
+    op = radialcore.FactoredTridiag(-lower, diag, -upper)
+    phi = np.ones(n)
+    for _ in range(BALL_ITERATIONS):
+        nxt = op.solve(phi)
+        top = float(np.max(nxt))     # 1/kappa once phi has converged
+        nxt /= top
+        converged = float(np.max(np.abs(nxt - phi))) <= 1e-13
+        phi = nxt
+        if converged:
+            break
+    return n ** 2 / top, np.append(phi, 0.0)
+
+
+class _UpperSolution:
+    """Vanishing certificate from an upper solution, for a growth rate
+    a(t) = alpha - gamma that does not depend on r.
+
+    The principal periodic eigenfunction on the ball of radius h1 is then
+    phi(t, r) = p(t)*Phi(r/h1), with p(t) = exp(int_0^t (a - mean a)) and
+    lambda1(h1) = d*kappa/h1**2 - mean a, where (kappa, Phi) is the
+    unit-ball Dirichlet eigenpair.  At a period end (p = 1) with front
+    g < h1 and delta = h1/g - 1, w = M*exp(-delta*s)*phi(t, r*h1/eta(s)),
+    with eta(s) = g*(1 + delta - delta/2*exp(-delta*s)), is an upper
+    solution of the free-boundary problem when lambda1(h1) >= delta,
+    M <= g**2*delta**2*(1 + delta/2) / (2*mu*|Phi'(1)|*max p), and
+    u <= M*Phi(r/eta(0)) on [0, g].  Then the front stays below h1 and
+    u -> 0 (Du & Lin, SIAM J. Math. Anal. 42, 2010; Du, Guo & Peng,
+    J. Funct. Anal. 265, 2013).  The pair is computed once on BALL_N
+    intervals; the mean and max p from GROWTH_PHASES phases of a.
+    """
+
+    def __init__(self, field, N):
+        self.kappa, self.phi = _ball_eigenpair(BALL_N, N)
+        self.slope = -freeboundary.front_gradient(
+            freeboundary.FreeBoundaryState(self.phi, 1.0, 0.0, BALL_N))
+        t = np.arange(GROWTH_PHASES + 1) * (field.T / GROWTH_PHASES)
+        a = np.broadcast_to(np.asarray(field.growth(t, 0.0), dtype=float),
+                            t.shape)
+        self.mean = float(np.mean(a[:-1]))
+        # int_0^t (a - mean) by the trapezoid rule; it is 0 at t = 0 and T
+        integral = np.cumsum(0.5 * (a[1:] + a[:-1]) - self.mean) * (
+            field.T / GROWTH_PHASES)
+        self.p_max = math.exp(max(0.0, float(np.max(integral))))
+
+    def certifies(self, state, d, mu, H):
+        """True when the state, a period end with front g = state.h < H,
+        is certified Vanishing by some h1 at UPPER_SPLITS of (g, H)."""
+        g = state.h
+        if not g < H:
+            return False
+        for split in UPPER_SPLITS:
+            h1 = g + split * (H - g)
+            delta = h1 / g - 1.0
+            if d * self.kappa / h1 ** 2 - self.mean < delta:
+                continue
+            M = (g * g * delta * delta * (1.0 + 0.5 * delta)
+                 / (2.0 * mu * self.slope * self.p_max))
+            bound = M * np.interp(state.xi / (1.0 + 0.5 * delta),
+                                  freeboundary._xi_grid(BALL_N), self.phi)
+            if np.all(state.u <= bound):
+                return True
+        return False
+
+
 class _Prober:
     """Verdicts of probe simulations, one ``simulate`` call per evaluation.
 
-    A run stops at the first sample whose verdict is certain (see
-    ``_decided``), and an Undecided run is resumed to the escalated
+    A run stops at the first sample whose verdict is certain: past the
+    threshold for Spreading, and at a period end for Vanishing, by the
+    decay test or, for a growth rate that does not depend on r, by the
+    upper-solution certificate (_UpperSolution).  A certified probe is
+    Vanishing at once; an Undecided run is resumed to the escalated
     horizon instead of restarted.
     """
 
@@ -87,33 +171,53 @@ class _Prober:
         self.h_star_value = h_star_value
         self.evaluations = 0
         self.undecided = 0
-
-    def _decided(self, t, h, h_prime, u_sup, period_end):
-        # h is nondecreasing, so a Spreading sample keeps its verdict and
-        # crossing time up to any horizon; the Vanishing test is the
-        # horizon's test, applied only at the horizon's phase
-        verdict = freeboundary.decide(h, h_prime, u_sup, self.h_star_value)
-        return verdict == "Spreading" or (verdict == "Vanishing" and period_end)
+        fld = spec.field
+        self.upper = None
+        if (math.isfinite(h_star_value) and r_independent(fld.alpha)
+                and r_independent(fld.gamma)):
+            self.upper = _UpperSolution(fld, spec.N)
 
     def verdict(self, **overrides):
         spec = self.spec
         for param, value in overrides.items():
             spec = spec_at(spec, param, value)
         probe = ", ".join("%s=%.10g" % kv for kv in overrides.items())
+        hs = self.h_star_value
+        H = hs - freeboundary._tol_h(hs)
+        certified = []
+
+        def decided(state, h_prime, u_sup, period_end):
+            # h is nondecreasing, so a Spreading sample keeps its verdict
+            # and crossing time up to any horizon; the Vanishing tests
+            # hold at the horizon's phase
+            verdict = freeboundary.decide(state.h, h_prime, u_sup, hs)
+            if verdict == "Spreading" or (verdict == "Vanishing"
+                                          and period_end):
+                return True
+            if (period_end and self.upper is not None
+                    and self.upper.certifies(state, spec.d, spec.mu, H)):
+                certified.append(state.t)
+                return True
+            return False
+
         T = spec.field.T
         horizon = HORIZON_START * T
         escalations = 0
         traj = None
         while True:
             self.evaluations += 1
-            traj = freeboundary.simulate(spec, t_max=horizon,
-                                         stop=self._decided, resume=traj)
-            out = freeboundary.classify_outcome(traj, spec,
-                                                h_star_value=self.h_star_value)
-            log.debug("probe %s: horizon %.6g, stopped at t=%.6g: %s",
-                      probe, horizon, traj.t[-1], out.verdict)
-            if out.verdict != "Undecided":
-                return out.verdict
+            traj = freeboundary.simulate(spec, t_max=horizon, stop=decided,
+                                         resume=traj)
+            if certified:
+                verdict, criterion = "Vanishing", "certified"
+            else:
+                out = freeboundary.classify_outcome(traj, spec,
+                                                    h_star_value=hs)
+                verdict, criterion = out.verdict, out.evidence.criterion
+            log.debug("probe %s: horizon %.6g, stopped at t=%.6g: %s (%s)",
+                      probe, horizon, traj.t[-1], verdict, criterion)
+            if verdict != "Undecided":
+                return verdict
             self.undecided += 1
             escalations += 1
             if horizon >= HORIZON_CAP * T or escalations > MAX_ESCALATIONS:

@@ -431,7 +431,9 @@ class TestRejectedConfigs:
                        "axis1=h0\naxis1_values=1,inf"), 2),
         (SWEEP.replace("axis2_values=1,2", "axis2_values=0,1"), 2),
         (SWEEP.replace("axis2=mu\naxis2_values=1,2",
-                       "axis2=sigma\naxis2_values=-1,1"), 2)],
+                       "axis2=sigma\naxis2_values=-1,1"), 2),
+        # a grid that does not fit in memory ended in a MemoryError
+        (MINIMAL.replace("n=64", "n=1000000000"), 2)],
         ids=["log", "sqrt", "criteria-kind", "no-d-threshold", "T-zero",
              "T-negative", "T-inf", "N-zero", "r_far-negative", "dt-nan",
              "t_max-nan", "t_max-zero", "t_max-negative", "sample_every-zero",
@@ -440,8 +442,22 @@ class TestRejectedConfigs:
              "speed-tol-negative", "hstar-tol-inf", "mu-star-tol-inf",
              "sigma0-tol-inf", "eigen-R-empty", "sweep-axis1-empty",
              "sweep-axis2-empty", "sweep-d-inf", "sweep-h0-inf",
-             "sweep-mu-zero", "sweep-sigma-negative"])
+             "sweep-mu-zero", "sweep-sigma-negative", "n-huge"])
     def test_exit_code(self, tmp_path, monkeypatch, capsys, text, code):
+        self.check_exit(tmp_path, monkeypatch, capsys, text, code)
+
+    # a horizon scale <= 0 or nan never stepped, an infinite one made the
+    # end test nan: each exited 0 with the trajectory row 0,3,0,1
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_horizon_scale(self, tmp_path, monkeypatch, capsys, command,
+                           scale):
+        text = MINIMAL if command == "simulate" else self.SWEEP
+        self.check_exit(tmp_path, monkeypatch, capsys, text, 2,
+                        "--horizon-scale", scale)
+
+    @staticmethod
+    def check_exit(tmp_path, monkeypatch, capsys, text, code, *flags):
         def one_signed(*args, **kwargs):
             raise NoSignChange(+1)
 
@@ -456,7 +472,8 @@ class TestRejectedConfigs:
         monkeypatch.setattr(freeboundary, "simulate", no_run)
         monkeypatch.setattr(semiwave, "k0_fixed_point", no_run)
         out = str(tmp_path / "out")
-        assert cli.main(["--config", write(tmp_path, text), "--out", out]) == code
+        assert cli.main(["--config", write(tmp_path, text), "--out", out,
+                         *flags]) == code
         assert "Traceback" not in capsys.readouterr().err
         assert not os.path.exists(out) or not os.listdir(out)
 

@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stefanlab.coeffmodel import (CoefficientField, ConstantFn, Numerics,
-                                  ProblemSpec, classify_habitat,
-                                  constant_field, validate)
+from stefanlab.coeffexpr import ExprFunction
+from stefanlab.coeffmodel import (MAX_GRID_N, CoefficientField, ConstantFn,
+                                  Numerics, ProblemSpec, classify_habitat,
+                                  constant_field, r_independent, validate)
 
 
 def make_spec(**kw):
@@ -127,6 +128,14 @@ class TestValidate:
         report = validate(spec)
         assert {"BadTimeStep", "GridTooCoarse"} <= report.kinds()
 
+    def test_grid_cap(self):
+        # validate never builds the grid, so a huge n costs nothing here
+        assert validate(make_spec(n=MAX_GRID_N)).ok
+        for n in (MAX_GRID_N + 1, 10 ** 9):
+            report = validate(make_spec(n=n))
+            assert report.kinds() == {"GridTooFine"}
+            assert str(MAX_GRID_N) in report.violations[0].detail
+
     # dt <= 0 is covered by test_bad_numerics
     @pytest.mark.parametrize("name,value", [
         ("dt", float("nan")), ("dt", float("inf")), ("t_max", 0.0),
@@ -204,3 +213,16 @@ class TestHabitat:
         rep = classify_habitat(constant_field(1.0, gamma=0.25), R=3.0, N=3)
         assert rep.mean_birth == pytest.approx(1.25, abs=1e-10)
         assert rep.mean_death == pytest.approx(0.25, abs=1e-10)
+
+
+class TestRIndependent:
+    @pytest.mark.parametrize("fn,free", [
+        (ConstantFn(0.5), True),
+        (ExprFunction("1"), True),
+        (ExprFunction("1 + 0.5*sin(2*pi*t)"), True),
+        (ExprFunction("0.2 + 1.3*exp(-(r^2))"), False),
+        (ExprFunction("max(t, 0*r)"), False),
+        # a plain callable is not known to be r-free
+        (lambda t, r: 1.0, False)])
+    def test_known_r_free(self, fn, free):
+        assert r_independent(fn) is free

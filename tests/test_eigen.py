@@ -569,6 +569,23 @@ class TestEnvelopeBracket:
                          "h* bracket from the caller: [1, 4]"]
 
 
+    def test_logs_every_solve(self, caplog):
+        # the caller's ends and the 4x expansion are solved outside the
+        # bisection; each is a check probe in the bisection's format
+        unfavorable = CoefficientField.from_expressions(alpha="0.5",
+                                                        gamma="1", beta="1",
+                                                        T=1.0)
+        with caplog.at_level(logging.DEBUG, logger="stefanlab"):
+            lo, hi, solves = eigen._h_star_bracket(
+                1.0, unfavorable, 1.0, r_lo=1.0, r_hi=4.0, n=64)
+        probes = [r.getMessage() for r in caplog.records
+                  if r.name == "stefanlab" and ": probe " in r.getMessage()]
+        assert (lo, hi) == (16.0, H_STAR_INFINITE)
+        assert solves == len(probes) == 3
+        assert probes == ["check [1, 4]: probe 1", "check [1, 4]: probe 4",
+                          "check [4, 4]: probe 16"]
+
+
 def fake_lambda1(monkeypatch, lambda1, underflow_below=0.0):
     """Replace principal_eigenvalue by lambda1(R); record every radius.
 
@@ -666,10 +683,13 @@ class TestIllinoisSplit:
             lo, hi, solves = eigen._h_star_bracket(
                 1.0, constant_field(1.0), 1.0, r_lo=0.1, r_hi=8.0, N=4, n=64)
         steps = [r.getMessage() for r in caplog.records
-                 if re.match(r"(illinois|closing|bisect) \[", r.getMessage())]
-        # r_lo and r_hi are verified by a solve each; every other solve is
-        # one logged probe
-        assert solves == len(radii) == len(steps) + 2
+                 if re.match(r"(illinois|closing|bisect|check) \[",
+                             r.getMessage())]
+        # every solve is one logged probe: r_lo and r_hi are checked first
+        assert solves == len(radii) == len(steps)
+        assert steps[:2] == ["check [0.1, 8]: probe 0.1",
+                             "check [0.1, 8]: probe 8"]
+        steps = steps[2:]
         assert steps[0] == "bisect [0.1, 8]: probe 4.05"
         assert steps[-1].startswith("closing")
         assert {m.split()[0] for m in steps} <= {"illinois", "closing", "bisect"}

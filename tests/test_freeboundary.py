@@ -401,8 +401,9 @@ class TestStop:
         full = simulate(spec, t_max=13.0)
         seen = []
 
-        def stop(t, h, h_prime, u_sup, period_end):
-            seen.append((t, h, h_prime, u_sup, period_end))
+        def stop(state, h_prime, u_sup, period_end):
+            assert u_sup == state.sup()
+            seen.append((state.t, state.h, h_prime, u_sup, period_end))
             return len(seen) == 20
 
         part = simulate(spec, t_max=13.0, stop=stop)
@@ -424,7 +425,7 @@ class TestStop:
                                  n=64, dt=0.02)
         full = simulate(spec, t_max=10.0)
         part = simulate(spec, t_max=10.0,
-                        stop=lambda t, h, hp, sup, end: t >= 3.0)
+                        stop=lambda state, hp, sup, end: state.t >= 3.0)
         assert part.t[-1] == 3.0
         assert same_trajectory(full, simulate(spec, t_max=10.0, resume=part))
 

@@ -15,6 +15,7 @@ from stefanlab.thresholds import (ScaledProfile, ThresholdResult,
                                   criteria_experiment, ladder_is_sorted,
                                   mu_star, sigma0, verdict_ladder)
 from stefanlab.thresholds import StretchedProfile, spec_at
+from stefanlab.eigen import BALL_ZERO
 
 J01 = 2.4048255576957724
 
@@ -230,13 +231,18 @@ class TestBisectionLogging:
         assert res.bracket[0] < 1.8 <= res.bracket[1]
 
 
+def mu_star_spec():
+    """The constant-field mu* benchmark (seed 0); mu* is 1.75 in [1.3, 2.2]."""
+    return ProblemSpec.build(constant_field(0.5, gamma=0.5), d=1.0, mu=1.0,
+                             h0=2.0, n=64, dt=0.02)
+
+
 def ladder_spec(ladder):
-    """A mu ladder and a sigma ladder, each with probes that escalate."""
+    """A mu ladder and a sigma ladder, each with probes that the decay
+    test leaves Undecided at 50 periods."""
     if ladder == "mu":
-        # the constant-field mu* benchmark: mu=1.3 is Undecided at 50T
-        spec = ProblemSpec.build(constant_field(0.5, gamma=0.5), d=1.0,
-                                 mu=1.0, h0=2.0, n=64, dt=0.02)
-        return spec, (0.4, 1.3, 2.2, 4.0)
+        # mu=1.3 is Undecided at 50T; the upper solution certifies it
+        return mu_star_spec(), (0.4, 1.3, 2.2, 4.0)
     spec = ProblemSpec.build(unfavorable_core_field(), d=1.0, mu=2.0, h0=1.5,
                              n=64, dt=0.02)
     # sigma=3.0 escalates once, sigma=3.3 twice
@@ -278,22 +284,24 @@ class TestEarlyStopping:
         verdicts = verdict_ladder(spec, ladder, values, h_star_value=hs)
         assert verdicts == [v for v, _ in ref]
         # one simulate call per evaluation; each escalation resumes the
-        # trajectory of the call before it
-        assert len(calls) == len(values) + escalations
+        # trajectory of the call before it.  The sigma ladder's growth
+        # depends on r, so it escalates as the full horizon runs do; the
+        # mu ladder's Vanishing probes are certified within 50 periods
         resumed = [(prev[2], call[1]) for prev, call in zip(calls, calls[1:])
                    if call[1] is not None]
-        assert len(resumed) == escalations
+        assert len(resumed) == (escalations if ladder == "sigma" else 0)
+        assert len(calls) == len(values) + len(resumed)
         assert all(before is after for before, after in resumed)
         # decided probes stop before their horizon, a Vanishing one only
         # at a period boundary
         early = [traj for t_max, _, traj in calls if traj.t[-1] < t_max]
         assert early
         for traj in early:
-            if traj.u_sup[-1] < freeboundary.DECAY_SUP:
+            if traj.h[-1] < hs:
                 assert traj.t[-1] == pytest.approx(round(traj.t[-1]))
 
     def test_one_simulation_per_evaluation(self, monkeypatch):
-        spec, _ = ladder_spec("mu")
+        spec = mu_star_spec()
         real = freeboundary.simulate
         calls = []
 
@@ -304,36 +312,39 @@ class TestEarlyStopping:
         monkeypatch.setattr(freeboundary, "simulate", counted)
         res = mu_star(spec, 0.4, 4.0, tol=0.4)
         assert (res.value, res.bracket) == (1.75, (1.3, 2.2))
-        assert (res.evaluations, res.undecided_encounters) == (5, 1)
+        # mu=1.3 is certified Vanishing at t=6, where the decay test was
+        # Undecided at 50 periods and escalated (5 evaluations, 1 Undecided)
+        assert (res.evaluations, res.undecided_encounters) == (4, 0)
         assert len(calls) == res.evaluations
 
     def test_one_debug_line_per_evaluation(self, caplog):
-        spec, _ = ladder_spec("mu")
+        spec = mu_star_spec()
         prober = thresholds._Prober(spec, J01 * math.sqrt(2.0))
         with caplog.at_level(logging.DEBUG, logger="stefanlab"):
             assert prober.verdict(mu=1.3) == "Vanishing"
             assert prober.verdict(mu=4.0) == "Spreading"
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "stefanlab" and r.levelno == logging.DEBUG]
-        assert len(lines) == prober.evaluations == 3
+        assert len(lines) == prober.evaluations == 2
         pattern = r"probe mu=%s: horizon %s, stopped at t=([0-9.]+): %s$"
         m = [re.match(pattern % args, line) for args, line in zip(
-            [("1.3", "50", "Undecided"), ("1.3", "100", "Vanishing"),
-             ("4", "50", "Spreading")], lines)]
+            [("1.3", "50", r"Vanishing \(certified\)"),
+             ("4", "50", r"Spreading \(eigenvalue\)")], lines)]
         assert all(m), lines
-        assert float(m[0].group(1)) == 50.0
-        assert float(m[1].group(1)) <= 100.0
-        assert float(m[2].group(1)) < 50.0
+        assert float(m[0].group(1)) < 50.0
+        assert float(m[1].group(1)) < 50.0
 
     def test_demo_thresholds_unchanged(self):
-        # demos/sharp_thresholds.py: the same answers and counts as full
-        # horizon probes gave
+        # demos/sharp_thresholds.py: the same answers as full horizon
+        # probes gave.  mu* (constant growth) takes 9 evaluations and no
+        # Undecided, 13 and 4 before the upper-solution certificate;
+        # sigma0's growth depends on r, so its counts are the decay test's
         spec = favorable_spec(h0=1.5)
         assert mu_star(spec, 0.05, 8.0, tol=0.05, h_star_value=J01) == \
             ThresholdResult(value=1.2611328124999999,
                             bracket=(1.230078125, 1.2921874999999998),
                             verdict_lo="Vanishing", verdict_hi="Spreading",
-                            evaluations=13, undecided_encounters=4)
+                            evaluations=9, undecided_encounters=0)
         core = ProblemSpec.build(unfavorable_core_field(), d=1.0, mu=2.0,
                                  h0=1.5, n=64, dt=5e-3)
         assert sigma0(core, core.u0, 0.05, 30.0, tol=0.1) == \
@@ -341,3 +352,69 @@ class TestEarlyStopping:
                             bracket=(3.3257812500000004, 3.5597656250000003),
                             verdict_lo="Vanishing", verdict_hi="Spreading",
                             evaluations=14, undecided_encounters=5)
+
+
+class TestUpperSolution:
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_ball_eigenpair(self, N):
+        errors = []
+        for n in (64, 128, 256):
+            kappa, phi = thresholds._ball_eigenpair(n, N)
+            assert phi.shape == (n + 1,)
+            assert phi[0] == 1.0 and phi[-1] == 0.0
+            assert np.all(phi[:-1] > 0) and np.all(np.diff(phi) < 0)
+            errors.append(kappa - BALL_ZERO[N] ** 2)
+        # second order: the error is O(n**-2) and quarters as n doubles
+        assert all(abs(e) * n ** 2 < 10.0 for e, n in zip(errors, (64, 128, 256)))
+        assert errors[0] / errors[1] == pytest.approx(4.0, rel=1e-2)
+        assert errors[1] / errors[2] == pytest.approx(4.0, rel=1e-2)
+
+    def test_r_free_growth_only(self):
+        def prober(alpha, gamma):
+            fld = CoefficientField.from_expressions(alpha=alpha, gamma=gamma,
+                                                    beta="1", T=1.0)
+            return thresholds._Prober(ProblemSpec.build(fld, n=64), J01)
+
+        assert prober("1", "0.5").upper is not None
+        assert prober(1.0, 0.0).upper is not None
+        assert prober("1 + 0.5*sin(2*pi*t)", "0").upper is not None
+        # growth that reads r, or that a plain callable hides, keeps the
+        # decay test alone
+        assert prober("1", "0.2 + 1.3*exp(-(r^2))").upper is None
+        assert prober(lambda t, r: 1.0 + 0 * np.asarray(r), "0").upper is None
+        core = ProblemSpec.build(unfavorable_core_field(), n=64)
+        assert thresholds._Prober(core, 3.0).upper is None
+        # no finite threshold, no radius H to certify below
+        assert thresholds._Prober(favorable_spec(), math.inf).upper is None
+
+    def test_period_mean_and_max_p(self):
+        fld = CoefficientField.from_expressions(
+            alpha="1.5 + 0.5*sin(2*pi*t)", gamma="0.5", beta="1", T=1.0)
+        upper = thresholds._UpperSolution(fld, 2)
+        assert upper.mean == pytest.approx(1.0, abs=1e-12)
+        # p(t) = exp((1 - cos(2*pi*t))/(4*pi)), largest at t = 1/2
+        assert upper.p_max == pytest.approx(math.exp(0.5 / math.pi), rel=1e-5)
+        assert upper.slope == pytest.approx(BALL_ZERO[2] * 0.5191474972894669,
+                                            rel=1e-4)
+
+    def test_mu_ladder_certifies_only_vanishing_probes(self, monkeypatch):
+        spec = mu_star_spec()
+        values = (0.4, 1.3, 1.6, 1.75, 1.9, 2.2, 4.0)
+        hs = freeboundary.spec_h_star(spec)
+        ref = [full_horizon_verdict(spec_at(spec, "mu", v), hs)[0]
+               for v in values]
+        assert ref == ["Vanishing"] * 4 + ["Spreading"] * 3
+        checks = []
+        real = thresholds._UpperSolution.certifies
+
+        def recorded(self, state, d, mu, H):
+            held = real(self, state, d, mu, H)
+            checks.append((mu, state.t, held))
+            return held
+
+        monkeypatch.setattr(thresholds._UpperSolution, "certifies", recorded)
+        assert verdict_ladder(spec, "mu", values, h_star_value=hs) == ref
+        certified = {mu for mu, _, held in checks if held}
+        assert certified == set(values[:4])
+        # the Spreading probes were checked and never certified
+        assert {mu for mu, _, _ in checks} >= set(values[4:-1])
