@@ -23,8 +23,22 @@ python -m stefanlab --config demos/phase_sweep.cfg \
 for f in phase.csv overlay.json; do
   diff <(grep -v '^#' "$scratch/serial/$f") <(grep -v '^#' "$scratch/pooled/$f")
 done
+# the overlay's h* on the constant field (growth 1, d=1): J01 within tol/2
+grep -v '^#' "$scratch/serial/overlay.json" | python -c '
+import json, sys
+got = json.load(sys.stdin)["h_star"]
+if not abs(got - 2.4048256) <= 5e-4:
+    sys.exit("phase_sweep.cfg: overlay h* %r, expected J01 = 2.4048256 within 5e-4" % got)
+'
 python -m stefanlab --config demos/speed.cfg --out "$scratch/speed"
 python -m stefanlab --config demos/hstar.cfg --out "$scratch/hstar"
+# h* of the seasonal field: the fine-grid reference 2.5536193 within tol/2
+grep -v '^#' "$scratch/hstar/threshold.csv" | python -c '
+import csv, sys
+row, = csv.DictReader(sys.stdin)
+if not abs(float(row["value"]) - 2.5536193) <= 5e-4:
+    sys.exit("hstar.cfg: h* %r, expected 2.5536193 within 5e-4" % row["value"])
+'
 # the mu-star benchmark config (seed 0): mu* = 1.75 in [1.3, 2.2]
 python -m stefanlab --config demos/mu_star.cfg --out "$scratch/mu_star"
 grep -v '^#' "$scratch/mu_star/threshold.csv" | python -c '

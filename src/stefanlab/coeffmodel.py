@@ -52,6 +52,8 @@ HABITAT_SAMPLES = 64      # radii sampled in [0, R] by classify_habitat
 HABITAT_TIME_NODES = 256  # time intervals per period in classify_habitat
 HABITAT_TOL = 1e-8        # margin of a favorable or unfavorable sign
 MAX_GRID_N = 2 ** 16      # largest [numerics] n that validate accepts
+MAX_TIME_STEPS = 10 ** 7  # largest t_max/dt that validate accepts
+MAX_SAMPLES = 10 ** 5     # largest t_max/sample_every that validate accepts
 
 
 @dataclass(frozen=True)
@@ -215,6 +217,7 @@ def validate(spec, lattice=(64, 64)):
     dimension N and the period T must be finite and positive; when one is
     not, the report lists only those.  The time step dt, the horizon t_max
     and the sampling interval sample_every must be finite and positive too,
+    t_max/dt at most MAX_TIME_STEPS, t_max/sample_every at most MAX_SAMPLES,
     and the grid needs 16 <= n <= MAX_GRID_N intervals.
     """
     fld = spec.field
@@ -284,11 +287,18 @@ def validate(spec, lattice=(64, 64)):
                              "u0'(0)=%.3e is not ~0" % slope0))
 
     num = spec.numerics
-    out += [Violation("BadTimeStep", (), "%s must be finite and > 0, got %r"
-                      % (name, value))
-            for name, value in (("dt", num.dt), ("t_max", num.t_max),
-                                ("sample_every", num.sample_every))
-            if not 0 < value < np.inf]
+    times = {"dt": num.dt, "t_max": num.t_max, "sample_every": num.sample_every}
+    bad = [Violation("BadTimeStep", (), "%s must be finite and > 0, got %r"
+                     % (name, value))
+           for name, value in times.items() if not 0 < value < np.inf]
+    out += bad
+    # a run takes at least t_max/dt steps and records t_max/sample_every
+    # samples
+    for kind, name, cap in (("TooManySteps", "dt", MAX_TIME_STEPS),
+                            ("TooManySamples", "sample_every", MAX_SAMPLES)):
+        if not bad and num.t_max / times[name] > cap:
+            out.append(Violation(kind, (), "t_max/%s must be <= %d, got %.3g"
+                                 % (name, cap, num.t_max / times[name])))
     if num.n < 16:
         out.append(Violation("GridTooCoarse", (), "n must be >= 16"))
     elif num.n > MAX_GRID_N:

@@ -26,6 +26,7 @@ log = logging.getLogger("stefanlab")
 
 H_STAR_INFINITE = math.inf
 POTENTIAL_BLOCK = 64      # substeps per coefficient evaluation of a _Period
+SUBSTEP_FLOOR = 256       # fewest coarse substeps of a solve on n >= 256
 FACTOR_TABLE_BYTES = 4 * 2 ** 20   # largest potential-factor table a _Period
                                    # keeps; substeps grow as d/R**2
 # first zero of the Bessel function J_{N/2-1}: the Dirichlet ball of radius
@@ -155,10 +156,15 @@ def _power_iteration(period, tol, psi0):
     raise NoConvergence(MAX_POWER_ITERATIONS, drift)
 
 
-def default_substeps(d, field, R, T):
-    """Heuristic substep count: resolve the principal decay rate well."""
+def default_substeps(d, field, R, T, n):
+    """Heuristic substep count: resolve the principal decay rate well.
+
+    The floor is min(n, SUBSTEP_FLOOR): lambda1's time error (about
+    -0.115/S**2 on the seasonal field) then stays near a quarter of its
+    grid error (about -0.45/n**2) on every grid up to SUBSTEP_FLOOR.
+    """
     kappa = d * (BALL_ZERO[2] / R) ** 2 + abs(field.alpha2_max()) + 1.0
-    return max(256, int(np.ceil(8.0 * T * kappa)))
+    return max(min(n, SUBSTEP_FLOOR), int(np.ceil(8.0 * T * kappa)))
 
 
 def principal_eigenvalue(d, field, R, T, N=2, tol=1e-7, n=512, warm=None):
@@ -185,7 +191,7 @@ def principal_eigenvalue(d, field, R, T, N=2, tol=1e-7, n=512, warm=None):
     if R <= 0 or d <= 0:
         raise ValueError("R and d must be positive")
     grid = RadialGrid(n=n, R=float(R), N=int(N))
-    substeps = default_substeps(d, field, R, T)
+    substeps = default_substeps(d, field, R, T, n)
     substeps = int(np.ceil(substeps / EIGEN_PHASES)) * EIGEN_PHASES
     psi0 = 1.0 - (grid.r / R) ** 2 if warm is None else warm.coarse
 

@@ -29,7 +29,7 @@ DECAY_SUP = 1e-8          # vanishing-evidence density threshold
 FRONT_STALL = 1e-8        # vanishing-evidence front-speed threshold
 NEG_CLIP = -1e-12
 REL_TOL = 0.01            # margin around h* of a verdict, relative to 1 + h*
-EIGEN_N = 256             # eigen grid intervals of a spec's h*
+EIGEN_N = 64              # eigen grid intervals of a spec's h*
 D_SCAN_N = 96             # eigen grid intervals of a spec's d thresholds
 
 

@@ -410,6 +410,10 @@ class TestRejectedConfigs:
         (MINIMAL.replace("t_max=5", "t_max=5\nsample_every=-1"), 2),
         (MINIMAL.replace("t_max=5", "t_max=5\nsample_every=nan"), 2),
         (MINIMAL.replace("t_max=5", "t_max=5\nsample_every=inf"), 2),
+        # about 5e10 steps, or a step cut at each of about 5e13 samples:
+        # neither run would end
+        (MINIMAL.replace("t_max=5", "t_max=50\ndt=1e-9"), 2),
+        (MINIMAL.replace("t_max=5", "t_max=50\nsample_every=1e-12"), 2),
         # an infinite tol ended the drift iteration or a bisection at its
         # first step; a NaN or negative one ran the drift iteration's
         # whole budget
@@ -438,6 +442,7 @@ class TestRejectedConfigs:
              "T-negative", "T-inf", "N-zero", "r_far-negative", "dt-nan",
              "t_max-nan", "t_max-zero", "t_max-negative", "sample_every-zero",
              "sample_every-negative", "sample_every-nan", "sample_every-inf",
+             "dt-1e-9", "sample_every-1e-12",
              "speed-tol-inf", "speed-tol-nan",
              "speed-tol-negative", "hstar-tol-inf", "mu-star-tol-inf",
              "sigma0-tol-inf", "eigen-R-empty", "sweep-axis1-empty",

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from stefanlab.coeffexpr import ExprFunction
-from stefanlab.coeffmodel import (MAX_GRID_N, CoefficientField, ConstantFn,
-                                  Numerics, ProblemSpec, classify_habitat,
+from stefanlab.coeffmodel import (MAX_GRID_N, MAX_SAMPLES, MAX_TIME_STEPS,
+                                  CoefficientField, ConstantFn, Numerics,
+                                  ProblemSpec, classify_habitat,
                                   constant_field, r_independent, validate)
 
 
@@ -135,6 +136,22 @@ class TestValidate:
             report = validate(make_spec(n=n))
             assert report.kinds() == {"GridTooFine"}
             assert str(MAX_GRID_N) in report.violations[0].detail
+
+    @pytest.mark.parametrize("name,kind,cap", [
+        ("dt", "TooManySteps", MAX_TIME_STEPS),
+        ("sample_every", "TooManySamples", MAX_SAMPLES)])
+    def test_work_caps(self, name, kind, cap):
+        # validate never steps, so the uncapped runs cost nothing here
+        t_max = 50.0
+        assert validate(make_spec(t_max=t_max, **{name: t_max / cap})).ok
+        for value in (t_max / (2 * cap), 1e-9, 1e-12):
+            report = validate(make_spec(t_max=t_max, **{name: value}))
+            assert report.kinds() == {kind}
+            assert str(cap) in report.violations[0].detail
+
+    def test_work_caps_skip_bad_time_steps(self):
+        report = validate(make_spec(t_max=float("inf"), dt=1e-9))
+        assert report.kinds() == {"BadTimeStep"}
 
     # dt <= 0 is covered by test_bad_numerics
     @pytest.mark.parametrize("name,value", [

@@ -177,7 +177,7 @@ class TestBlockedPotential:
         # the fine period once each
         fld = CountingField()
         res = principal_eigenvalue(1.0, fld, R, 1.0, n=32)
-        S = default_substeps(1.0, fld, R, 1.0)
+        S = default_substeps(1.0, fld, R, 1.0, 32)
         S = -(-S // eigen.EIGEN_PHASES) * eigen.EIGEN_PHASES
         assert res.iterations > 2
         assert len(fld.calls) == (-(-S // POTENTIAL_BLOCK)
@@ -213,9 +213,35 @@ class TestBlockedPotential:
         # caller bracket of h*: about 4700 coarse substeps, a 9.6 MB table
         fld = constant_field(1.0)
         grid = RadialGrid(n=256, R=0.1, N=2)
-        S = default_substeps(1.0, fld, 0.1, 1.0)
+        S = default_substeps(1.0, fld, 0.1, 1.0, 256)
         assert S * 256 * 8 > 2 * FACTOR_TABLE_BYTES
         assert _Period(grid, fld, 1.0, 1.0, S).table is None
+
+
+class TestSubstepFloor:
+    @pytest.mark.parametrize("n,floor", [(16, 16), (64, 64), (255, 255),
+                                         (256, 256), (512, 256), (1024, 256)])
+    def test_floor_is_the_grid_up_to_256(self, n, floor):
+        # growth 0.1 on a ball of radius 10: the heuristic 8*T*kappa is 10,
+        # so the floor decides
+        fld = constant_field(0.1)
+        assert default_substeps(1.0, fld, 10.0, 1.0, n) == floor
+
+    def test_heuristic_above_the_floor(self):
+        fld = constant_field(1.0)
+        counts = {default_substeps(1.0, fld, 0.1, 1.0, n) for n in (16, 64, 512)}
+        assert len(counts) == 1 and counts.pop() > 256
+
+    @pytest.mark.parametrize("n,bits", [(256, "0x1.55bbfe89dbd57p-5"),
+                                        (512, "0x1.55c7674af92c8p-5")])
+    def test_fine_grids_keep_their_bits(self, n, bits):
+        # lambda1 of the benchmark's seasonal field at R = 2.5, recorded
+        # while the floor was 256 on every grid
+        fld = CoefficientField.from_expressions(
+            alpha="1.2+0.5*sin(2*pi*t)", gamma="0.2+0.3*exp(-(r^2))",
+            beta="1", T=1.0)
+        res = principal_eigenvalue(1.0, fld, 2.5, 1.0, n=n)
+        assert res.lambda1.hex() == bits
 
 
 class TestPrincipalEigenvalue:
