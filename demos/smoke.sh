@@ -31,6 +31,15 @@ if not abs(got - 2.4048256) <= 5e-4:
     sys.exit("phase_sweep.cfg: overlay h* %r, expected J01 = 2.4048256 within 5e-4" % got)
 '
 python -m stefanlab --config demos/speed.cfg --out "$scratch/speed"
+# the semi-wave speed of the seasonal far field (the LDL^T-factored step,
+# which needs LAPACK dpttrf and dpttrs): c within 1e-12, in 10 iterations
+grep -v '^#' "$scratch/speed/speed.json" | python -c '
+import json, sys
+got = json.load(sys.stdin)
+if not (abs(got["c"] - 0.8192804417642835) <= 1e-12 and got["iterations"] == 10):
+    sys.exit("speed.cfg: c %r in %r iterations, expected 0.8192804417642835 "
+             "within 1e-12 in 10" % (got["c"], got["iterations"]))
+'
 python -m stefanlab --config demos/hstar.cfg --out "$scratch/hstar"
 # h* of the seasonal field: the fine-grid reference 2.5536193 within tol/2
 grep -v '^#' "$scratch/hstar/threshold.csv" | python -c '

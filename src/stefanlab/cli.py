@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 
 from . import __version__, coeffexpr, eigen, freeboundary
-from .coeffmodel import CoefficientField, Numerics, ProblemSpec, validate
+from .coeffmodel import (MAX_TIME_STEPS, CoefficientField, Numerics,
+                         ProblemSpec, validate)
 from .errors import (ConfigError, ExpressionError, ExprError, MissingKey,
                      StefanLabError, TypeMismatch, UnknownKey)
 
@@ -85,32 +86,29 @@ def _fmt(x):
     return str(x)
 
 
-def _coerce(section, key, kind, raw):
-    if kind == "str":
+# value parser and expected-type name of each typed schema kind; "str"
+# and "expr" keep the raw text
+_PARSERS = {
+    "int": (int, "int"),
+    "float": (float, "float"),
+    "floatlist": (lambda raw: tuple(float(p) for p in raw.split(",")
+                                    if p.strip()), "comma-separated floats"),
+}
+
+
+def _coerce(key, kind, raw):
+    if kind == "expr" and raw:
+        try:
+            coeffexpr.parse(raw)
+        except ExprError as exc:
+            raise ExpressionError(key, exc)
+    if kind not in _PARSERS:
         return raw
-    if kind == "int":
-        try:
-            return int(raw)
-        except ValueError:
-            raise TypeMismatch(key, "int", raw)
-    if kind == "float":
-        try:
-            return float(raw)
-        except ValueError:
-            raise TypeMismatch(key, "float", raw)
-    if kind == "floatlist":
-        try:
-            return tuple(float(p) for p in raw.split(",") if p.strip())
-        except ValueError:
-            raise TypeMismatch(key, "comma-separated floats", raw)
-    if kind == "expr":
-        if raw:
-            try:
-                coeffexpr.parse(raw)
-            except ExprError as exc:
-                raise ExpressionError(key, exc)
-        return raw
-    raise AssertionError(kind)
+    parse, expected = _PARSERS[kind]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise TypeMismatch(key, expected, raw)
 
 
 def _parse_lines(text):
@@ -147,7 +145,7 @@ def loads_config(text):
             continue
         kind = _SCHEMA[section][key][0]
         try:
-            values[section][key] = _coerce(section, key, kind, raw)
+            values[section][key] = _coerce(key, kind, raw)
         except ConfigError as exc:
             errors.append(exc)
             failed.add((section, key))
@@ -301,8 +299,8 @@ def _map(fn, work, jobs):
 
 # --- command implementations ---
 
-def _cmd_simulate(config, spec, arts, horizon_scale):
-    traj = freeboundary.simulate(spec, t_max=horizon_scale * spec.numerics.t_max)
+def _cmd_simulate(config, spec, arts, t_max):
+    traj = freeboundary.simulate(spec, t_max=t_max)
     out = freeboundary.classify_outcome(traj, spec)
     arts.csv("trajectory.csv", ("t", "h", "h_prime", "u_sup"),
              zip(traj.t, traj.h, traj.h_prime, traj.u_sup))
@@ -368,11 +366,10 @@ def _cmd_sigma0(config, spec, arts):
                    res.undecided_encounters)
 
 
-def _cmd_sweep(config, spec, arts, jobs, horizon_scale):
+def _cmd_sweep(config, spec, arts, jobs, t_max):
     from . import thresholds
     v = config.values["sweep"]
     a1, a2 = v["axis1"], v["axis2"]
-    t_max = horizon_scale * spec.numerics.t_max
     work = []
     for v1 in v["axis1_values"]:
         for v2 in v["axis2_values"]:
@@ -442,6 +439,21 @@ def _section_errors(config):
     return bad
 
 
+def _horizon(cmd, spec, horizon_scale):
+    """The longest run the command asks for.
+
+    --horizon-scale stretches t_max, and the threshold probes run up to
+    HORIZON_CAP periods whatever t_max is.  A run slowed by the front-CFL
+    bound takes more than horizon/dt steps.
+    """
+    if cmd in ("simulate", "sweep"):
+        return horizon_scale * spec.numerics.t_max
+    if cmd in ("mu-star", "sigma0", "criteria"):
+        from .thresholds import HORIZON_CAP
+        return HORIZON_CAP * spec.field.T
+    return spec.numerics.t_max
+
+
 def run(config, out_dir=None, jobs=None, horizon_scale=1.0):
     """Dispatch a loaded RunConfig; returns the process exit code.
 
@@ -463,14 +475,18 @@ def run(config, out_dir=None, jobs=None, horizon_scale=1.0):
             # simulate's end test nan: each wrote a verdict at t = 0
             invalid.append("--horizon-scale must be finite and > 0, got %r"
                            % horizon_scale)
+        cmd = config.command
+        horizon = _horizon(cmd, spec, horizon_scale)
+        if not invalid and horizon / spec.numerics.dt > MAX_TIME_STEPS:
+            invalid.append("TooManySteps: horizon %.3g/dt must be <= %d"
+                           % (horizon, MAX_TIME_STEPS))
         if invalid:
             for msg in invalid:
                 log.error("validation: %s", msg)
             return 2
         arts = Artifacts(out_dir, config_hash(config))
-        cmd = config.command
         if cmd == "simulate":
-            _cmd_simulate(config, spec, arts, horizon_scale)
+            _cmd_simulate(config, spec, arts, horizon)
         elif cmd == "eigen":
             _cmd_eigen(config, spec, arts, jobs)
         elif cmd == "hstar":
@@ -482,7 +498,7 @@ def run(config, out_dir=None, jobs=None, horizon_scale=1.0):
         elif cmd == "sigma0":
             _cmd_sigma0(config, spec, arts)
         elif cmd == "sweep":
-            _cmd_sweep(config, spec, arts, jobs, horizon_scale)
+            _cmd_sweep(config, spec, arts, jobs, horizon)
         elif cmd == "criteria":
             _cmd_criteria(config, spec, arts)
         else:

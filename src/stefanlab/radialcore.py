@@ -24,7 +24,7 @@ ATTRACTOR_PHASES = 32      # orbit phases sampled over one period
 ATTRACTOR_DT = 2e-3        # largest time step of periodic_attractor
 MAX_ATTRACTOR_PERIODS = 2000
 NODES_PER_UNIT = 12        # grid intervals per unit radius of a ball
-_ROUTINES = ("dgtsv", "dgttrf", "dgttrs")
+_ROUTINES = ("dgtsv", "dgttrf", "dgttrs", "dpttrf", "dpttrs")
 
 
 def _flapack_path():
@@ -40,7 +40,7 @@ def _flapack_path():
 
 
 def _load_lapack():
-    """A namespace holding LAPACK dgtsv, dgttrf and dgttrs.
+    """A namespace holding the LAPACK routines named in _ROUTINES.
 
     Importing scipy.linalg takes more than half the import time of the
     whole package, mostly in modules these routines never use, so scipy's
@@ -141,6 +141,33 @@ class FactoredTridiag:
             return
         # trans and overwrite_b by position: keyword parsing costs ~0.7 us
         x = lapack.dgttrs(*self._lu, rhs, "N", 1)[0]
+        if x is not rhs:
+            # the wrapper substituted into a copy (rhs not contiguous)
+            rhs[...] = x
+
+
+class FactoredSPDTridiag:
+    """A symmetric positive-definite tridiagonal matrix LDL^T-factored once
+    for many right-hand sides.
+
+    ``diag`` holds the m diagonal entries and ``off`` the m-1 entries
+    beside it.  The matrix is factored with LAPACK pttrf at construction
+    and each solve is one pttrs substitution, which keeps the division off
+    the recurrence that gttrs runs.  A solve does the same arithmetic as a
+    fresh ptsv elimination.  Raises SolverSingular at construction when
+    the matrix is not positive definite; the LAPACK wrapper needs m >= 2.
+    """
+
+    def __init__(self, diag, off):
+        *self._ldl, info = lapack.dpttrf(diag, off)
+        if info != 0:
+            raise SolverSingular("pttrf: leading minor %d not positive" % info)
+        self.size = self._ldl[0].size
+
+    def solve_in_place(self, rhs):
+        """The solution written into rhs, a float array of self.size entries."""
+        # overwrite_b by position: keyword parsing costs ~0.7 us
+        x = lapack.dpttrs(*self._ldl, rhs, 1)[0]
         if x is not rhs:
             # the wrapper substituted into a copy (rhs not contiguous)
             rhs[...] = x

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (BoundViolated, HypothesisHFailed, NoConvergence, NonPositive,
                      TruncationTooSmall)
-from .radialcore import FactoredTridiag, diffusion_bands
+from .radialcore import FactoredSPDTridiag, diffusion_bands
 # no semi-wave step calls solve_tridiag any more; the name stays bound here
 # because perfbench/test_tracer.py checks that the tracer wraps this binding
 from .radialcore import solve_tridiag  # noqa: F401
@@ -152,7 +152,8 @@ def semiwave_profile(k, a, b, d, T, n=1024, tol=PROFILE_TOL, u_init=None,
     A callable k, a or b is evaluated on 1-D arrays of times (a scalar
     return is broadcast): once for the period means and once on the step
     times of one period, however many periods the iteration takes.  The
-    diffusion matrix is LU-factored once per profile.
+    diffusion matrix is LDL^T-factored once per profile and n must be at
+    least 3.  u_init is not modified.
     """
     a = _periodic_fn(a, T)
     b = _periodic_fn(b, T)
@@ -180,53 +181,52 @@ def semiwave_profile(k, a, b, d, T, n=1024, tol=PROFILE_TOL, u_init=None,
 
     # implicit 1-D diffusion on the interior unknowns 1..n-1: rows 1..n-1
     # of the N=1 radial operator, whose row 0 is the reflecting origin; the
-    # matrix is the same at every step, so it is factored once
+    # matrix is symmetric positive definite and the same at every step, so
+    # it is LDL^T-factored once
     s = dt * d / dx ** 2
-    op = FactoredTridiag(*(band[1:] for band in diffusion_bands(n, 1, s)))
-    # drift, coefficients and the far-field value of every step of a period
+    _, diag, upper = diffusion_bands(n, 1, s)
+    op = FactoredSPDTridiag(diag[1:], upper[1:-1])
+    # rhs = ui + dt*(-k*(ui - u-)/dx + ui*(a - b*ui)), regrouped as
+    # ui*(p - m*ui) + q*u- with the coefficients of every step of a period
+    # tabulated once, together with s*V(t + dt) and V(t + dt)
     t = np.arange(steps) * dt
-    coeffs = list(zip(*(_on_times(fn, t).tolist() for fn in (k, a, b)),
-                      _on_times(V, t + dt).tolist()))
+    kt, at, bt = (_on_times(fn, t) for fn in (k, a, b))
+    vt = _on_times(V, t + dt)
+    kdx = kt / dx
+    coeffs = list(zip((1.0 + dt * (at - kdx)).tolist(), (dt * kdx).tolist(),
+                      (dt * bt).tolist(), (s * vt).tolist(), vt.tolist()))
+    phases = [coeffs[i:i + per_phase] for i in range(0, steps, per_phase)]
 
-    # rhs = ui + dt*(-k*(ui - u-)/dx + ui*(a - b*ui)) on the interior nodes,
-    # built in place in two buffers
-    rhs, work = np.empty(n - 1), np.empty(n - 1)
-    prev = u
+    # u is stepped in place; values holds its state at each phase start
+    values = np.empty((PHASES, n + 1))
+    ui, left = u[1:-1], u[:-2]
+    work, adv = np.empty(n - 1), np.empty(n - 1)
     for period in range(1, MAX_PROFILE_PERIODS + 1):
-        shots = [u]
-        for step, (kt, at, bt, vb) in enumerate(coeffs, start=1):
-            # upwind: u_t = -k u_x with k >= 0 -> backward difference
-            ui = u[1:-1]
-            np.subtract(ui, u[:-2], out=rhs)
-            np.multiply(-kt, rhs, out=rhs)
-            np.divide(rhs, dx, out=rhs)
-            np.multiply(bt, ui, out=work)
-            np.subtract(at, work, out=work)
-            np.multiply(ui, work, out=work)
-            np.add(rhs, work, out=rhs)
-            np.multiply(dt, rhs, out=rhs)
-            np.add(ui, rhs, out=rhs)
-            rhs[-1] += s * vb
-            u = np.empty(n + 1)     # a new array per step: shots keep theirs
-            u[0] = 0.0
-            u[1:-1] = op.solve(rhs)
-            u[-1] = vb
-            np.maximum(u, 0.0, out=u)
-            if step % per_phase == 0 and step < steps:
-                shots.append(u)
+        for row, phase in zip(values, phases):
+            row[...] = u
+            for pt, qt, mt, svt, vbt in phase:
+                # upwind: u_t = -k u_x with k >= 0 -> backward difference
+                np.multiply(mt, ui, out=work)
+                np.subtract(pt, work, out=work)
+                np.multiply(ui, work, out=work)
+                np.multiply(qt, left, out=adv)
+                np.add(work, adv, out=ui)
+                ui[-1] += svt
+                op.solve_in_place(ui)
+                u[-1] = vbt
+                np.maximum(u, 0.0, out=u)
         sup = float(np.max(u))
         if sup < 1e-8:
             return None
-        residual = float(np.max(np.abs(u - prev)))
+        # values[0] is the state at the start of this period
+        residual = float(np.max(np.abs(u - values[0])))
         if residual < tol * (1.0 + sup):
-            values = np.array(shots)
             mid = np.interp(L / 2, x, u)
             if abs(mid - float(V(T))) > 0.01 * max(float(V(T)), 1e-12):
                 raise TruncationTooSmall(
                     "profile at L/2 differs from V by %.3g" % abs(mid - float(V(T))))
             phase_times = np.arange(PHASES) * (T / PHASES)
             return SemiWaveProfile(T, L, x, phase_times, values, V, residual, period)
-        prev = u
     raise NoConvergence(MAX_PROFILE_PERIODS, residual)
 
 
@@ -357,7 +357,9 @@ def envelope_speeds(field, mu, d, eps=1e-3, r_star=10.0):
 def measure_front_speed(traj, window_fraction=0.25):
     """Trailing-window least-squares slope of h(t).
 
-    Also returns the crude h(t_final)/t_final estimate for comparison.
+    The slope is the closed-form fit from the window's centred moments
+    (no LAPACK call: numpy's would load its linear-algebra library).  Also
+    returns the crude h(t_final)/t_final estimate for comparison.
     """
     if not (0.0 < window_fraction <= 0.5):
         raise ValueError("window_fraction must be in (0, 0.5]")
@@ -366,5 +368,7 @@ def measure_front_speed(traj, window_fraction=0.25):
     mask = t >= t0
     if np.count_nonzero(mask) < 2:
         raise ValueError("window too small: fewer than 2 samples")
-    slope, _ = np.polyfit(t[mask], h[mask], 1)
+    tw, hw = t[mask], h[mask]
+    tc = tw - np.sum(tw) / tw.size
+    slope = np.sum(tc * (hw - np.sum(hw) / hw.size)) / np.sum(tc * tc)
     return float(slope), float(h[-1] / t[-1]) if t[-1] > 0 else math.nan

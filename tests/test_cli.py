@@ -33,6 +33,8 @@ t_max=5
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+MU_STAR_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                           "mu_star.cfg")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
@@ -460,6 +462,33 @@ class TestRejectedConfigs:
         text = MINIMAL if command == "simulate" else self.SWEEP
         self.check_exit(tmp_path, monkeypatch, capsys, text, 2,
                         "--horizon-scale", scale)
+
+    # t_max/dt passes validate, but the threshold probes run up to
+    # HORIZON_CAP = 400 periods: the demo's first probe asked for about
+    # 5e10 steps and did not end
+    @pytest.mark.parametrize("command", ["mu-star", "sigma0", "criteria"])
+    def test_probe_horizon_steps(self, tmp_path, monkeypatch, capsys,
+                                 command):
+        with open(MU_STAR_CFG) as fh:
+            text = fh.read().replace("dt=0.02", "dt=1e-9\nt_max=0.01")
+        if command == "sigma0":
+            text = text.replace("command=mu-star", "command=sigma0")
+            text = text.replace("[mu_star]\nmu_lo=0.4\nmu_hi=4.0",
+                                "[sigma0]\nsigma_lo=0.1\nsigma_hi=4")
+        elif command == "criteria":
+            text = (text.replace("command=mu-star", "command=criteria")
+                    .split("[mu_star]")[0]
+                    + "[criteria]\nkind=LargeHabitat\n")
+        self.check_exit(tmp_path, monkeypatch, capsys, text, 2)
+
+    # the scale stretches t_max past validate's t_max/dt bound: 5e9 model
+    # time at dt = 2e-3
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_horizon_scale_steps(self, tmp_path, monkeypatch, capsys,
+                                 command):
+        text = MINIMAL if command == "simulate" else self.SWEEP
+        self.check_exit(tmp_path, monkeypatch, capsys, text, 2,
+                        "--horizon-scale", "1e9")
 
     @staticmethod
     def check_exit(tmp_path, monkeypatch, capsys, text, code, *flags):

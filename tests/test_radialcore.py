@@ -12,7 +12,8 @@ from stefanlab import radialcore
 from stefanlab.coeffmodel import CoefficientField, constant_field
 from stefanlab.errors import (DomainNotLargeEnough, SolverSingular,
                               StepSizeTooLarge)
-from stefanlab.radialcore import (PIVOT_EPS, DiffusionSolver, FactoredTridiag,
+from stefanlab.radialcore import (PIVOT_EPS, DiffusionSolver,
+                                  FactoredSPDTridiag, FactoredTridiag,
                                   RadialGrid, entire_space_periodic,
                                   periodic_attractor, solve_tridiag,
                                   step_reaction_diffusion)
@@ -135,6 +136,66 @@ class TestFactoredTridiag:
             FactoredTridiag(lower, np.ones(3), upper)
 
 
+def spd_bands(rng, m):
+    """Random symmetric diagonally dominant bands with a positive
+    diagonal (so positive definite): diag and the m-1 off-diagonal."""
+    return 2.5 + rng.uniform(0, 1, m), rng.uniform(-1, 1, m - 1)
+
+
+def spd_solve(diag, off, rhs):
+    """FactoredSPDTridiag's solution, written into a copy of rhs."""
+    x = np.array(rhs, dtype=float)
+    FactoredSPDTridiag(diag, off).solve_in_place(x)
+    return x
+
+
+class TestFactoredSPDTridiag:
+    @pytest.mark.parametrize("m", [2, 3, 40])
+    def test_matches_thomas_reference(self, m):
+        rng = np.random.default_rng(m)
+        diag, off = spd_bands(rng, m)
+        op = FactoredSPDTridiag(diag, off)
+        assert op.size == m
+        lower, upper = np.append(0.0, off), np.append(off, 0.0)
+        # one factorization serves every right-hand side
+        for _ in range(3):
+            rhs = rng.standard_normal(m)
+            x = rhs.copy()
+            op.solve_in_place(x)
+            assert np.allclose(x, thomas_reference(lower, diag, upper, rhs),
+                               rtol=1e-12, atol=1e-12)
+
+    def test_bit_equal_to_fresh_elimination(self):
+        from scipy.linalg import lapack as scipy_lapack
+        rng = np.random.default_rng(5)
+        m, s = 1023, 0.37
+        for diag, off in [(np.full(m, 1.0 + 2.0 * s), np.full(m - 1, -s)),
+                          spd_bands(rng, m)]:
+            for _ in range(3):
+                rhs = rng.standard_normal(m)
+                assert np.array_equal(spd_solve(diag, off, rhs),
+                                      scipy_lapack.dptsv(diag, off, rhs)[2])
+
+    def test_solves_into_a_view(self):
+        rng = np.random.default_rng(11)
+        diag, off = spd_bands(rng, 40)
+        rhs = rng.standard_normal(40)
+        op = FactoredSPDTridiag(diag, off)
+        for step in (1, 2):
+            # a contiguous view is solved in place, a strided one via a copy
+            u = np.zeros(42 * step)
+            view = u[step:step * 41:step]
+            view[...] = rhs
+            op.solve_in_place(view)
+            assert np.array_equal(view, spd_solve(diag, off, rhs))
+            assert not u[:step].any() and not u[step * 41:].any()
+
+    def test_not_positive_definite_at_construction(self):
+        # symmetric and nonsingular, but the second leading minor is -3
+        with pytest.raises(SolverSingular):
+            FactoredSPDTridiag(np.ones(3), np.full(2, 2.0))
+
+
 def row_bands(grid, d, dt):
     """Bands of (I - dt*d*L) on the Dirichlet unknowns written out row by
     row, independently of the vectorized diffusion_bands."""
@@ -198,17 +259,26 @@ class TestPrefactoredSolver:
             DiffusionSolver(grid, -0.25, 1.0)
 
 
+def is_symmetric(lower, diag, upper):
+    return np.array_equal(lower[1:], upper[:-1])
+
+
 def run_routines(lp, lower, diag, upper, rhs):
-    """Every output of gttrf, gttrs and gtsv from the namespace ``lp``."""
+    """Every output of gttrf, gttrs and gtsv from the namespace ``lp``,
+    and of pttrf and pttrs on a symmetric matrix."""
     *lu, info = lp.dgttrf(lower[1:], diag, upper[:-1])
     x = lp.dgttrs(*lu, rhs)[0]
     *_, y, gtsv_info = lp.dgtsv(lower[1:], diag, upper[:-1], rhs)
-    return [*lu, info, x, y, gtsv_info]
+    out = [*lu, info, x, y, gtsv_info]
+    if is_symmetric(lower, diag, upper):
+        *ldl, pttrf_info = lp.dpttrf(diag, upper[:-1])
+        out += [*ldl, pttrf_info, lp.dpttrs(*ldl, rhs)[0]]
+    return out
 
 
 def lapack_test_systems():
-    """Diffusion bands in two dimensions and the 1023-unknown semi-wave
-    matrix, each with a right-hand side."""
+    """Diffusion bands in two and three dimensions and the 1023-unknown
+    semi-wave matrix, each with a right-hand side."""
     rng = np.random.default_rng(17)
     out = []
     for N in (2, 3):
@@ -217,6 +287,15 @@ def lapack_test_systems():
     m, s = 1023, 0.37
     bands = (np.full(m, -s), np.full(m, 1.0 + 2.0 * s), np.full(m, -s))
     out.append((bands, rng.standard_normal(m)))
+    return out
+
+
+def run_solvers(bands, rhs):
+    """The package's solutions of one system through radialcore.lapack:
+    LU-factored, fresh, and LDL^T-factored when the matrix is symmetric."""
+    out = [FactoredTridiag(*bands).solve(rhs), solve_tridiag(*bands, rhs)]
+    if is_symmetric(*bands):
+        out.append(spd_solve(bands[1], bands[2][:-1], rhs))
     return out
 
 
@@ -251,8 +330,9 @@ class TestLapackBinding:
     def test_fallback_to_scipy_linalg(self, failure, monkeypatch, tmp_path):
         from scipy.linalg import lapack as scipy_lapack
         systems = lapack_test_systems()
-        expected = [(FactoredTridiag(*bands).solve(rhs),
-                     solve_tridiag(*bands, rhs)) for bands, rhs in systems]
+        expected = [run_solvers(bands, rhs) for bands, rhs in systems]
+        routines = radialcore._ROUTINES
+        assert {"dpttrf", "dpttrs"} <= set(routines)
         if failure == "missing":
             def lookup():
                 raise ImportError("no _flapack extension")
@@ -267,9 +347,12 @@ class TestLapackBinding:
         fallback = radialcore._load_lapack()
         assert fallback is scipy_lapack
         monkeypatch.setattr(radialcore, "lapack", fallback)
-        for (bands, rhs), (factored, direct) in zip(systems, expected):
-            assert np.array_equal(FactoredTridiag(*bands).solve(rhs), factored)
-            assert np.array_equal(solve_tridiag(*bands, rhs), direct)
+        assert all(hasattr(fallback, name) for name in routines)
+        for (bands, rhs), want in zip(systems, expected):
+            got = run_solvers(bands, rhs)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 class TestStepping:

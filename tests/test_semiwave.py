@@ -3,12 +3,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from stefanlab import semiwave
 from stefanlab.coeffexpr import ExprFunction
 from stefanlab.coeffmodel import CoefficientField, ConstantFn, constant_field
 from stefanlab.errors import HypothesisHFailed, NonPositive
-from stefanlab.radialcore import solve_tridiag
 from stefanlab.semiwave import (PeriodicLogisticSolution, SemiWaveProfile,
                                 envelope_speeds, k0_fixed_point,
                                 measure_front_speed, periodic_logistic,
@@ -56,7 +56,8 @@ def reference_semiwave_profile(k, a, b, d, T, L=None, n=1024, tol=1e-7,
                                phases=64, dt=None, max_periods=5000,
                                u_init=None, V=None):
     """semiwave_profile written as a per-step loop: scalar k(t), a(t), b(t)
-    and V(t + dt) per step, and a fresh elimination of the matrix."""
+    and V(t + dt) per step, and a fresh LDL^T elimination (ptsv) of the
+    matrix."""
     a = semiwave._periodic_fn(a, T)
     b = semiwave._periodic_fn(b, T)
     k = semiwave._periodic_fn(k, T)
@@ -82,23 +83,25 @@ def reference_semiwave_profile(k, a, b, d, T, L=None, n=1024, tol=1e-7,
         u = np.array(u_init, dtype=float)
     u[0] = 0.0
     s = dt * d / dx ** 2
-    bands = (np.full(n - 1, -s), np.full(n - 1, 1.0 + 2.0 * s),
-             np.full(n - 1, -s))
+    diag, off = np.full(n - 1, 1.0 + 2.0 * s), np.full(n - 2, -s)
     prev = u.copy()
     for period in range(1, max_periods + 1):
         shots = [u.copy()]
         for step in range(steps):
             t = step * dt
             kt, at, bt = float(k(t)), float(a(t)), float(b(t))
-            adv = np.zeros_like(u)
-            adv[1:] = -kt * (u[1:] - u[:-1]) / dx
-            rhs = (u + dt * (adv + u * (at - bt * u)))[1:-1].copy()
+            # u + dt*(-k*(u - u-)/dx + u*(a - b*u)) regrouped
+            p = 1.0 + dt * (at - kt / dx)
+            q = dt * (kt / dx)
+            m = dt * bt
+            ui = u[1:-1]
+            rhs = ui * (p - m * ui) + q * u[:-2]
             vb = float(V(t + dt))
             rhs[-1] += s * vb
             u_new = np.empty_like(u)
             u_new[0] = 0.0
             u_new[-1] = vb
-            u_new[1:-1] = solve_tridiag(*bands, rhs)
+            u_new[1:-1] = lapack.dptsv(diag, off, rhs)[2]
             u = np.clip(u_new, 0.0, None)
             if (step + 1) % per_phase == 0 and (step + 1) < steps:
                 shots.append(u.copy())
@@ -302,8 +305,30 @@ class TestSemiWaveProfile:
         far = np.interp(0.9 * prof.L, prof.x, prof.values[0])
         assert far == pytest.approx(1.0, abs=0.01)
 
+    def test_u_init_unchanged_and_values_not_shared(self):
+        first = semiwave_profile(DRIFT, 1.2, 0.9, 1.0, PERIOD, n=256, tol=1e-4)
+        before = first.values.copy()
+        # a view into the first profile's table, as k0_fixed_point passes
+        second = semiwave_profile(DRIFT, 1.2, 0.9, 1.0, PERIOD, n=256,
+                                  tol=1e-5, u_init=first.values[0])
+        assert second.periods > 0
+        assert_same_bits(first.values, before)
+        assert not np.shares_memory(first.values, second.values)
+
 
 class TestK0FixedPoint:
+    def test_front_speed_far_field(self):
+        # the front-speed benchmark's far field (r = 50, 256 phase samples)
+        # at its tols; c moved from 0.8192679024779417 at rounding level
+        # when the step's right-hand side was regrouped
+        phases = np.arange(256) / 256
+        a = 1 + 0.5 * np.sin(2 * np.pi * phases)
+        res = k0_fixed_point(5.0, a, np.ones(256), 1.0, 1.0, tol=1e-4,
+                             profile_kwargs={"tol": 1e-5})
+        assert res.c == pytest.approx(0.8192679024779417, rel=1e-13, abs=0)
+        assert res.iterations == 9
+        assert res.profile_periods == 40
+
     def test_constants_inside_bound(self):
         res = k0_fixed_point(1.0, 1.0, 1.0, 1.0, 1.0)
         assert 0.0 < res.c < 2.0
