@@ -48,12 +48,29 @@ row, = csv.DictReader(sys.stdin)
 if not abs(float(row["value"]) - 2.5536193) <= 5e-4:
     sys.exit("hstar.cfg: h* %r, expected 2.5536193 within 5e-4" % row["value"])
 '
-# the mu-star benchmark config (seed 0): mu* = 1.75 in [1.3, 2.2]
+# the mu-star benchmark config (seed 0): mu* = 1.75 in [1.3, 2.2] after
+# 4 probe simulations, none Undecided
 python -m stefanlab --config demos/mu_star.cfg --out "$scratch/mu_star"
 grep -v '^#' "$scratch/mu_star/threshold.csv" | python -c '
 import csv, math, sys
 row, = csv.DictReader(sys.stdin)
 got = [float(row[k]) for k in ("value", "lo", "hi")]
-if not all(math.isclose(g, w, abs_tol=1e-12) for g, w in zip(got, (1.75, 1.3, 2.2))):
-    sys.exit("mu_star.cfg: mu* %r in [%r, %r], expected 1.75 in [1.3, 2.2]" % tuple(got))
+counts = (row["evaluations"], row["undecided_encounters"])
+if not (all(math.isclose(g, w, abs_tol=1e-12) for g, w in zip(got, (1.75, 1.3, 2.2)))
+        and counts == ("4", "0")):
+    sys.exit("mu_star.cfg: mu* %r in [%r, %r] after %s probes (%s Undecided), "
+             "expected 1.75 in [1.3, 2.2] after 4 (0)" % (*got, *counts))
+'
+# sigma0 on a field whose growth depends on r (the decay test alone, no
+# upper-solution certificate): 9 probe simulations, one per probe
+python -m stefanlab --config demos/sigma0.cfg --out "$scratch/sigma0"
+grep -v '^#' "$scratch/sigma0/threshold.csv" | python -c '
+import csv, math, sys
+row, = csv.DictReader(sys.stdin)
+got = [float(row[k]) for k in ("value", "lo", "hi")]
+want = (3.4427734375000005, 3.3257812500000004, 3.5597656250000003)
+if not (all(math.isclose(g, w, abs_tol=1e-12) for g, w in zip(got, want))
+        and row["evaluations"] == "9"):
+    sys.exit("sigma0.cfg: sigma0 %r in [%r, %r] after %s probes, expected "
+             "%r in [%r, %r] after 9" % (*got, row["evaluations"], *want))
 '

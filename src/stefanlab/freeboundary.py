@@ -9,9 +9,9 @@ xi = r/h(t).  In the transformed variables
 diffusion is implicit, advection and reaction explicit, and the front
 moves by the Stefan law h' = -mu u_r(t, h) with the gradient taken from a
 one-sided second-order stencil.  The simulate() driver records the
-trajectory and period-boundary snapshots, can stop at a sample and can
-resume a trajectory; decide() is the Spreading / Vanishing / Undecided
-rule for one sample, and classify_outcome() applies it to a trajectory.
+trajectory and period-boundary snapshots and can stop at a sample;
+decide() is the Spreading / Vanishing / Undecided rule for one sample,
+and classify_outcome() applies it to a trajectory.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -154,10 +154,6 @@ class Trajectory:
     u_sup: np.ndarray
     snapshots: list = dc_field(default_factory=list)
     final: FreeBoundaryState = None
-    # the loop before its last step: (state, next sample time, next
-    # period time, samples, snapshots); simulate(resume=...) re-takes
-    # that step and goes on from there
-    cursor: tuple = None
 
     def max_sup(self):
         return float(np.max(self.u_sup))
@@ -186,7 +182,7 @@ class _StepSizer:
         return dt
 
 
-def simulate(spec, t_max=None, stop=None, resume=None):
+def simulate(spec, t_max=None, stop=None):
     """Run the free-boundary problem from (u0, h0) to t_max.
 
     Samples (t, h, h', sup u) every ``spec.numerics.sample_every`` time
@@ -198,12 +194,6 @@ def simulate(spec, t_max=None, stop=None, resume=None):
     each recorded sample with the FreeBoundaryState there (``period_end``:
     the sample falls on a period boundary); the run ends at the first
     sample where it returns true.
-
-    ``resume`` continues a Trajectory of the same spec to a later t_max.
-    It re-takes the trajectory's last step under the new t_max, so the
-    result is bit-identical to one run from t=0, unless an earlier step
-    ended less than 1e-12*t_max (new) but not less than 1e-12*t_max (old)
-    short of a sample time or period boundary.
     """
     num = spec.numerics
     if t_max is None:
@@ -211,24 +201,14 @@ def simulate(spec, t_max=None, stop=None, resume=None):
     T = spec.field.T
     eps = 1e-12 * max(t_max, 1.0)
 
-    if resume is None:
-        state = initial_state(spec)
-        ts, hs, hps, sups = [0.0], [state.h], [0.0], [state.sup()]
-        snapshots = [Snapshot(0.0, state.h, state.u.copy())]
-        next_sample = num.sample_every if num.sample_every > 0 else math.inf
-        next_period = T
-    elif resume.final.t >= t_max - eps:
-        return resume
-    else:
-        state, next_sample, next_period, n_samples, n_snaps = resume.cursor
-        ts, hs, hps, sups = (list(a[:n_samples]) for a in (
-            resume.t, resume.h, resume.h_prime, resume.u_sup))
-        snapshots = resume.snapshots[:n_snaps]
+    state = initial_state(spec)
+    ts, hs, hps, sups = [0.0], [state.h], [0.0], [state.sup()]
+    snapshots = [Snapshot(0.0, state.h, state.u.copy())]
+    next_sample = num.sample_every if num.sample_every > 0 else math.inf
+    next_period = T
     sizer = _StepSizer(spec)
-    cursor = (state, next_sample, next_period, len(ts), len(snapshots))
 
     while state.t < t_max - eps:
-        cursor = (state, next_sample, next_period, len(ts), len(snapshots))
         grad = front_gradient(state)
         dt = sizer(state, grad)
         target = min(t_max, next_sample, next_period)
@@ -254,8 +234,7 @@ def simulate(spec, t_max=None, stop=None, resume=None):
             break
 
     return Trajectory(t=np.array(ts), h=np.array(hs), h_prime=np.array(hps),
-                      u_sup=np.array(sups), snapshots=snapshots, final=state,
-                      cursor=cursor)
+                      u_sup=np.array(sups), snapshots=snapshots, final=state)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ Bisection on the expansion coefficient mu and on the initial amplitude
 sigma, with verdicts from the free-boundary classifier.  Monotonicity of
 the verdict in mu and sigma comes from the comparison principle; ladder
 audits detect violations instead of silently bisecting a non-monotone
-function.  A probe stops once its verdict is certain, and an Undecided
-probe is resumed to a longer horizon before the bracket shrinks.  When
-the growth rate does not depend on r, a probe is also certified
-Vanishing at a period end where an upper solution lies above it.
+function.  A probe is one run of up to HORIZON_CAP periods that stops
+once its verdict is certain; one still Undecided at the cap raises
+TooManyUndecided.  When the growth rate does not depend on r, a probe
+is also certified Vanishing at a period end where an upper solution
+lies above it.
 """
 
 import logging
@@ -22,9 +23,7 @@ from .errors import BracketInvalid, NumericalError, TooManyUndecided
 
 log = logging.getLogger("stefanlab")
 
-HORIZON_START = 50.0     # in periods
-HORIZON_CAP = 400.0
-MAX_ESCALATIONS = 5
+HORIZON_CAP = 400.0      # in periods
 CRITERIA_AMPLITUDES = (0.05, 0.5, 5.0)   # small, medium and large sigma
 BALL_N = 256              # grid intervals of the unit-ball eigenfunction
 BALL_ITERATIONS = 100     # inverse iterations of the unit-ball eigenpair
@@ -158,12 +157,12 @@ class _UpperSolution:
 class _Prober:
     """Verdicts of probe simulations, one ``simulate`` call per evaluation.
 
-    A run stops at the first sample whose verdict is certain: past the
-    threshold for Spreading, and at a period end for Vanishing, by the
-    decay test or, for a growth rate that does not depend on r, by the
-    upper-solution certificate (_UpperSolution).  A certified probe is
-    Vanishing at once; an Undecided run is resumed to the escalated
-    horizon instead of restarted.
+    A run goes up to HORIZON_CAP periods and stops at the first sample
+    whose verdict is certain: past the threshold for Spreading, and at a
+    period end for Vanishing, by the decay test or, for a growth rate
+    that does not depend on r, by the upper-solution certificate
+    (_UpperSolution).  A run still Undecided at the cap raises
+    TooManyUndecided.
     """
 
     def __init__(self, spec, h_star_value):
@@ -200,31 +199,21 @@ class _Prober:
                 return True
             return False
 
-        T = spec.field.T
-        horizon = HORIZON_START * T
-        escalations = 0
-        traj = None
-        while True:
-            self.evaluations += 1
-            traj = freeboundary.simulate(spec, t_max=horizon, stop=decided,
-                                         resume=traj)
-            if certified:
-                verdict, criterion = "Vanishing", "certified"
-            else:
-                out = freeboundary.classify_outcome(traj, spec,
-                                                    h_star_value=hs)
-                verdict, criterion = out.verdict, out.evidence.criterion
-            log.debug("probe %s: horizon %.6g, stopped at t=%.6g: %s (%s)",
-                      probe, horizon, traj.t[-1], verdict, criterion)
-            if verdict != "Undecided":
-                return verdict
+        horizon = HORIZON_CAP * spec.field.T
+        self.evaluations += 1
+        traj = freeboundary.simulate(spec, t_max=horizon, stop=decided)
+        if certified:
+            verdict, criterion = "Vanishing", "certified"
+        else:
+            out = freeboundary.classify_outcome(traj, spec, h_star_value=hs)
+            verdict, criterion = out.verdict, out.evidence.criterion
+        log.debug("probe %s: horizon %.6g, stopped at t=%.6g: %s (%s)",
+                  probe, horizon, traj.t[-1], verdict, criterion)
+        if verdict == "Undecided":
             self.undecided += 1
-            escalations += 1
-            if horizon >= HORIZON_CAP * T or escalations > MAX_ESCALATIONS:
-                raise TooManyUndecided(
-                    "probe stayed Undecided up to t=%.3g (%d escalations)"
-                    % (horizon, escalations))
-            horizon = min(2.0 * horizon, HORIZON_CAP * T)
+            raise TooManyUndecided("probe stayed Undecided up to t=%.3g"
+                                   % horizon)
+        return verdict
 
 
 def _sharp_threshold(spec, param, lo, hi, tol, h_star_value,
@@ -233,7 +222,7 @@ def _sharp_threshold(spec, param, lo, hi, tol, h_star_value,
 
     Value 0 when lambda1 at the initial radius is already nonpositive
     (h0 >= h*), where spreading holds for every value.  When the upper
-    endpoint stays Undecided up to the escalation cap, the result is
+    endpoint stays Undecided up to HORIZON_CAP periods, the result is
     [lo, hi] as a lower bound only if ``bound_if_undecided``; otherwise
     TooManyUndecided propagates.
     """
@@ -257,7 +246,7 @@ def _sharp_threshold(spec, param, lo, hi, tol, h_star_value,
     except TooManyUndecided:
         if not bound_if_undecided:
             raise
-        # spreading endpoint not certified within the escalation cap;
+        # spreading endpoint not certified within HORIZON_CAP periods;
         # report the bracket as a lower bound instead of asserting finiteness
         return ThresholdResult(value=hi, bracket=(lo, hi),
                                verdict_lo=v_lo, verdict_hi="Undecided",
@@ -345,7 +334,8 @@ def criteria_experiment(kind, spec):
     runs the CRITERIA_AMPLITUDES and reports whether the verdict pattern
     matches the regime's prediction.  Mismatches are reported, not thrown.
     When the d scan fails numerically, a diffusion regime raises the
-    scan's error and the habitat regimes report NaN d thresholds.
+    scan's error and the habitat regimes report NaN d thresholds.  A
+    habitat regime raises BracketInvalid when h* is infinite.
     """
     if kind not in CRITERIA_KINDS:
         raise ValueError("unknown experiment kind %r" % kind)
@@ -362,12 +352,17 @@ def criteria_experiment(kind, spec):
     elif kind == "FastDiffusion":
         param, value = "d", 2.0 * d_upper
         prediction = "Vanishing for small, Spreading for large"
-    elif kind == "LargeHabitat":
-        param, value = "h0", 1.2 * freeboundary.spec_h_star(spec)
-        prediction = "all Spreading"
-    else:  # SmallHabitat
-        param, value = "h0", 0.6 * freeboundary.spec_h_star(spec)
-        prediction = "Vanishing for small, Spreading for large"
+    else:
+        hs = freeboundary.spec_h_star(spec)
+        if not math.isfinite(hs):
+            raise BracketInvalid("%s needs a finite h*, got h* = %r: "
+                                 "lambda1 > 0 at every radius" % (kind, hs))
+        if kind == "LargeHabitat":
+            param, value = "h0", 1.2 * hs
+            prediction = "all Spreading"
+        else:  # SmallHabitat
+            param, value = "h0", 0.6 * hs
+            prediction = "Vanishing for small, Spreading for large"
 
     probe_spec = spec_at(spec, param, value)
     hs = freeboundary.spec_h_star(probe_spec)

@@ -370,7 +370,8 @@ class TestMain:
 
 class TestRejectedConfigs:
     """Accepted configs that cannot run end with their error's exit code,
-    without a traceback, an artifact or an eigen solve."""
+    without a traceback or an artifact, and but for an infinite h*
+    without an eigen solve."""
 
     CRITERIA = MINIMAL.replace("command=simulate", "command=criteria")
     SPEED = MINIMAL.replace("command=simulate", "command=speed")
@@ -490,8 +491,21 @@ class TestRejectedConfigs:
         self.check_exit(tmp_path, monkeypatch, capsys, text, 2,
                         "--horizon-scale", "1e9")
 
+    # the habitat kinds scale h*: an infinite one made h0 = inf and ended
+    # in a ValueError traceback.  Only h*'s eigen solves show that it is
+    # infinite, so these configs are no test_exit_code rows
+    @pytest.mark.parametrize("kind", ["LargeHabitat", "SmallHabitat"])
+    def test_infinite_h_star_habitat(self, tmp_path, monkeypatch, capsys,
+                                     caplog, kind):
+        text = (self.CRITERIA.replace("alpha=1", "alpha=0.5")
+                .replace("gamma=0", "gamma=1")
+                + "[criteria]\nkind=%s\n" % kind)
+        self.check_exit(tmp_path, monkeypatch, capsys, text, 3, solves=True)
+        assert "%s needs a finite h*, got h* = inf" % kind in caplog.text
+
     @staticmethod
-    def check_exit(tmp_path, monkeypatch, capsys, text, code, *flags):
+    def check_exit(tmp_path, monkeypatch, capsys, text, code, *flags,
+                   solves=False):
         def one_signed(*args, **kwargs):
             raise NoSignChange(+1)
 
@@ -502,7 +516,8 @@ class TestRejectedConfigs:
             raise AssertionError("unexpected run")
 
         monkeypatch.setattr(eigen, "d_thresholds", one_signed)
-        monkeypatch.setattr(eigen, "principal_eigenvalue", no_solve)
+        if not solves:
+            monkeypatch.setattr(eigen, "principal_eigenvalue", no_solve)
         monkeypatch.setattr(freeboundary, "simulate", no_run)
         monkeypatch.setattr(semiwave, "k0_fixed_point", no_run)
         out = str(tmp_path / "out")

@@ -273,7 +273,7 @@ class TestComparison:
 
 
 def reference_simulate(spec, t_max, sample_every):
-    """The sampling loop of simulate() without a stop test or a resume:
+    """The sampling loop of simulate() without a stop test:
     the oracle that pins the simulate command's trajectories."""
     T = spec.field.T
     state = initial_state(spec)
@@ -331,12 +331,12 @@ def seasonal_field(T=1.0):
         gamma="0.2 + 0.3*exp(-(r^2))", beta="1", T=T)
 
 
-RESUME_CASES = {
+SIMULATE_CASES = {
     "constant": (constant_field(1.0, gamma=0.5), 0.02, 0.25),
     "seasonal": (seasonal_field(), 0.01, 0.25),
     # step sizes and period boundaries that are not binary fractions
     "period 1.3": (seasonal_field(1.3), 0.02, 0.25),
-    # the 10T horizon (13.0) is no sample time: its end sample is dropped
+    # period boundaries k*1.3 that are no sample times
     "period 1.3, samples 0.3": (seasonal_field(1.3), 0.02, 0.3),
 }
 
@@ -349,49 +349,6 @@ def same_trajectory(a, b):
             and len(a.snapshots) == len(b.snapshots)
             and all(x.t == y.t and x.h == y.h and np.array_equal(x.u, y.u)
                     for x, y in zip(a.snapshots, b.snapshots)))
-
-
-class TestResume:
-    @pytest.mark.parametrize("case", sorted(RESUME_CASES))
-    def test_bit_identical_to_one_run(self, case, monkeypatch):
-        fld, dt, every = RESUME_CASES[case]
-        spec = ProblemSpec.build(fld, d=1.0, mu=1.3, h0=1.5, n=64, dt=dt,
-                                 sample_every=every)
-        T = fld.T
-        steps = []
-        real_step = freeboundary.step_free
-
-        def counted(*args):
-            steps.append(1)
-            return real_step(*args)
-
-        monkeypatch.setattr(freeboundary, "step_free", counted)
-        fresh = simulate(spec, t_max=20 * T)
-        n_fresh = len(steps)
-        first = simulate(spec, t_max=10 * T)
-        n_first, n_samples = len(steps) - n_fresh, first.t.size
-        resumed = simulate(spec, t_max=20 * T, resume=first)
-        # the resumed run re-takes only the last step of the first one
-        assert len(steps) - n_fresh - n_first == n_fresh - n_first + 1
-        assert first.t[-1] == pytest.approx(10 * T, abs=1e-11)
-        assert same_trajectory(fresh, resumed)
-        # the trajectory resumed from is left as it was
-        assert first.t.size == n_samples and len(first.snapshots) == 11
-
-    def test_resume_twice(self):
-        fld, dt, every = RESUME_CASES["period 1.3"]
-        spec = ProblemSpec.build(fld, d=1.0, mu=1.3, h0=1.5, n=64, dt=dt)
-        fresh = simulate(spec, t_max=13.0)
-        traj = simulate(spec, t_max=3.9)
-        traj = simulate(spec, t_max=6.5, resume=traj)
-        traj = simulate(spec, t_max=13.0, resume=traj)
-        assert same_trajectory(fresh, traj)
-
-    def test_resume_to_an_earlier_time_adds_nothing(self):
-        spec = favorable_spec(n=64)
-        traj = simulate(spec, t_max=2.0)
-        again = simulate(spec, t_max=1.0, resume=traj)
-        assert same_trajectory(traj, again)
 
 
 class TestStop:
@@ -420,20 +377,11 @@ class TestStop:
                                if abs(t / 1.3 - round(t / 1.3)) < 1e-9]
         assert len(part.snapshots) == 1 + int(part.t[-1] / 1.3 + 1e-9)
 
-    def test_stopped_run_resumes(self):
-        spec = ProblemSpec.build(seasonal_field(), d=1.0, mu=1.3, h0=1.5,
-                                 n=64, dt=0.02)
-        full = simulate(spec, t_max=10.0)
-        part = simulate(spec, t_max=10.0,
-                        stop=lambda state, hp, sup, end: state.t >= 3.0)
-        assert part.t[-1] == 3.0
-        assert same_trajectory(full, simulate(spec, t_max=10.0, resume=part))
-
 
 class TestUnchangedPaths:
-    @pytest.mark.parametrize("case", sorted(RESUME_CASES))
+    @pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
     def test_simulate_matches_reference_loop(self, case):
-        fld, dt, every = RESUME_CASES[case]
+        fld, dt, every = SIMULATE_CASES[case]
         spec = ProblemSpec.build(fld, d=1.0, mu=2.0, h0=2.0, n=64, dt=dt,
                                  sample_every=every)
         traj = simulate(spec, t_max=7.0)

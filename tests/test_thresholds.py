@@ -245,21 +245,23 @@ def ladder_spec(ladder):
         return mu_star_spec(), (0.4, 1.3, 2.2, 4.0)
     spec = ProblemSpec.build(unfavorable_core_field(), d=1.0, mu=2.0, h0=1.5,
                              n=64, dt=0.02)
-    # sigma=3.0 escalates once, sigma=3.3 twice
+    # sigma=3.0 is Undecided at 50 periods, sigma=3.3 also at 100
     return spec, (0.5, 3.0, 3.3, 4.0)
 
 
 def full_horizon_verdict(spec, h_star_value):
-    """A probe decided by fresh runs over the whole horizon, doubled while
-    Undecided: the verdicts early stopping must reproduce."""
+    """A probe decided by fresh runs over the whole horizon, from 50
+    periods and doubled while Undecided up to the cap: the verdicts that
+    one early-stopping run must reproduce."""
+    start = 50.0     # in periods
     T = spec.field.T
-    horizon, escalations = thresholds.HORIZON_START * T, 0
+    horizon, doublings = start * T, 0
     while True:
         traj = freeboundary.simulate(spec, t_max=horizon)
         verdict = classify_outcome(traj, spec, h_star_value=h_star_value).verdict
         if verdict != "Undecided" or horizon >= thresholds.HORIZON_CAP * T:
-            return verdict, escalations
-        escalations += 1
+            return verdict, doublings
+        doublings += 1
         horizon = min(2.0 * horizon, thresholds.HORIZON_CAP * T)
 
 
@@ -270,35 +272,46 @@ class TestEarlyStopping:
         hs = freeboundary.spec_h_star(spec)
         ref = [full_horizon_verdict(spec_at(spec, ladder, v), hs)
                for v in values]
-        escalations = sum(esc for _, esc in ref)
-        assert escalations > 0
+        assert sum(doublings for _, doublings in ref) > 0
         calls = []
         real = freeboundary.simulate
 
         def counted(spec, t_max=None, **kwargs):
             traj = real(spec, t_max=t_max, **kwargs)
-            calls.append((t_max, kwargs.get("resume"), traj))
+            calls.append((t_max, traj))
             return traj
 
         monkeypatch.setattr(freeboundary, "simulate", counted)
         verdicts = verdict_ladder(spec, ladder, values, h_star_value=hs)
         assert verdicts == [v for v, _ in ref]
-        # one simulate call per evaluation; each escalation resumes the
-        # trajectory of the call before it.  The sigma ladder's growth
-        # depends on r, so it escalates as the full horizon runs do; the
-        # mu ladder's Vanishing probes are certified within 50 periods
-        resumed = [(prev[2], call[1]) for prev, call in zip(calls, calls[1:])
-                   if call[1] is not None]
-        assert len(resumed) == (escalations if ladder == "sigma" else 0)
-        assert len(calls) == len(values) + len(resumed)
-        assert all(before is after for before, after in resumed)
+        # one simulate call per probe, whether or not the full horizon
+        # runs needed more than 50 periods
+        assert len(calls) == len(values)
         # decided probes stop before their horizon, a Vanishing one only
         # at a period boundary
-        early = [traj for t_max, _, traj in calls if traj.t[-1] < t_max]
+        early = [traj for t_max, traj in calls if traj.t[-1] < t_max]
         assert early
         for traj in early:
             if traj.h[-1] < hs:
                 assert traj.t[-1] == pytest.approx(round(traj.t[-1]))
+
+    def test_undecided_probe_runs_once_to_the_cap(self, monkeypatch):
+        spec = mu_star_spec()
+        calls = []
+
+        def undecided(spec, t_max=None, **kwargs):
+            # a front that never moves and a density that never decays
+            calls.append((t_max, sorted(kwargs)))
+            return freeboundary.Trajectory(
+                t=np.array([0.0, t_max]), h=np.full(2, spec.h0),
+                h_prime=np.zeros(2), u_sup=np.ones(2))
+
+        monkeypatch.setattr(freeboundary, "simulate", undecided)
+        prober = thresholds._Prober(spec, J01 * math.sqrt(2.0))
+        with pytest.raises(TooManyUndecided):
+            prober.verdict(mu=1.3)
+        assert calls == [(thresholds.HORIZON_CAP * spec.field.T, ["stop"])]
+        assert prober.evaluations == prober.undecided == 1
 
     def test_one_simulation_per_evaluation(self, monkeypatch):
         spec = mu_star_spec()
@@ -313,7 +326,7 @@ class TestEarlyStopping:
         res = mu_star(spec, 0.4, 4.0, tol=0.4)
         assert (res.value, res.bracket) == (1.75, (1.3, 2.2))
         # mu=1.3 is certified Vanishing at t=6, where the decay test was
-        # Undecided at 50 periods and escalated (5 evaluations, 1 Undecided)
+        # Undecided at 50 periods
         assert (res.evaluations, res.undecided_encounters) == (4, 0)
         assert len(calls) == res.evaluations
 
@@ -328,8 +341,8 @@ class TestEarlyStopping:
         assert len(lines) == prober.evaluations == 2
         pattern = r"probe mu=%s: horizon %s, stopped at t=([0-9.]+): %s$"
         m = [re.match(pattern % args, line) for args, line in zip(
-            [("1.3", "50", r"Vanishing \(certified\)"),
-             ("4", "50", r"Spreading \(eigenvalue\)")], lines)]
+            [("1.3", "400", r"Vanishing \(certified\)"),
+             ("4", "400", r"Spreading \(eigenvalue\)")], lines)]
         assert all(m), lines
         assert float(m[0].group(1)) < 50.0
         assert float(m[1].group(1)) < 50.0
@@ -337,8 +350,9 @@ class TestEarlyStopping:
     def test_demo_thresholds_unchanged(self):
         # demos/sharp_thresholds.py: the same answers as full horizon
         # probes gave.  mu* (constant growth) takes 9 evaluations and no
-        # Undecided, 13 and 4 before the upper-solution certificate;
-        # sigma0's growth depends on r, so its counts are the decay test's
+        # Undecided, 13 and 4 before the upper-solution certificate.
+        # sigma0's growth depends on r, so its probes use the decay test
+        # alone: 9 evaluations, one per probe, and no Undecided
         spec = favorable_spec(h0=1.5)
         assert mu_star(spec, 0.05, 8.0, tol=0.05, h_star_value=J01) == \
             ThresholdResult(value=1.2611328124999999,
@@ -351,7 +365,7 @@ class TestEarlyStopping:
             ThresholdResult(value=3.4427734375000005,
                             bracket=(3.3257812500000004, 3.5597656250000003),
                             verdict_lo="Vanishing", verdict_hi="Spreading",
-                            evaluations=14, undecided_encounters=5)
+                            evaluations=9, undecided_encounters=0)
 
 
 class TestUpperSolution:
