@@ -32,12 +32,13 @@ if not abs(got - 2.4048256) <= 5e-4:
 '
 python -m stefanlab --config demos/speed.cfg --out "$scratch/speed"
 # the semi-wave speed of the seasonal far field (the LDL^T-factored step,
-# which needs LAPACK dpttrf and dpttrs): c within 1e-12, in 10 iterations
+# which needs LAPACK dpttrf and dpttrs, and the swept logistic orbit V):
+# c within 1e-12, in 10 iterations
 grep -v '^#' "$scratch/speed/speed.json" | python -c '
 import json, sys
 got = json.load(sys.stdin)
-if not (abs(got["c"] - 0.8192804417642835) <= 1e-12 and got["iterations"] == 10):
-    sys.exit("speed.cfg: c %r in %r iterations, expected 0.8192804417642835 "
+if not (abs(got["c"] - 0.8192804417642802) <= 1e-12 and got["iterations"] == 10):
+    sys.exit("speed.cfg: c %r in %r iterations, expected 0.8192804417642802 "
              "within 1e-12 in 10" % (got["c"], got["iterations"]))
 '
 python -m stefanlab --config demos/hstar.cfg --out "$scratch/hstar"
@@ -73,4 +74,16 @@ if not (all(math.isclose(g, w, abs_tol=1e-12) for g, w in zip(got, want))
         and row["evaluations"] == "9"):
     sys.exit("sigma0.cfg: sigma0 %r in [%r, %r] after %s probes, expected "
              "%r in [%r, %r] after 9" % (*got, row["evaluations"], *want))
+'
+# sigma0 where a bisection probe (sigma=2.8484375) stays Undecided up to
+# 400 periods: the search returns the bracket it had verified, exit 0
+python -m stefanlab --config demos/sigma0_critical.cfg --out "$scratch/sigma0_critical"
+grep -v '^#' "$scratch/sigma0_critical/threshold.csv" | python -c '
+import csv, math, sys
+row, = csv.DictReader(sys.stdin)
+got = [float(row[k]) for k in ("lo", "hi")]
+if not (all(math.isclose(g, w, abs_tol=1e-12) for g, w in zip(got, (2.5375, 3.159375)))
+        and row["undecided_encounters"] == "1"):
+    sys.exit("sigma0_critical.cfg: bracket [%r, %r] with %s Undecided, expected "
+             "[2.5375, 3.159375] with 1" % (*got, row["undecided_encounters"]))
 '

@@ -3,7 +3,8 @@
 Expressions are functions of the time variable ``t`` and the radius
 ``r``.  Supported: ``+ - * / ^`` (``^`` right associative), unary minus,
 ``sin cos exp log sqrt abs min max tanh``, and the constants ``pi`` and
-``e``; any other name is an UnknownIdentifier.  Evaluation is
+``e``; any other name is an UnknownIdentifier.  An expression nests at
+most MAX_DEPTH levels.  Evaluation is
 numpy-vectorized so ``t`` and ``r`` may be arrays; an ExprFunction
 compiles its expression once, into a tree of closures, and each call runs
 only the numpy operations.
@@ -25,6 +26,7 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 VARIABLES = ("t", "r")
 
 MAX_SOURCE_BYTES = 64 * 1024
+MAX_DEPTH = 100   # deepest syntax tree; a parenthesised group is a level
 
 
 # --- AST nodes ---
@@ -61,6 +63,26 @@ class Bin:
 class Call:
     fn: str
     args: tuple
+
+
+def _children(ast):
+    """The operands of ``ast``; () for a leaf."""
+    if isinstance(ast, Unary):
+        return (ast.child,)
+    if isinstance(ast, Bin):
+        return (ast.left, ast.right)
+    if isinstance(ast, Call):
+        return ast.args
+    return ()
+
+
+def _depth(ast):
+    """Levels of the syntax tree ``ast``, counted without recursion."""
+    level, depth = [ast], 0
+    while level:
+        depth += 1
+        level = [child for node in level for child in _children(node)]
+    return depth
 
 
 # --- tokenizer ---
@@ -114,10 +136,25 @@ def _tokenize(text):
     return toks
 
 
+def _too_deep(off):
+    return ExprSyntaxError(off, ["expression"], "expression nested deeper "
+                           "than %d levels at offset %d" % (MAX_DEPTH, off))
+
+
 class _Parser:
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
+        self.depth = 0    # groups, calls, minuses and exponents now open
+
+    def nested(self, parse, off):
+        """parse() one level down: the parser recurses only through here."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise _too_deep(off)
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.toks[self.pos]
@@ -157,19 +194,19 @@ class _Parser:
 
     # unary := "-" unary | power
     def unary(self):
-        kind, value, _ = self.peek()
+        kind, value, off = self.peek()
         if kind == "op" and value == "-":
             self.next()
-            return Unary("-", self.unary())
+            return Unary("-", self.nested(self.unary, off))
         return self.power()
 
     # power := atom ("^" unary)?   (right associative, binds above unary "-")
     def power(self):
         node = self.atom()
-        kind, value, _ = self.peek()
+        kind, value, off = self.peek()
         if kind == "op" and value == "^":
             self.next()
-            return Bin("^", node, self.unary())
+            return Bin("^", node, self.nested(self.unary, off))
         return node
 
     def atom(self):
@@ -177,16 +214,16 @@ class _Parser:
         if kind == "num":
             return Num(value)
         if kind == "op" and value == "(":
-            node = self.expr()
+            node = self.nested(self.expr, off)
             self.expect_op(")")
             return node
         if kind == "ident":
             if value in FUNCTIONS:
                 self.expect_op("(")
-                args = [self.expr()]
+                args = [self.nested(self.expr, off)]
                 while FUNCTIONS[value] > len(args):
                     self.expect_op(",")
-                    args.append(self.expr())
+                    args.append(self.nested(self.expr, off))
                 self.expect_op(")")
                 return Call(value, tuple(args))
             if value in CONSTANTS:
@@ -198,7 +235,12 @@ class _Parser:
 
 
 def parse(text):
-    """Parse ``text`` into an AST."""
+    """Parse ``text`` into an AST.
+
+    Raises ExprSyntaxError when the expression nests deeper than MAX_DEPTH
+    levels: its syntax tree, or its parenthesised groups, function calls,
+    unary minuses and exponents (the parser recurses through these).
+    """
     if not text or not text.strip():
         raise ExprSyntaxError(0, ["expression"], "empty expression")
     if len(text.encode()) > MAX_SOURCE_BYTES:
@@ -209,6 +251,8 @@ def parse(text):
     kind, _, off = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(off, ["end of input"])
+    if _depth(node) > MAX_DEPTH:
+        raise _too_deep(0)
     return node
 
 
@@ -317,18 +361,13 @@ def variables(ast):
     """The set of variable names (``t``, ``r``) that ``ast`` reads."""
     if isinstance(ast, Var):
         return {ast.name}
-    if isinstance(ast, Unary):
-        return variables(ast.child)
-    if isinstance(ast, Bin):
-        return variables(ast.left) | variables(ast.right)
-    if isinstance(ast, Call):
-        return set().union(*map(variables, ast.args))
-    return set()
+    return set().union(*map(variables, _children(ast)))
 
 
 def pretty(ast):
     """Render an AST back to source. Fully parenthesized so that
-    parse(pretty(a)) is structurally identical to ``a``."""
+    parse(pretty(a)) is structurally identical to ``a`` while the rendered
+    groups, calls and minuses nest at most MAX_DEPTH levels."""
     if isinstance(ast, Num):
         return repr(ast.value)
     if isinstance(ast, (Var, Const)):

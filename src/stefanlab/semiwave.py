@@ -23,7 +23,6 @@ from .radialcore import solve_tridiag  # noqa: F401
 PHASES = 64               # phases of a semi-wave profile and of the drift k0
 MEAN_NODES = 1025         # trapezoid nodes of a period mean
 LOGISTIC_PHASES = 256     # phases kept of the periodic logistic orbit
-MAX_LOGISTIC_PERIODS = 20000
 MAX_PROFILE_PERIODS = 5000
 K0_RELAX = 0.5            # damping of the drift iteration
 PROFILE_TOL = 1e-7        # default profile tol, also k0_fixed_point's last
@@ -71,23 +70,20 @@ def _mean(fn, T):
     return float(np.trapezoid(_on_times(fn, t), t) / T)
 
 
-def periodic_logistic(a, b, T, tol=1e-10, steps_per_period=2048):
-    """Positive T-periodic orbit of dV/dt = V(a(t) - b(t) V).
+def periodic_logistic(a, b, T, steps_per_period=2048):
+    """Positive T-periodic orbit of dV/dt = V(a(t) - b(t) V), with no iteration.
 
-    Integrates with classical RK4 from the mean equilibrium and iterates
-    the period map to a fixed point within MAX_LOGISTIC_PERIODS periods.
-    A callable a or b is evaluated on 1-D arrays of times (a scalar return
-    is broadcast): once for the period means and once on the RK4 stage
-    times of one period, however many periods the iteration takes.  Raises
-    NonPositive when the orbit collapses (mean growth rate <= 0).
+    W = 1/V solves the linear dW/dt = b - a W, on which an RK4 step is affine:
+    W -> W + dh W + dg.  One RK4 sweep over a period carries the lane H from 1
+    (without b) and the lane G from 0, so the period map is W(T) = H(T) W(0) +
+    G(T); its fixed point W0 = G(T) / (1 - H(T)) gives V = 1/(W0 H + G) at the
+    LOGISTIC_PHASES + 1 kept times.  A callable a or b is evaluated once, on
+    the RK4 stage times of one period (a scalar return is broadcast).  Raises
+    ValueError when mean b <= 0, and NonPositive when H(T) >= 1 (mean growth
+    <= 0: no positive orbit) or a kept W is not positive and finite.
     """
     a = _periodic_fn(a, T)
     b = _periodic_fn(b, T)
-    abar = _mean(a, T)
-    bbar = _mean(b, T)
-    if bbar <= 0:
-        raise ValueError("b must be positive on average")
-    v = max(abar, 1e-3) / bbar
     steps = max(int(steps_per_period), 2 * LOGISTIC_PHASES)
     steps = int(np.ceil(steps / LOGISTIC_PHASES)) * LOGISTIC_PHASES
     dt = T / steps
@@ -95,30 +91,33 @@ def periodic_logistic(a, b, T, tol=1e-10, steps_per_period=2048):
     sixth = dt / 6
     t = np.arange(steps) * dt
     stage_t = np.concatenate([t, t + half, t + dt])
-    sa = _on_times(a, stage_t).reshape(3, steps).tolist()
-    sb = _on_times(b, stage_t).reshape(3, steps).tolist()
     # per step: a and b at t, t + dt/2 and t + dt
-    stages = (sa[0], sb[0], sa[1], sb[1], sa[2], sb[2])
-    for period in range(1, MAX_LOGISTIC_PERIODS + 1):
-        v0 = v
-        trace = [v]
-        for a0, b0, a1, b1, a2, b2 in zip(*stages):
-            k1 = v * (a0 - b0 * v)
-            w = v + half * k1
-            k2 = w * (a1 - b1 * w)
-            w = v + half * k2
-            k3 = w * (a1 - b1 * w)
-            w = v + dt * k3
-            k4 = w * (a2 - b2 * w)
-            v = v + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not 0.0 < v < math.inf:      # also catches NaN
-                raise NonPositive("orbit left the positive cone (mean growth <= 0?)")
-            trace.append(v)
-        if abs(v - v0) <= tol * (1.0 + abs(v)):
-            keep = slice(0, steps + 1, steps // LOGISTIC_PHASES)
-            return PeriodicLogisticSolution(T, (np.arange(steps + 1) * dt)[keep],
-                                            np.array(trace)[keep])
-    raise NoConvergence(MAX_LOGISTIC_PERIODS, abs(v - v0))
+    a0, a1, a2 = _on_times(a, stage_t).reshape(3, steps)
+    b0, b1, b2 = _on_times(b, stage_t).reshape(3, steps)
+    if np.mean(b0) <= 0:
+        raise ValueError("b must be positive on average")
+    # the RK4 stages of every step at once, from 1 without b and from 0
+    k1 = -a0
+    k2 = -a1 * (1.0 + half * k1)
+    k3 = -a1 * (1.0 + half * k2)
+    k4 = -a2 * (1.0 + dt * k3)
+    dh = sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+    k1 = b0
+    k2 = b1 - a1 * (half * k1)
+    k3 = b1 - a1 * (half * k2)
+    k4 = b2 - a2 * (dt * k3)
+    dg = sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+    H, G = [1.0], [0.0]
+    for dhk, dgk in zip(dh.tolist(), dg.tolist()):
+        H.append(H[-1] + dhk * H[-1])
+        G.append(G[-1] + (dhk * G[-1] + dgk))
+    if not H[-1] < 1.0:                     # also catches NaN
+        raise NonPositive("no positive periodic orbit (mean growth <= 0?)")
+    keep = slice(0, steps + 1, steps // LOGISTIC_PHASES)
+    W = G[-1] / (1.0 - H[-1]) * np.array(H[keep]) + np.array(G[keep])
+    if not np.all((W > 0.0) & (W < math.inf)):
+        raise NonPositive("orbit left the positive cone")
+    return PeriodicLogisticSolution(T, (np.arange(steps + 1) * dt)[keep], 1.0 / W)
 
 
 @dataclass(frozen=True)

@@ -211,8 +211,8 @@ class _Prober:
                   probe, horizon, traj.t[-1], verdict, criterion)
         if verdict == "Undecided":
             self.undecided += 1
-            raise TooManyUndecided("probe stayed Undecided up to t=%.3g"
-                                   % horizon)
+            raise TooManyUndecided("probe %s stayed Undecided up to t=%.3g"
+                                   % (probe, horizon))
         return verdict
 
 
@@ -224,7 +224,10 @@ def _sharp_threshold(spec, param, lo, hi, tol, h_star_value,
     (h0 >= h*), where spreading holds for every value.  When the upper
     endpoint stays Undecided up to HORIZON_CAP periods, the result is
     [lo, hi] as a lower bound only if ``bound_if_undecided``; otherwise
-    TooManyUndecided propagates.
+    TooManyUndecided propagates.  When a bisection probe stays Undecided,
+    the search stops: the verdict is monotone in ``param``, so the last
+    verified bracket still holds the threshold, and it is returned with
+    the Undecided probe named in the evidence.
     """
     if h_star_value is None:
         h_star_value = freeboundary.spec_h_star(spec)
@@ -257,12 +260,25 @@ def _sharp_threshold(spec, param, lo, hi, tol, h_star_value,
         raise BracketInvalid(
             "%s bracket endpoints gave (%s, %s); need (Vanishing, Spreading)"
             % (param, v_lo, v_hi))
-    lo, hi = eigen._bisect(lambda x: verdict(x) != "Spreading", lo, hi,
-                           lambda lo, hi: hi - lo > tol * (1.0 + 0.5 * (lo + hi)))
+    verified = [lo, hi]       # the last Vanishing and Spreading probes
+
+    def vanishing(x):
+        spreading = verdict(x) == "Spreading"
+        verified[spreading] = x
+        return not spreading
+
+    try:
+        eigen._bisect(vanishing, lo, hi,
+                      lambda lo, hi: hi - lo > tol * (1.0 + 0.5 * (lo + hi)))
+        evidence = ""
+    except TooManyUndecided as exc:
+        evidence = "bisection stopped: %s" % exc
+    lo, hi = verified
     return ThresholdResult(value=0.5 * (lo + hi), bracket=(lo, hi),
                            verdict_lo="Vanishing", verdict_hi="Spreading",
                            evaluations=prober.evaluations,
-                           undecided_encounters=prober.undecided)
+                           undecided_encounters=prober.undecided,
+                           evidence=evidence)
 
 
 def mu_star(spec, mu_lo, mu_hi, tol=0.01, h_star_value=None):

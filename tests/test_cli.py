@@ -440,7 +440,12 @@ class TestRejectedConfigs:
         (SWEEP.replace("axis2=mu\naxis2_values=1,2",
                        "axis2=sigma\naxis2_values=-1,1"), 2),
         # a grid that does not fit in memory ended in a MemoryError
-        (MINIMAL.replace("n=64", "n=1000000000"), 2)],
+        (MINIMAL.replace("n=64", "n=1000000000"), 2),
+        # an expression nested past the parser's recursion ended in a
+        # RecursionError: 200 groups, 3000 minuses, 1500 terms (in _compile)
+        (MINIMAL.replace("alpha=1", "alpha=" + "(" * 200 + "1" + ")" * 200), 2),
+        (MINIMAL.replace("alpha=1", "alpha=" + "-" * 3000 + "1"), 2),
+        (MINIMAL.replace("alpha=1", "alpha=1" + "+0" * 1500), 2)],
         ids=["log", "sqrt", "criteria-kind", "no-d-threshold", "T-zero",
              "T-negative", "T-inf", "N-zero", "r_far-negative", "dt-nan",
              "t_max-nan", "t_max-zero", "t_max-negative", "sample_every-zero",
@@ -450,7 +455,8 @@ class TestRejectedConfigs:
              "speed-tol-negative", "hstar-tol-inf", "mu-star-tol-inf",
              "sigma0-tol-inf", "eigen-R-empty", "sweep-axis1-empty",
              "sweep-axis2-empty", "sweep-d-inf", "sweep-h0-inf",
-             "sweep-mu-zero", "sweep-sigma-negative", "n-huge"])
+             "sweep-mu-zero", "sweep-sigma-negative", "n-huge",
+             "deep-parentheses", "deep-minuses", "deep-sum"])
     def test_exit_code(self, tmp_path, monkeypatch, capsys, text, code):
         self.check_exit(tmp_path, monkeypatch, capsys, text, code)
 

@@ -55,6 +55,19 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse("1+" * 40000 + "1")
 
+    @pytest.mark.parametrize("deepest, too_deep", [
+        ("(" * 100 + "t" + ")" * 100, "(" * 101 + "t" + ")" * 101),
+        ("-" * 99 + "t", "-" * 100 + "t"),
+        ("t" + "+1" * 99, "t" + "+1" * 100),
+        ("sin(" * 99 + "t" + ")" * 99, "sin(" * 100 + "t" + ")" * 100),
+        ("2^" * 99 + "t", "2^" * 100 + "t")],
+        ids=["groups", "minuses", "sum", "calls", "powers"])
+    def test_depth_cap(self, deepest, too_deep):
+        # MAX_DEPTH levels of groups, calls, minuses, exponents or tree
+        assert coeffexpr.variables(parse(deepest)) == {"t"}
+        with pytest.raises(ExprSyntaxError, match="deeper than 100 levels"):
+            parse(too_deep)
+
     def test_scientific_notation(self):
         assert evaluate(parse("1e-3 + 2E2")) == pytest.approx(200.001)
 

@@ -3,6 +3,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import lapack
 
 from stefanlab import semiwave
@@ -15,41 +16,36 @@ from stefanlab.semiwave import (PeriodicLogisticSolution, SemiWaveProfile,
                                 semiwave_profile)
 
 
-def reference_periodic_logistic(a, b, T, tol=1e-10, steps_per_period=2048,
-                                max_periods=20000, phases=256):
-    """periodic_logistic written as a per-step loop: every RK4 stage calls
-    a(t) and b(t) at one time."""
+def reference_periodic_logistic(a, b, T, steps_per_period=2048, phases=256):
+    """periodic_logistic written as a per-step sweep: every RK4 stage calls
+    a(t) and b(t) at one time, and each step advances the lanes H (from 1,
+    without b) and G (from 0) of dW/dt = b - a W, W = 1/V."""
     a = semiwave._periodic_fn(a, T)
     b = semiwave._periodic_fn(b, T)
-    tgrid = np.linspace(0.0, T, 1025)
-    abar = float(np.trapezoid(a(tgrid), tgrid) / T)
-    bbar = float(np.trapezoid(b(tgrid), tgrid) / T)
-    v = max(abar, 1e-3) / bbar
     steps = int(np.ceil(max(steps_per_period, 2 * phases) / phases)) * phases
     dt = T / steps
-
-    def f(t, v):
-        return v * (a(t) - b(t) * v)
-
-    for _ in range(max_periods):
-        v0 = v
-        trace_t, trace_v = [0.0], [v]
-        for k in range(steps):
-            t = k * dt
-            k1 = f(t, v)
-            k2 = f(t + dt / 2, v + dt / 2 * k1)
-            k3 = f(t + dt / 2, v + dt / 2 * k2)
-            k4 = f(t + dt, v + dt * k3)
-            v = v + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.isfinite(v) or v <= 0:
-                raise NonPositive("reference orbit left the positive cone")
-            trace_t.append((k + 1) * dt)
-            trace_v.append(v)
-        if abs(v - v0) <= tol * (1.0 + abs(v)):
-            keep = slice(0, steps + 1, steps // phases)
-            return PeriodicLogisticSolution(T, np.array(trace_t)[keep],
-                                            np.array(trace_v)[keep])
-    raise AssertionError("reference periodic_logistic did not converge")
+    H, G = [1.0], [0.0]
+    for k in range(steps):
+        t = k * dt
+        a0, a1, a2 = float(a(t)), float(a(t + dt / 2)), float(a(t + dt))
+        b0, b1, b2 = float(b(t)), float(b(t + dt / 2)), float(b(t + dt))
+        k1 = -a0
+        k2 = -a1 * (1.0 + dt / 2 * k1)
+        k3 = -a1 * (1.0 + dt / 2 * k2)
+        k4 = -a2 * (1.0 + dt * k3)
+        dh = dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = b0
+        k2 = b1 - a1 * (dt / 2 * k1)
+        k3 = b1 - a1 * (dt / 2 * k2)
+        k4 = b2 - a2 * (dt * k3)
+        dg = dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        H.append(H[-1] + dh * H[-1])
+        G.append(G[-1] + (dh * G[-1] + dg))
+    if not H[-1] < 1.0:
+        raise NonPositive("reference: no positive periodic orbit")
+    keep = slice(0, steps + 1, steps // phases)
+    W = G[-1] / (1.0 - H[-1]) * np.array(H[keep]) + np.array(G[keep])
+    return PeriodicLogisticSolution(T, (np.arange(steps + 1) * dt)[keep], 1.0 / W)
 
 
 def reference_semiwave_profile(k, a, b, d, T, L=None, n=1024, tol=1e-7,
@@ -205,13 +201,11 @@ class TestTabulatedCoefficients:
         assert_same_bits(prof.values, ref.values)
 
     def test_logistic_calls_independent_of_periods(self):
-        counts = []
-        for tol in (1e-3, 1e-12):
-            a = Counting(lambda t: 1.0 + 0.5 * np.sin(2 * np.pi * t))
-            periodic_logistic(a, 1.0, 1.0, tol=tol)
-            counts.append(a.calls)
-        # the period means, then every RK4 stage time of one period
-        assert counts == [2, 2]
+        a = Counting(lambda t: 1.0 + 0.5 * np.sin(2 * np.pi * t))
+        b = Counting(lambda t: 1.0 + 0.2 * np.cos(2 * np.pi * t))
+        periodic_logistic(a, b, 1.0)
+        # every RK4 stage time of one period, in one call each
+        assert (a.calls, b.calls) == (1, 1)
 
     def test_profile_calls_independent_of_periods(self):
         V = periodic_logistic(1.0, 1.0, 1.0)
@@ -248,8 +242,8 @@ class TestPeriodicLogistic:
         assert np.all(sol.values > 0)
 
     def test_fine_step_reference(self):
-        # self-refinement oracle: the same period-map iteration at a much
-        # finer step agrees at t = 0
+        # self-refinement oracle: the same sweep at a much finer step
+        # agrees at t = 0
         a = lambda t: 1 + 0.5 * np.sin(2 * np.pi * t)
         coarse = periodic_logistic(a, 1.0, 1.0)
         fine = periodic_logistic(a, 1.0, 1.0, steps_per_period=65536)
@@ -263,6 +257,36 @@ class TestPeriodicLogistic:
         dvdt = np.diff(sol.values) / np.diff(sol.times)
         residual = dvdt - vm * (a(tm) - vm)
         assert np.max(np.abs(residual)) < 1e-3   # central-difference limited
+
+    @pytest.mark.parametrize("a0, a1", [(1.0, 0.5), (0.05, 0.9)])
+    def test_closed_form(self, a0, a1):
+        # b = 1: W = 1/V solves W' = 1 - a W, so with A(t) = int_0^t a,
+        # W(t) = e^{-A(t)} (W0 + int_0^t e^A), W0 = int_0^T e^A / (e^{A(T)} - 1)
+        def A(t):
+            return a0 * t + a1 * (1.0 - math.cos(2 * math.pi * t)) / (2 * math.pi)
+
+        def int_exp_A(t):
+            return quad(lambda s: math.exp(A(s)), 0.0, t, epsabs=0.0,
+                        epsrel=1e-13, limit=200)[0]
+
+        sol = periodic_logistic(lambda t: a0 + a1 * np.sin(2 * np.pi * t),
+                                1.0, 1.0)
+        W0 = int_exp_A(1.0) / (math.exp(A(1.0)) - 1.0)
+        exact = [math.exp(A(t)) / (W0 + int_exp_A(t)) for t in sol.times]
+        assert np.allclose(sol.values, exact, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("a, b", [
+        (-0.3, 1.0),                                      # mean growth < 0
+        (0.0, 1.0),                                       # mean growth = 0
+        (1.0, lambda t: 0.1 + 2.0 * np.cos(2 * np.pi * t)),  # W crosses 0
+    ])
+    def test_no_positive_orbit(self, a, b):
+        with pytest.raises(NonPositive):
+            periodic_logistic(a, b, 1.0)
+
+    def test_nonpositive_mean_b(self):
+        with pytest.raises(ValueError):
+            periodic_logistic(1.0, -1.0, 1.0)
 
 
 class TestSemiWaveProfile:

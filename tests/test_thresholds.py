@@ -189,6 +189,39 @@ class TestUndecidedUpperEndpoint:
             mu_star(favorable_spec(), 0.05, 8.0, h_star_value=J01)
 
 
+class TestUndecidedInteriorProbe:
+    def test_sigma0_keeps_verified_bracket(self):
+        # demos/sigma0_critical.cfg: the probe sigma=2.8484375 creeps toward
+        # h* and stays Undecided up to the cap; the search used to end with
+        # TooManyUndecided and drop the bracket it had verified
+        spec = ProblemSpec.build(constant_field(0.5, gamma=0.5), d=1.0,
+                                 mu=1.0, h0=1.993796, n=64, dt=0.02)
+        res = sigma0(spec, spec.u0, 0.05, 10.0, tol=0.1)
+        assert res.bracket == pytest.approx((2.5375, 3.159375), abs=1e-12)
+        assert res.value == pytest.approx(2.8484375, abs=1e-12)
+        assert (res.verdict_lo, res.verdict_hi) == ("Vanishing", "Spreading")
+        assert (res.evaluations, res.undecided_encounters) == (7, 1)
+        assert "sigma=2.8484375 stayed Undecided" in res.evidence
+
+    def test_mu_star_keeps_verified_bracket(self, monkeypatch):
+        # Vanishing below 1, Spreading above 1.5, Undecided in between
+        def verdict(self, mu):
+            self.evaluations += 1
+            if mu < 1.0:
+                return "Vanishing"
+            if mu > 1.5:
+                return "Spreading"
+            self.undecided += 1
+            raise TooManyUndecided("probe mu=%.10g stayed Undecided" % mu)
+
+        monkeypatch.setattr(thresholds._Prober, "verdict", verdict)
+        res = mu_star(favorable_spec(), 0.0, 4.0, tol=0.01, h_star_value=J01)
+        # probes 0, 4, 2, 1 (Undecided): the verified bracket is [0, 2]
+        assert (res.value, res.bracket) == (1.0, (0.0, 2.0))
+        assert (res.evaluations, res.undecided_encounters) == (4, 1)
+        assert res.evidence == "bisection stopped: probe mu=1 stayed Undecided"
+
+
 class TestSpecAt:
     def test_sigma_scales_the_profile(self):
         spec = favorable_spec()
