@@ -6,6 +6,8 @@
 # from the repository root:  bash demos/smoke.sh
 set -euo pipefail
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
+# a RuntimeWarning fails the run, as it fails a test (pyproject.toml)
+export PYTHONWARNINGS=error::RuntimeWarning
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 

@@ -4,10 +4,12 @@ Expressions are functions of the time variable ``t`` and the radius
 ``r``.  Supported: ``+ - * / ^`` (``^`` right associative), unary minus,
 ``sin cos exp log sqrt abs min max tanh``, and the constants ``pi`` and
 ``e``; any other name is an UnknownIdentifier.  An expression nests at
-most MAX_DEPTH levels.  Evaluation is
-numpy-vectorized so ``t`` and ``r`` may be arrays; an ExprFunction
+most MAX_DEPTH levels.  ExprFunction is the one evaluation entry: it
 compiles its expression once, into a tree of closures, and each call runs
-only the numpy operations.
+only the numpy operations, on scalars or arrays ``t`` and ``r``, and
+returns floats of their broadcast shape.  Evaluation raises
+EvalDomainError for log/sqrt of negative arguments, division by zero and
+non-finite results instead of propagating NaN/inf.
 """
 
 import math
@@ -268,15 +270,6 @@ def _domain_error(node, value, bad):
 def _check_finite(node, arg, out):
     if not np.all(np.isfinite(out)):
         raise _domain_error(node, arg, ~np.isfinite(out))
-
-
-def evaluate(ast, t=0.0, r=0.0):
-    """Evaluate ``ast`` at (t, r). Scalars or numpy arrays are accepted.
-
-    Raises EvalDomainError for log/sqrt of negative arguments, division by
-    zero and non-finite results instead of propagating NaN/inf.
-    """
-    return _compile(ast)(t, r)
 
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}

@@ -15,33 +15,41 @@ import numpy as np
 from . import coeffexpr
 
 
-class ConstantFn:
-    """Picklable constant coefficient f(t, r) = c."""
+class _Broadcast:
+    """Picklable adapter that makes a plain callable f(t, r) honour the
+    coefficient contract: a float array of the broadcast shape of (t, r)."""
 
-    def __init__(self, c):
-        self.c = float(c)
+    def __init__(self, fn):
+        self.fn = fn
 
     def __call__(self, t, r=0.0):
-        return self.c + 0.0 * np.asarray(t) + 0.0 * np.asarray(r)
-
-    def __repr__(self):
-        return "ConstantFn(%r)" % self.c
+        out = np.asarray(self.fn(t, r), dtype=float)
+        shape = np.broadcast(t, r).shape
+        # a fresh array, not a read-only view: initial_state writes into
+        # the values of u0
+        return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
 def _as_fn(spec):
-    """Coerce a number, expression string or callable into f(t, r)."""
-    if callable(spec):
+    """The one entry of a coefficient, as an f(t, r) that honours the
+    contract of CoefficientField: a string becomes an ExprFunction, a
+    number the ExprFunction of its repr (ValueError when not finite) and a
+    plain callable is wrapped once in _Broadcast."""
+    if isinstance(spec, (coeffexpr.ExprFunction, _Broadcast)):
         return spec
+    if callable(spec):
+        return _Broadcast(spec)
     if isinstance(spec, str):
         return coeffexpr.ExprFunction(spec)
-    return ConstantFn(spec)
+    value = float(spec)
+    if not np.isfinite(value):
+        raise ValueError("coefficient %r is not a finite number" % value)
+    return coeffexpr.ExprFunction(repr(value))
 
 
 def r_independent(fn):
-    """True when f(t, r) is known not to depend on r: a ConstantFn or an
-    expression that never reads r.  A plain callable is not known to be."""
-    if isinstance(fn, ConstantFn):
-        return True
+    """True when f(t, r) is an expression that never reads r.  A plain
+    callable is not known to be."""
     return (isinstance(fn, coeffexpr.ExprFunction)
             and "r" not in coeffexpr.variables(fn.ast))
 
@@ -58,7 +66,12 @@ MAX_SAMPLES = 10 ** 5     # largest t_max/sample_every that validate accepts
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """T-periodic coefficient triple with declared envelope bounds."""
+    """T-periodic coefficient triple with declared envelope bounds.
+
+    The contract, which no solver re-checks: a coefficient returns a float
+    array of the broadcast shape of (t, r), an envelope one of the shape
+    of t.  from_expressions builds coefficients through _as_fn; a direct
+    CoefficientField(...) must pass ones that honour it."""
     alpha: object          # f(t, r)
     gamma: object          # f(t, r)
     beta: object           # f(t, r)
@@ -88,7 +101,7 @@ class CoefficientField:
 
     def growth(self, t, r):
         """alpha - gamma at (t, r); vectorized."""
-        return np.asarray(self.alpha(t, r)) - np.asarray(self.gamma(t, r))
+        return self.alpha(t, r) - self.gamma(t, r)
 
     def alpha2_max(self):
         """Max over one period of the birth upper envelope (257 samples).
@@ -119,10 +132,7 @@ class _SampledEnvelope:
 
     def __call__(self, t, r=0.0):
         t = np.asarray(t, dtype=float)
-        vals = np.asarray(self.fn(t[..., None] if t.ndim else t, self.r_grid),
-                          dtype=float)
-        # a plain callable may return a bare scalar
-        vals = np.broadcast_to(vals, t.shape + self.r_grid.shape)
+        vals = self.fn(t[..., None] if t.ndim else t, self.r_grid)
         red = np.min(vals, axis=-1) if self.which == "min" else np.max(vals, axis=-1)
         out = red - self.pad if self.which == "min" else red + self.pad
         return out if np.ndim(out) else float(out)
@@ -133,7 +143,7 @@ def _sampled_envelopes(fn, T, r_max):
     # a period that validate rejects (not finite and > 0) is not sampled:
     # linspace(0, inf) warns before validate can report it
     t = np.linspace(0.0, T, 33) if 0 < T < np.inf else np.zeros(1)
-    vals = np.asarray(fn(t[:, None], r_grid[None, :]))
+    vals = fn(t[:, None], r_grid[None, :])
     pad = 1e-12 * (1.0 + float(np.max(np.abs(vals))))
     return (_SampledEnvelope(fn, r_grid, "min", pad),
             _SampledEnvelope(fn, r_grid, "max", pad))
@@ -238,30 +248,28 @@ def validate(spec, lattice=(64, 64)):
 
     for name in ("alpha", "gamma", "beta"):
         fn = getattr(fld, name)
-        vals = np.broadcast_to(np.asarray(fn(tt, rr), dtype=float), (nt, nr))
+        vals = fn(tt, rr)
         if not np.all(np.isfinite(vals)):
-            i, j = np.argwhere(~np.isfinite(np.atleast_2d(vals)))[0]
+            i, j = np.argwhere(~np.isfinite(vals))[0]
             out.append(Violation("NonFiniteCoefficient", (tg[i], rg[j]),
                                  "%s is not finite" % name))
             continue
         scale = 1.0 + np.abs(vals)
-        shifted = np.asarray(fn(tt + fld.T, rr), dtype=float)
+        shifted = fn(tt + fld.T, rr)
         dev = np.abs(shifted - vals) / scale
         if np.max(dev) > PERIODICITY_RTOL:
             i, j = np.unravel_index(np.argmax(dev), dev.shape)
             out.append(Violation("PeriodicityViolation", (tg[i], rg[j]),
                                  "%s deviates by %.3e over one period" % (name, dev[i, j])))
-        lo = np.broadcast_to(np.asarray(getattr(fld, name + "1")(tg, 0.0),
-                                        dtype=float), tg.shape)[:, None] + 0 * rr
-        hi = np.broadcast_to(np.asarray(getattr(fld, name + "2")(tg, 0.0),
-                                        dtype=float), tg.shape)[:, None] + 0 * rr
+        lo = getattr(fld, name + "1")(tg, 0.0)[:, None]
+        hi = getattr(fld, name + "2")(tg, 0.0)[:, None]
         slack = 1e-9 * scale
         bad = (vals < lo - slack) | (vals > hi + slack)
         if np.any(bad):
             i, j = np.argwhere(bad)[0]
             out.append(Violation("EnvelopeViolation", (tg[i], rg[j]),
                                  "%s(t,r)=%.6g outside [%.6g, %.6g]"
-                                 % (name, vals[i, j], lo[i, j], hi[i, j])))
+                                 % (name, vals[i, j], lo[i, 0], hi[i, 0])))
         # the death rate may vanish; birth and crowding must not
         floor = -1e-9 if name == "gamma" else 0.0
         if np.any(lo[:, 0] <= floor):
@@ -331,18 +339,14 @@ def classify_habitat(field, R, N=2):
         raise ValueError("R must be positive")
     tg = np.linspace(0.0, field.T, HABITAT_TIME_NODES + 1)
     rg = np.linspace(0.0, R, HABITAT_SAMPLES)
-    shape = (tg.size, rg.size)
-    growth = np.broadcast_to(
-        np.asarray(field.growth(tg[:, None], rg[None, :]), dtype=float), shape)
+    growth = field.growth(tg[:, None], rg[None, :])
     integral = np.trapezoid(growth, tg, axis=0)   # per-radius period integral
     fav = float(np.mean(integral > HABITAT_TOL))
     unfav = float(np.mean(integral < -HABITAT_TOL))
     weight = rg ** (N - 1)
     wsum = np.trapezoid(weight, rg)
-    birth = np.broadcast_to(
-        np.asarray(field.alpha(tg[:, None], rg[None, :]), dtype=float), shape)
-    death = np.broadcast_to(
-        np.asarray(field.gamma(tg[:, None], rg[None, :]), dtype=float), shape)
+    birth = field.alpha(tg[:, None], rg[None, :])
+    death = field.gamma(tg[:, None], rg[None, :])
     mean_birth = np.trapezoid(np.trapezoid(birth * weight, rg, axis=1), tg) / (field.T * wsum)
     mean_death = np.trapezoid(np.trapezoid(death * weight, rg, axis=1), tg) / (field.T * wsum)
     if mean_birth > mean_death + HABITAT_TOL:

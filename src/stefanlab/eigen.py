@@ -82,8 +82,7 @@ class _Period:
         for k0 in range(0, self.substeps, POTENTIAL_BLOCK):
             k1 = min(k0 + POTENTIAL_BLOCK, self.substeps)
             t_mid = ((np.arange(k0, k1) + 0.5) * dt)[:, None]
-            pot = np.broadcast_to(np.asarray(self.field.growth(t_mid, r),
-                                             dtype=float), (k1 - k0, r.size))
+            pot = self.field.growth(t_mid, r)
             yield k0, np.exp(dt * pot)[:, :self.grid.n]
 
     def factors(self):
@@ -343,8 +342,7 @@ def _envelope_radii(d, field, N):
     t = np.arange(ENVELOPE_PHASES) * (field.T / ENVELOPE_PHASES)
 
     def mean(a, g):
-        return float(np.mean(np.asarray(a(t, 0.0), dtype=float)
-                             - np.asarray(g(t, 0.0), dtype=float)))
+        return float(np.mean(a(t, 0.0) - g(t, 0.0)))
 
     m_plus = mean(field.alpha2, field.gamma1)
     m_minus = mean(field.alpha1, field.gamma2)

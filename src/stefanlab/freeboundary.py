@@ -72,12 +72,6 @@ def initial_state(spec):
     return FreeBoundaryState(u=u, h=spec.h0, t=0.0, n=n)
 
 
-def _unknowns(values, n):
-    """A coefficient on the n+1 nodes cut to the n unknowns; a scalar as is."""
-    values = np.asarray(values, dtype=float)
-    return values[:n] if values.ndim else values
-
-
 def step_free(state, spec, dt):
     """Advance the front-fixed system by one step of size dt.
 
@@ -106,8 +100,8 @@ def step_free(state, spec, dt):
     r = state.h * xi
     u = state.u
 
-    growth = _unknowns(fld.growth(state.t, r), n)
-    crowd = _unknowns(fld.beta(state.t, r), n)
+    growth = fld.growth(state.t, r)[:n]
+    crowd = fld.beta(state.t, r)[:n]
     # rhs = u + dt*(adv + u*(growth - crowd*u)) on the n unknowns (u[n] = 0),
     # built in place in two buffers.  Upwind advection: u_t = + xi (h'/h)
     # u_xi, wind >= 0 -> forward difference, adv = xi*(h'/h)*(u+ - u)/dxi

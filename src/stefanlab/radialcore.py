@@ -231,8 +231,8 @@ def step_reaction_diffusion(grid, u, field, d, dt, t, solver=None):
         raise StepSizeTooLarge("dt*max(alpha2) = %.3g >= 1"
                                % (dt * field.alpha2_max()))
     r = grid.r
-    growth = np.asarray(field.growth(t, r), dtype=float)
-    crowd = np.asarray(field.beta(t, r), dtype=float)
+    growth = field.growth(t, r)
+    crowd = field.beta(t, r)
     rhs = u + dt * u * (growth - crowd * u)
     if solver is None:
         solver = DiffusionSolver(grid, d, dt)

@@ -333,17 +333,15 @@ def envelope_speeds(field, mu, d, eps=1e-3, r_star=10.0):
     T = field.T
     phase_times = np.arange(PHASES) * (T / PHASES)
     rr = np.linspace(r_star, 10.0 * r_star, ENVELOPE_RADII)
-    g = np.broadcast_to(
-        np.asarray(field.growth(phase_times[:, None], rr[None, :]), dtype=float),
-        (PHASES, ENVELOPE_RADII))
+    g = field.growth(phase_times[:, None], rr[None, :])
     eta_hi = np.max(g, axis=1)
     eta_lo = np.min(g, axis=1)
     if np.trapezoid(np.concatenate([eta_lo, eta_lo[:1]]),
                 np.concatenate([phase_times, [T]])) / T <= 0:
         raise HypothesisHFailed("far-field lower envelope has nonpositive mean")
 
-    beta1 = np.asarray(field.beta1(phase_times, 0.0), dtype=float) + 0 * phase_times
-    beta2 = np.asarray(field.beta2(phase_times, 0.0), dtype=float) + 0 * phase_times
+    beta1 = field.beta1(phase_times, 0.0)
+    beta2 = field.beta2(phase_times, 0.0)
     b_hi_pair = np.clip(beta1 - eps, 1e-6, None)
     b_lo_pair = beta2 + eps
     upper = k0_fixed_point(mu, eta_hi + eps, b_hi_pair, d, T)

@@ -126,8 +126,7 @@ class _UpperSolution:
         self.slope = -freeboundary.front_gradient(
             freeboundary.FreeBoundaryState(self.phi, 1.0, 0.0, BALL_N))
         t = np.arange(GROWTH_PHASES + 1) * (field.T / GROWTH_PHASES)
-        a = np.broadcast_to(np.asarray(field.growth(t, 0.0), dtype=float),
-                            t.shape)
+        a = field.growth(t, 0.0)
         self.mean = float(np.mean(a[:-1]))
         # int_0^t (a - mean) by the trapezoid rule; it is 0 at t = 0 and T
         integral = np.cumsum(0.5 * (a[1:] + a[:-1]) - self.mean) * (

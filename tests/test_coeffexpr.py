@@ -7,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stefanlab import coeffexpr
 from stefanlab.coeffexpr import (Bin, Call, Const, Num, Unary, Var,
-                                 ExprFunction, evaluate, parse, pretty)
-from stefanlab.coeffmodel import ConstantFn
+                                 ExprFunction, parse, pretty)
 from stefanlab.errors import EvalDomainError, ExprSyntaxError, UnknownIdentifier
 
 
@@ -18,16 +17,16 @@ class TestParse:
         assert isinstance(ast, Bin) and ast.op == "+"
 
     def test_power_right_associative(self):
-        assert evaluate(parse("2^3^2")) == 512
+        assert ExprFunction("2^3^2")(0.0) == 512
 
     def test_power_binds_above_unary_minus(self):
         # -2^2 parses as -(2^2)
-        assert evaluate(parse("-2^2")) == -4
+        assert ExprFunction("-2^2")(0.0) == -4
 
     def test_precedence(self):
-        assert evaluate(parse("1+2*3")) == 7
-        assert evaluate(parse("(1+2)*3")) == 9
-        assert evaluate(parse("6/2/3")) == pytest.approx(1.0)
+        assert ExprFunction("1+2*3")(0.0) == 7
+        assert ExprFunction("(1+2)*3")(0.0) == 9
+        assert ExprFunction("6/2/3")(0.0) == pytest.approx(1.0)
 
     def test_whitespace_insensitive(self):
         assert parse(" 1+ t * r") == parse("1+t*r")
@@ -69,59 +68,59 @@ class TestParse:
             parse(too_deep)
 
     def test_scientific_notation(self):
-        assert evaluate(parse("1e-3 + 2E2")) == pytest.approx(200.001)
+        assert ExprFunction("1e-3 + 2E2")(0.0) == pytest.approx(200.001)
 
 
 class TestEvaluate:
     def test_variables(self):
-        assert evaluate(parse("t*r"), t=2.0, r=3.0) == 6.0
+        assert ExprFunction("t*r")(2.0, 3.0) == 6.0
 
     def test_max_clamp(self):
-        assert evaluate(parse("max(0, r-1)"), r=0.5) == 0.0
+        assert ExprFunction("max(0, r-1)")(0.0, 0.5) == 0.0
 
     def test_sqrt_negative(self):
         with pytest.raises(EvalDomainError):
-            evaluate(parse("sqrt(r-2)"), r=1.0)
+            ExprFunction("sqrt(r-2)")(0.0, 1.0)
 
     def test_log_nonpositive(self):
         with pytest.raises(EvalDomainError):
-            evaluate(parse("log(t)"), t=0.0)
+            ExprFunction("log(t)")(0.0)
 
     def test_division_by_zero(self):
         with pytest.raises(EvalDomainError):
-            evaluate(parse("1/t"), t=0.0)
+            ExprFunction("1/t")(0.0)
 
     def test_exp_overflow(self):
         with pytest.raises(EvalDomainError):
-            evaluate(parse("exp(t)"), t=1e4)
+            ExprFunction("exp(t)")(1e4)
 
     def test_constants(self):
-        assert evaluate(parse("pi")) == math.pi
-        assert evaluate(parse("e")) == math.e
+        assert ExprFunction("pi")(0.0) == math.pi
+        assert ExprFunction("e")(0.0) == math.e
 
     def test_vectorized(self):
         t = np.linspace(0, 1, 11)
-        out = evaluate(parse("sin(2*pi*t)"), t=t)
+        out = ExprFunction("sin(2*pi*t)")(t)
         assert np.allclose(out, np.sin(2 * np.pi * t))
 
     def test_array_domain_check(self):
         r = np.array([1.0, -1.0])
         with pytest.raises(EvalDomainError):
-            evaluate(parse("sqrt(r)"), r=r)
+            ExprFunction("sqrt(r)")(0.0, r)
 
     def test_domain_error_message_is_one_line(self):
-        ast = parse("2+log(t)")
+        fn = ExprFunction("2+log(t)")
         t = np.linspace(0.0, 1.0, 33)[:, None] * np.ones((1, 64))
         with pytest.raises(EvalDomainError) as exc:
-            evaluate(ast, t=t)
+            fn(t)
         assert str(exc.value) == "domain error in log(t) at value 0.0"
-        assert exc.value.node == ast.right
+        assert exc.value.node == fn.ast.right
         assert exc.value.value is t
 
     def test_domain_error_names_first_offending_value(self):
         r = np.array([1.0, 6.0, 7.0])
         with pytest.raises(EvalDomainError) as exc:
-            evaluate(parse("1+sqrt(5-r)"), r=r)
+            ExprFunction("1+sqrt(5-r)")(0.0, r)
         assert str(exc.value) == "domain error in sqrt((5.0 - r)) at value -1.0"
 
 
@@ -187,7 +186,7 @@ def test_parse_pretty_fixpoint(ast):
 def test_matches_reference_evaluator(ast, t, r):
     ref = _reference_eval(ast, t, r)
     try:
-        got = float(evaluate(ast, t=t, r=r))
+        got = float(coeffexpr._compile(ast)(t, r))
     except EvalDomainError:
         assert not math.isfinite(ref)
         return
@@ -263,9 +262,9 @@ class TestExprFunctionShape:
         assert np.shape(fn(0.3, r)) == (7,)
         assert np.ndim(fn(0.3, 0.2)) == 0
 
-    def test_constant_matches_constant_fn(self):
+    def test_constant_matches_zero_padded_formula(self):
         t = np.linspace(0.0, 1.0, 6)[:, None]
         r = np.linspace(0.0, 3.0, 4)
         out = ExprFunction("1.5")(t, r)
-        assert np.array_equal(out, ConstantFn(1.5)(t, r))
+        assert np.array_equal(out, 1.5 + 0.0 * t + 0.0 * r)
         out[0, 0] = 0.0     # a fresh array, not a read-only broadcast view

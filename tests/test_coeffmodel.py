@@ -1,3 +1,4 @@
+import math
 import pickle
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 
 from stefanlab.coeffexpr import ExprFunction
 from stefanlab.coeffmodel import (MAX_GRID_N, MAX_SAMPLES, MAX_TIME_STEPS,
-                                  CoefficientField, ConstantFn, Numerics,
+                                  CoefficientField, Numerics,
                                   ProblemSpec, classify_habitat,
                                   constant_field, r_independent, validate)
 
@@ -47,14 +48,21 @@ class TestField:
             calls.append(1)
             return 2.0 + np.sin(2 * np.pi * np.asarray(t))
 
-        fld = CoefficientField(alpha=ConstantFn(2.0), gamma=ConstantFn(0.0),
-                               beta=ConstantFn(1.0), T=1.0, alpha2=alpha2)
+        fld = CoefficientField(alpha=ExprFunction("2.0"),
+                               gamma=ExprFunction("0.0"),
+                               beta=ExprFunction("1.0"), T=1.0, alpha2=alpha2)
         assert fld.alpha2_max() == pytest.approx(3.0, abs=1e-6)
         assert fld.alpha2_max() == fld.alpha2_max()
         assert len(calls) == 1
         # the cache is not part of the field's value
         assert fld == CoefficientField(alpha=fld.alpha, gamma=fld.gamma,
                                        beta=fld.beta, T=1.0, alpha2=alpha2)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_rejected(self, value):
+        with pytest.raises(ValueError, match="coefficient %r is not a finite"
+                           % value):
+            constant_field(value)
 
     def test_field_pickles(self):
         fld = CoefficientField.from_expressions(
@@ -110,7 +118,7 @@ class TestValidate:
     def test_envelope_violation(self):
         fld = replace(CoefficientField.from_expressions(
             alpha="1 + r/(1+r)", gamma="0.1", beta="1", T=1.0),
-            alpha1=ConstantFn(0.9), alpha2=ConstantFn(1.1))
+            alpha1=ExprFunction("0.9"), alpha2=ExprFunction("1.1"))
         report = validate(make_spec(field=fld))
         assert "EnvelopeViolation" in report.kinds()
 
@@ -234,7 +242,7 @@ class TestHabitat:
 
 class TestRIndependent:
     @pytest.mark.parametrize("fn,free", [
-        (ConstantFn(0.5), True),
+        (CoefficientField.from_expressions(0.5, 0.0, 1.0, T=1.0).alpha, True),
         (ExprFunction("1"), True),
         (ExprFunction("1 + 0.5*sin(2*pi*t)"), True),
         (ExprFunction("0.2 + 1.3*exp(-(r^2))"), False),
@@ -243,3 +251,44 @@ class TestRIndependent:
         (lambda t, r: 1.0, False)])
     def test_known_r_free(self, fn, free):
         assert r_independent(fn) is free
+
+
+def scalar_callable(t, r):
+    return 0.7
+
+
+def t_shaped_callable(t, r):
+    return 1.0 + 0.5 * np.sin(2 * np.pi * np.asarray(t))
+
+
+class TestCoefficientContract:
+    """Every coefficient from_expressions builds, and growth, returns a
+    float array of the broadcast shape of (t, r)."""
+
+    T_COL = np.linspace(0.0, 1.0, 5)[:, None]
+    R_ROW = np.linspace(0.0, 3.0, 7)
+
+    @pytest.mark.parametrize("spec", [
+        1.5, "1 + 0.5*sin(2*pi*t)", scalar_callable, t_shaped_callable],
+        ids=["number", "string", "scalar-callable", "t-shaped-callable"])
+    @pytest.mark.parametrize("t, r, shape", [
+        (T_COL, R_ROW, (5, 7)), (0.3, R_ROW, (7,)), (T_COL, 2.0, (5, 1))],
+        ids=["column-t-row-r", "scalar-t-row-r", "column-t-scalar-r"])
+    def test_broadcast_shape(self, spec, t, r, shape):
+        fld = CoefficientField.from_expressions(alpha=spec, gamma=spec,
+                                                beta=spec, T=1.0)
+        for fn in (fld.alpha, fld.gamma, fld.beta, fld.growth):
+            out = fn(t, r)
+            assert isinstance(out, np.ndarray)
+            assert out.dtype == np.float64 and out.shape == shape
+
+    def test_entry_wraps_once(self):
+        fld = CoefficientField.from_expressions(
+            alpha=scalar_callable, gamma="0.1", beta=1.0, T=1.0)
+        again = CoefficientField.from_expressions(
+            alpha=fld.alpha, gamma=fld.gamma, beta=fld.beta, T=1.0)
+        assert (again.alpha, again.gamma, again.beta) == (
+            fld.alpha, fld.gamma, fld.beta)
+        clone = pickle.loads(pickle.dumps(fld.alpha))
+        assert np.array_equal(clone(self.T_COL, self.R_ROW),
+                              fld.alpha(self.T_COL, self.R_ROW))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from stefanlab import eigen
-from stefanlab.coeffmodel import CoefficientField, ConstantFn, constant_field
+from stefanlab.coeffexpr import ExprFunction
+from stefanlab.coeffmodel import CoefficientField, constant_field
 from stefanlab.eigen import (FACTOR_TABLE_BYTES, H_STAR_INFINITE, POTENTIAL_BLOCK,
                              _Period, d_thresholds, default_substeps, h_star,
                              period_map, principal_eigenvalue)
@@ -397,8 +398,8 @@ def declared_growth(alpha1, alpha2):
     """alpha = 1, gamma = 0 with the declared birth envelopes alpha1, alpha2."""
     fld = CoefficientField.from_expressions(alpha="1", gamma="0", beta="1",
                                             T=1.0)
-    return dataclasses.replace(fld, alpha1=ConstantFn(alpha1),
-                               alpha2=ConstantFn(alpha2))
+    return dataclasses.replace(fld, alpha1=ExprFunction(repr(alpha1)),
+                               alpha2=ExprFunction(repr(alpha2)))
 
 
 class TestWarmStart:
@@ -435,9 +436,9 @@ class TestEnvelopeBracket:
                                                         T=1.0)
         assert eigen._envelope_radii(1.0, unfavorable, 2) is None
         assert eigen._envelope_radii(1.0, constant_field(1.0), 4) is None
-        undeclared = CoefficientField(alpha=ConstantFn(1.0),
-                                      gamma=ConstantFn(0.0),
-                                      beta=ConstantFn(1.0), T=1.0)
+        undeclared = CoefficientField(alpha=ExprFunction("1.0"),
+                                      gamma=ExprFunction("0.0"),
+                                      beta=ExprFunction("1.0"), T=1.0)
         assert eigen._envelope_radii(1.0, undeclared, 2) is None
 
     def test_constant_field_solves(self, monkeypatch):

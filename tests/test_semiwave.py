@@ -8,7 +8,7 @@ from scipy.linalg import lapack
 
 from stefanlab import semiwave
 from stefanlab.coeffexpr import ExprFunction
-from stefanlab.coeffmodel import CoefficientField, ConstantFn, constant_field
+from stefanlab.coeffmodel import CoefficientField, constant_field
 from stefanlab.errors import HypothesisHFailed, NonPositive
 from stefanlab.semiwave import (PeriodicLogisticSolution, SemiWaveProfile,
                                 envelope_speeds, k0_fixed_point,
@@ -482,7 +482,7 @@ class TestEnvelopeSpeeds:
     def test_beta_spread_strict(self):
         fld = replace(CoefficientField.from_expressions(
             alpha="1.2", gamma="0.2", beta="0.5 + 1.5*r/(1+r)", T=1.0,
-            r_max=200.0), beta1=ConstantFn(0.5), beta2=ConstantFn(2.0))
+            r_max=200.0), beta1=ExprFunction("0.5"), beta2=ExprFunction("2.0"))
         env = envelope_speeds(fld, 1.0, 1.0, eps=1e-4)
         assert env.c_lower <= env.c_upper
 
