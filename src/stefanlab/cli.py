@@ -33,7 +33,8 @@ log = logging.getLogger("stefanlab")
 MAX_CONFIG_BYTES = 1 << 20
 
 # schema: section -> key -> (type, default); default None means required
-# when the section is active for the chosen command
+# when the section is active for the chosen command (run, field, problem
+# and the command's own sections in _COMMANDS)
 _SCHEMA = {
     "run": {"command": ("str", None), "out": ("str", ".")},
     "field": {"alpha": ("expr", None), "gamma": ("expr", "0"),
@@ -54,19 +55,6 @@ _SCHEMA = {
               "axis2": ("str", None), "axis2_values": ("floatlist", None)},
     "criteria": {"kind": ("str", None)},
 }
-
-# sections whose required keys must be present for each command
-_ACTIVE = {
-    "simulate": ("run", "field", "problem"),
-    "eigen": ("run", "field", "problem", "eigen"),
-    "hstar": ("run", "field", "problem", "hstar"),
-    "speed": ("run", "field", "problem"),
-    "mu-star": ("run", "field", "problem", "mu_star"),
-    "sigma0": ("run", "field", "problem", "sigma0"),
-    "sweep": ("run", "field", "problem", "sweep"),
-    "criteria": ("run", "field", "problem", "criteria"),
-}
-COMMANDS = tuple(_ACTIVE)
 
 SWEEP_AXES = ("d", "mu", "h0", "sigma")
 
@@ -153,10 +141,11 @@ def loads_config(text):
     command = values["run"]["command"]
     if command is None:
         errors.append(MissingKey("command"))
-    elif command not in COMMANDS:
-        errors.append(TypeMismatch("command", "one of %s" % (COMMANDS,), command))
+    elif command not in _COMMANDS:
+        errors.append(TypeMismatch("command", "one of %s" % (tuple(_COMMANDS),),
+                                   command))
     else:
-        for section in _ACTIVE[command]:
+        for section in ("run", "field", "problem") + _COMMANDS[command][0]:
             for key, (_, default) in _SCHEMA[section].items():
                 if (default is None and values[section][key] is None
                         and (section, key) not in failed):
@@ -299,8 +288,8 @@ def _map(fn, work, jobs):
 
 # --- command implementations ---
 
-def _cmd_simulate(config, spec, arts, t_max):
-    traj = freeboundary.simulate(spec, t_max=t_max)
+def _cmd_simulate(config, spec, arts, jobs, horizon):
+    traj = freeboundary.simulate(spec, t_max=horizon)
     out = freeboundary.classify_outcome(traj, spec)
     arts.csv("trajectory.csv", ("t", "h", "h_prime", "u_sup"),
              zip(traj.t, traj.h, traj.h_prime, traj.u_sup))
@@ -316,7 +305,7 @@ def _cmd_simulate(config, spec, arts, t_max):
         "h_final": ev.h_final, "u_sup_final": ev.u_sup_final})
 
 
-def _cmd_eigen(config, spec, arts, jobs):
+def _cmd_eigen(config, spec, arts, jobs, horizon):
     Rs = config.get("eigen", "R")
     work = [(spec.d, spec.field, R, spec.field.T, spec.N, spec.numerics.n)
             for R in Rs]
@@ -325,7 +314,7 @@ def _cmd_eigen(config, spec, arts, jobs):
              rows)
 
 
-def _cmd_hstar(config, spec, arts):
+def _cmd_hstar(config, spec, arts, jobs, horizon):
     v = config.values["hstar"]
     lo, hi, solves = eigen._h_star_bracket(
         spec.d, spec.field, spec.field.T, r_lo=v["r_lo"], r_hi=v["r_hi"],
@@ -333,7 +322,7 @@ def _cmd_hstar(config, spec, arts):
     _threshold_csv(arts, "h_star", 0.5 * (lo + hi), lo, hi, solves, 0)
 
 
-def _cmd_speed(config, spec, arts):
+def _cmd_speed(config, spec, arts, jobs, horizon):
     from . import semiwave
     v = config.values["speed"]
     r_far = v["r_far"]
@@ -348,7 +337,7 @@ def _cmd_speed(config, spec, arts):
         "k0": [float(x) for x in res.k0]})
 
 
-def _cmd_mu_star(config, spec, arts):
+def _cmd_mu_star(config, spec, arts, jobs, horizon):
     from . import thresholds
     v = config.values["mu_star"]
     res = thresholds.mu_star(spec, v["mu_lo"], v["mu_hi"], tol=v["tol"])
@@ -356,7 +345,7 @@ def _cmd_mu_star(config, spec, arts):
                    res.undecided_encounters)
 
 
-def _cmd_sigma0(config, spec, arts):
+def _cmd_sigma0(config, spec, arts, jobs, horizon):
     from . import thresholds
     v = config.values["sigma0"]
     zeta = coeffexpr.ExprFunction(v["zeta"]) if v["zeta"] else spec.u0
@@ -366,7 +355,7 @@ def _cmd_sigma0(config, spec, arts):
                    res.undecided_encounters)
 
 
-def _cmd_sweep(config, spec, arts, jobs, t_max):
+def _cmd_sweep(config, spec, arts, jobs, horizon):
     from . import thresholds
     v = config.values["sweep"]
     a1, a2 = v["axis1"], v["axis2"]
@@ -374,7 +363,7 @@ def _cmd_sweep(config, spec, arts, jobs, t_max):
     for v1 in v["axis1_values"]:
         for v2 in v["axis2_values"]:
             cell = thresholds.spec_at(thresholds.spec_at(spec, a1, v1), a2, v2)
-            work.append((cell, t_max, v1, v2))
+            work.append((cell, horizon, v1, v2))
     rows = _map(_sweep_cell, work, jobs)
     arts.csv("phase.csv", ("axis1", "axis2", "verdict", "t_decided"), rows)
 
@@ -393,7 +382,7 @@ def _cmd_sweep(config, spec, arts, jobs, t_max):
     arts.json("overlay.json", overlay)
 
 
-def _cmd_criteria(config, spec, arts):
+def _cmd_criteria(config, spec, arts, jobs, horizon):
     from . import thresholds
     kind = config.get("criteria", "kind")
     rep = thresholds.criteria_experiment(kind, spec)
@@ -402,6 +391,20 @@ def _cmd_criteria(config, spec, arts):
         "d_upper": rep.d_upper, "chosen": rep.chosen,
         "verdicts": list(rep.verdicts), "prediction": rep.prediction,
         "matches": rep.matches})
+
+
+# command -> (its sections besides run, field and problem, handler); every
+# handler takes (config, spec, arts, jobs, horizon)
+_COMMANDS = {
+    "simulate": ((), _cmd_simulate),
+    "eigen": (("eigen",), _cmd_eigen),
+    "hstar": (("hstar",), _cmd_hstar),
+    "speed": ((), _cmd_speed),
+    "mu-star": (("mu_star",), _cmd_mu_star),
+    "sigma0": (("sigma0",), _cmd_sigma0),
+    "sweep": (("sweep",), _cmd_sweep),
+    "criteria": (("criteria",), _cmd_criteria),
+}
 
 
 def _section_errors(config):
@@ -464,18 +467,20 @@ def run(config, out_dir=None, jobs=None, horizon_scale=1.0):
         out_dir = config.get("run", "out")
     if jobs is None:
         jobs = os.cpu_count() or 1
+    cmd = config.command
     try:
+        if cmd not in _COMMANDS:
+            # only a RunConfig built without loads_config gets here
+            raise ConfigError("unknown command %r" % cmd)
         spec = build_spec(config)
         invalid = ["%s at %s: %s" % (viol.kind, viol.where, viol.detail)
                    for viol in validate(spec).violations]
         invalid += _section_errors(config)
-        if (config.command in ("simulate", "sweep")
-                and not 0 < horizon_scale < math.inf):
+        if cmd in ("simulate", "sweep") and not 0 < horizon_scale < math.inf:
             # a horizon <= 0 or nan never stepped, an infinite one made
             # simulate's end test nan: each wrote a verdict at t = 0
             invalid.append("--horizon-scale must be finite and > 0, got %r"
                            % horizon_scale)
-        cmd = config.command
         horizon = _horizon(cmd, spec, horizon_scale)
         if not invalid and horizon / spec.numerics.dt > MAX_TIME_STEPS:
             invalid.append("TooManySteps: horizon %.3g/dt must be <= %d"
@@ -485,24 +490,7 @@ def run(config, out_dir=None, jobs=None, horizon_scale=1.0):
                 log.error("validation: %s", msg)
             return 2
         arts = Artifacts(out_dir, config_hash(config))
-        if cmd == "simulate":
-            _cmd_simulate(config, spec, arts, horizon)
-        elif cmd == "eigen":
-            _cmd_eigen(config, spec, arts, jobs)
-        elif cmd == "hstar":
-            _cmd_hstar(config, spec, arts)
-        elif cmd == "speed":
-            _cmd_speed(config, spec, arts)
-        elif cmd == "mu-star":
-            _cmd_mu_star(config, spec, arts)
-        elif cmd == "sigma0":
-            _cmd_sigma0(config, spec, arts)
-        elif cmd == "sweep":
-            _cmd_sweep(config, spec, arts, jobs, horizon)
-        elif cmd == "criteria":
-            _cmd_criteria(config, spec, arts)
-        else:
-            raise ConfigError("unknown command %r" % cmd)
+        _COMMANDS[cmd][1](config, spec, arts, jobs, horizon)
     except StefanLabError as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return exc.exit_code
@@ -521,14 +509,13 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker budget for sweeps")
     parser.add_argument("--horizon-scale", type=float, default=1.0,
-                        help="multiply the configured simulation horizon")
-    parser.add_argument("--verbose", action="store_true")
+                        help="multiply t_max of simulate and sweep (threshold "
+                             "probes run to their cap of periods regardless)")
+    parser.add_argument("--verbose", action="store_true",
+                        help="log at DEBUG instead of WARNING")
     args = parser.parse_args(argv)
 
-    level = os.environ.get("STEFAN_LOG_LEVEL", "WARNING").upper()
-    if args.verbose:
-        level = "DEBUG"
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
     try:

@@ -9,9 +9,10 @@ xi = r/h(t).  In the transformed variables
 diffusion is implicit, advection and reaction explicit, and the front
 moves by the Stefan law h' = -mu u_r(t, h) with the gradient taken from a
 one-sided second-order stencil.  The simulate() driver records the
-trajectory and period-boundary snapshots and can stop at a sample;
-decide() is the Spreading / Vanishing / Undecided rule for one sample,
-and classify_outcome() applies it to a trajectory.
+trajectory and the run's states at period boundaries and can stop at a
+sample; decide() is the Spreading / Vanishing / Undecided rule for one
+sample.  classify_outcome() applies it to a trajectory's last sample; a
+threshold probe takes its verdict from the stop test that ended its run.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -36,7 +37,7 @@ D_SCAN_N = 96             # eigen grid intervals of a spec's d thresholds
 @functools.lru_cache(maxsize=16)
 def _xi_grid(n):
     """The fixed xi-grid linspace(0, 1, n + 1).  Read-only; shared by
-    every state, snapshot and step on an n-interval grid."""
+    every state and step on an n-interval grid."""
     xi = np.linspace(0.0, 1.0, n + 1)
     xi.flags.writeable = False
     return xi
@@ -55,6 +56,12 @@ class FreeBoundaryState:
 
     def sup(self):
         return float(np.max(self.u))
+
+    def r(self):
+        return self.h * self.xi
+
+    def interp(self, r):
+        return np.interp(r, self.r(), self.u, right=0.0)
 
 
 def front_gradient(state):
@@ -128,25 +135,12 @@ def step_free(state, spec, dt):
 
 
 @dataclass
-class Snapshot:
-    t: float
-    h: float
-    u: np.ndarray      # on the xi-grid
-
-    def r(self):
-        return self.h * _xi_grid(self.u.size - 1)
-
-    def interp(self, r):
-        return np.interp(r, self.r(), self.u, right=0.0)
-
-
-@dataclass
 class Trajectory:
     t: np.ndarray
     h: np.ndarray
     h_prime: np.ndarray
     u_sup: np.ndarray
-    snapshots: list = dc_field(default_factory=list)
+    snapshots: list = dc_field(default_factory=list)   # states at t = k*T
     final: FreeBoundaryState = None
 
     def max_sup(self):
@@ -180,9 +174,10 @@ def simulate(spec, t_max=None, stop=None):
     """Run the free-boundary problem from (u0, h0) to t_max.
 
     Samples (t, h, h', sup u) every ``spec.numerics.sample_every`` time
-    units and stores full snapshots at period boundaries t = k*T.  The
-    step size adapts to the front-CFL bound so fast fronts early in a run
-    do not force a tiny global dt.
+    units and keeps the state at t = 0 and at each period boundary t = k*T
+    (no step writes into a state's u).  The step size adapts to the
+    front-CFL bound so fast fronts early in a run do not force a tiny
+    global dt.
 
     ``stop(state, h_prime, u_sup, period_end)``, when given, is called at
     each recorded sample with the FreeBoundaryState there (``period_end``:
@@ -197,7 +192,7 @@ def simulate(spec, t_max=None, stop=None):
 
     state = initial_state(spec)
     ts, hs, hps, sups = [0.0], [state.h], [0.0], [state.sup()]
-    snapshots = [Snapshot(0.0, state.h, state.u.copy())]
+    snapshots = [state]
     next_sample = num.sample_every if num.sample_every > 0 else math.inf
     next_period = T
     sizer = _StepSizer(spec)
@@ -221,7 +216,7 @@ def simulate(spec, t_max=None, stop=None):
             while next_sample <= state.t + eps:
                 next_sample += num.sample_every
         if hit_period:
-            snapshots.append(Snapshot(state.t, state.h, state.u.copy()))
+            snapshots.append(state)
             next_period += T
         if (recorded and stop is not None
                 and stop(state, h_prime, sups[-1], hit_period)):

@@ -1,14 +1,15 @@
 """Simulation-driven sharp-criteria finders.
 
 Bisection on the expansion coefficient mu and on the initial amplitude
-sigma, with verdicts from the free-boundary classifier.  Monotonicity of
-the verdict in mu and sigma comes from the comparison principle; ladder
-audits detect violations instead of silently bisecting a non-monotone
-function.  A probe is one run of up to HORIZON_CAP periods that stops
-once its verdict is certain; one still Undecided at the cap raises
-TooManyUndecided.  When the growth rate does not depend on r, a probe
-is also certified Vanishing at a period end where an upper solution
-lies above it.
+sigma, with verdicts from the free-boundary decision rule.  Monotonicity
+of the verdict in mu and sigma comes from the comparison principle;
+ladder audits detect violations instead of silently bisecting a
+non-monotone function.  A probe is one run of up to HORIZON_CAP periods
+that its stop test ends once the verdict is certain; the probe's verdict
+is the stop test's, and one still Undecided at the cap raises
+TooManyUndecided.  When the growth rate does not depend on r, a probe is
+also certified Vanishing at a period end where an upper solution lies
+above it.
 """
 
 import logging
@@ -160,8 +161,9 @@ class _Prober:
     whose verdict is certain: past the threshold for Spreading, and at a
     period end for Vanishing, by the decay test or, for a growth rate
     that does not depend on r, by the upper-solution certificate
-    (_UpperSolution).  A run still Undecided at the cap raises
-    TooManyUndecided.
+    (_UpperSolution).  The verdict is the one that stopped the run; a
+    run that reaches the cap (a period end) without stopping is
+    Undecided and raises TooManyUndecided.
     """
 
     def __init__(self, spec, h_star_value):
@@ -182,30 +184,26 @@ class _Prober:
         probe = ", ".join("%s=%.10g" % kv for kv in overrides.items())
         hs = self.h_star_value
         H = hs - freeboundary._tol_h(hs)
-        certified = []
+        stopped = None          # (verdict, criterion) of the deciding sample
 
         def decided(state, h_prime, u_sup, period_end):
             # h is nondecreasing, so a Spreading sample keeps its verdict
             # and crossing time up to any horizon; the Vanishing tests
             # hold at the horizon's phase
+            nonlocal stopped
             verdict = freeboundary.decide(state.h, h_prime, u_sup, hs)
             if verdict == "Spreading" or (verdict == "Vanishing"
                                           and period_end):
-                return True
-            if (period_end and self.upper is not None
+                stopped = verdict, freeboundary._CRITERION[verdict]
+            elif (period_end and self.upper is not None
                     and self.upper.certifies(state, spec.d, spec.mu, H)):
-                certified.append(state.t)
-                return True
-            return False
+                stopped = "Vanishing", "certified"
+            return stopped is not None
 
         horizon = HORIZON_CAP * spec.field.T
         self.evaluations += 1
         traj = freeboundary.simulate(spec, t_max=horizon, stop=decided)
-        if certified:
-            verdict, criterion = "Vanishing", "certified"
-        else:
-            out = freeboundary.classify_outcome(traj, spec, h_star_value=hs)
-            verdict, criterion = out.verdict, out.evidence.criterion
+        verdict, criterion = stopped or ("Undecided", "nearest-miss")
         log.debug("probe %s: horizon %.6g, stopped at t=%.6g: %s (%s)",
                   probe, horizon, traj.t[-1], verdict, criterion)
         if verdict == "Undecided":

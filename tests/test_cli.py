@@ -333,6 +333,15 @@ class TestMain:
     def test_missing_file(self):
         assert cli.main(["--config", "/nonexistent/x.cfg"]) == 2
 
+    def test_command_not_in_table_exits_2(self, tmp_path, caplog):
+        # loads_config rejects such a command, so build the RunConfig by hand
+        config = cli.RunConfig("bogus", cli.loads_config(MINIMAL).values)
+        out = tmp_path / "out"
+        assert cli.run(config, out_dir=str(out), jobs=1) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "ConfigError: unknown command 'bogus'"]
+        assert not out.exists()
+
     def test_full_run(self, tmp_path):
         path = write(tmp_path, MINIMAL)
         out = str(tmp_path / "out")

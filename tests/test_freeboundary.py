@@ -8,7 +8,7 @@ from stefanlab import freeboundary
 from stefanlab.coeffmodel import (CoefficientField, ProblemSpec,
                                   constant_field)
 from stefanlab.freeboundary import (DECAY_SUP, FRONT_STALL, Evidence,
-                                    FreeBoundaryState, Outcome, Snapshot,
+                                    FreeBoundaryState, Outcome,
                                     classify_outcome, decide, front_gradient,
                                     initial_state, simulate, step_free)
 from stefanlab.radialcore import diffusion_bands, solve_tridiag
@@ -151,8 +151,7 @@ class TestInPlaceStep:
         assert not state.xi.flags.writeable
         with pytest.raises(ValueError):
             state.xi[1] = 0.5
-        snap = Snapshot(1.0, 5.0, np.zeros(97))
-        assert np.array_equal(snap.r(), 5.0 * np.linspace(0.0, 1.0, 97))
+        assert np.array_equal(other.r(), 5.0 * np.linspace(0.0, 1.0, 97))
 
 
 class TestStepSizer:
@@ -208,9 +207,12 @@ class TestSimulate:
 
     def test_period_snapshots_recorded(self):
         traj = simulate(favorable_spec(n=96), t_max=5.0)
+        assert all(isinstance(s, FreeBoundaryState) for s in traj.snapshots)
         times = [s.t for s in traj.snapshots]
-        assert times[0] == 0.0
+        assert traj.snapshots[0].t == 0.0
         assert any(abs(t - 3.0) < 1e-9 for t in times)
+        # t_max = 5 is a period end: the last snapshot is the final state
+        assert traj.snapshots[-1] is traj.final
 
     def test_front_speed_stabilizes(self):
         traj = simulate(favorable_spec(n=256, mu=2.0, t_max=60.0))
@@ -279,7 +281,7 @@ def reference_simulate(spec, t_max, sample_every):
     state = initial_state(spec)
     sizer = freeboundary._StepSizer(spec)
     ts, hs, hps, sups = [0.0], [state.h], [0.0], [state.sup()]
-    snapshots = [Snapshot(0.0, state.h, state.u.copy())]
+    snapshots = [state]
     next_sample = sample_every if sample_every > 0 else math.inf
     next_period = T
     eps = 1e-12 * max(t_max, 1.0)
@@ -288,10 +290,7 @@ def reference_simulate(spec, t_max, sample_every):
         dt = min(dt, min(t_max, next_sample, next_period) - state.t)
         if dt <= 0:
             dt = eps
-        try:
-            state, h_prime = step_free(state, spec, dt)
-        except freeboundary.StepSizeTooLarge:
-            state, h_prime = step_free(state, spec, dt / 2.0)
+        state, h_prime = step_free(state, spec, dt)
         hit_sample = state.t >= next_sample - eps
         if hit_sample or state.t >= t_max - eps:
             ts.append(state.t)
@@ -301,7 +300,7 @@ def reference_simulate(spec, t_max, sample_every):
             while next_sample <= state.t + eps:
                 next_sample += sample_every
         if state.t >= next_period - eps:
-            snapshots.append(Snapshot(state.t, state.h, state.u.copy()))
+            snapshots.append(state)
             next_period += T
     return ts, hs, hps, sups, snapshots, state
 

@@ -355,7 +355,11 @@ class TestEarlyStopping:
             calls.append(1)
             return real(*args, **kwargs)
 
+        def reclassified(*args, **kwargs):
+            raise AssertionError("a probe's verdict is its stop test's")
+
         monkeypatch.setattr(freeboundary, "simulate", counted)
+        monkeypatch.setattr(freeboundary, "classify_outcome", reclassified)
         res = mu_star(spec, 0.4, 4.0, tol=0.4)
         assert (res.value, res.bracket) == (1.75, (1.3, 2.2))
         # mu=1.3 is certified Vanishing at t=6, where the decay test was
