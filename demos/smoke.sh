@@ -78,14 +78,18 @@ if not (all(math.isclose(g, w, abs_tol=1e-12) for g, w in zip(got, want))
              "%r in [%r, %r] after 9" % (*got, row["evaluations"], *want))
 '
 # sigma0 where a bisection probe (sigma=2.8484375) stays Undecided up to
-# 400 periods: the search returns the bracket it had verified, exit 0
+# 400 periods: the search returns the bracket it had verified, exit 0, and
+# the evidence column names that probe
 python -m stefanlab --config demos/sigma0_critical.cfg --out "$scratch/sigma0_critical"
 grep -v '^#' "$scratch/sigma0_critical/threshold.csv" | python -c '
 import csv, math, sys
 row, = csv.DictReader(sys.stdin)
 got = [float(row[k]) for k in ("lo", "hi")]
 if not (all(math.isclose(g, w, abs_tol=1e-12) for g, w in zip(got, (2.5375, 3.159375)))
-        and row["undecided_encounters"] == "1"):
-    sys.exit("sigma0_critical.cfg: bracket [%r, %r] with %s Undecided, expected "
-             "[2.5375, 3.159375] with 1" % (*got, row["undecided_encounters"]))
+        and row["undecided_encounters"] == "1"
+        and "sigma=2.8484375" in row["evidence"]):
+    sys.exit("sigma0_critical.cfg: bracket [%r, %r] with %s Undecided (%r), "
+             "expected [2.5375, 3.159375] with 1, the probe sigma=2.8484375 "
+             "named in the evidence"
+             % (*got, row["undecided_encounters"], row["evidence"]))
 '

@@ -11,13 +11,13 @@ configuration, validation or expression error, 3 numerical failure, 4
 internal invariant breach.
 """
 
-import hashlib
 import json
 import logging
 import math
 import os
 import sys
 import time
+import zlib
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
@@ -71,7 +71,12 @@ class RunConfig:
 def _fmt(x):
     if isinstance(x, float) or isinstance(x, np.floating):
         return "%.17g" % x
-    return str(x)
+    s = str(x)
+    # a text field is quoted as the csv module quotes it (importing that
+    # module would add about 0.15 MB to every command's peak RSS)
+    if any(c in s for c in ',"\r\n'):
+        return '"%s"' % s.replace('"', '""')
+    return s
 
 
 # value parser and expected-type name of each typed schema kind; "str"
@@ -190,7 +195,13 @@ def dump_config(config):
 
 
 def config_hash(config):
-    return hashlib.sha256(dump_config(config).encode("utf-8")).hexdigest()[:16]
+    """16 hex digits naming the config: CRC-32 then Adler-32 of dump_config.
+
+    An ID for the "# config" line, not a cryptographic digest; zlib is
+    loaded with the interpreter, where hashlib would load OpenSSL.
+    """
+    data = dump_config(config).encode("utf-8")
+    return "%08x%08x" % (zlib.crc32(data), zlib.adler32(data))
 
 
 def build_spec(config):
@@ -251,11 +262,12 @@ class Artifacts:
             os.replace(path + ".partial", path)
 
 
-def _threshold_csv(arts, parameter, value, lo, hi, evaluations, undecided):
+def _threshold_csv(arts, parameter, value, lo, hi, evaluations, undecided,
+                   evidence):
     arts.csv("threshold.csv",
              ("parameter", "value", "lo", "hi", "evaluations",
-              "undecided_encounters"),
-             [(parameter, value, lo, hi, evaluations, undecided)])
+              "undecided_encounters", "evidence"),
+             [(parameter, value, lo, hi, evaluations, undecided, evidence)])
 
 
 # --- worker functions (top-level for pickling) ---
@@ -319,7 +331,7 @@ def _cmd_hstar(config, spec, arts, jobs, horizon):
     lo, hi, solves = eigen._h_star_bracket(
         spec.d, spec.field, spec.field.T, r_lo=v["r_lo"], r_hi=v["r_hi"],
         tol=v["tol"], N=spec.N, n=spec.numerics.n)
-    _threshold_csv(arts, "h_star", 0.5 * (lo + hi), lo, hi, solves, 0)
+    _threshold_csv(arts, "h_star", 0.5 * (lo + hi), lo, hi, solves, 0, "")
 
 
 def _cmd_speed(config, spec, arts, jobs, horizon):
@@ -342,7 +354,7 @@ def _cmd_mu_star(config, spec, arts, jobs, horizon):
     v = config.values["mu_star"]
     res = thresholds.mu_star(spec, v["mu_lo"], v["mu_hi"], tol=v["tol"])
     _threshold_csv(arts, "mu_star", res.value, *res.bracket, res.evaluations,
-                   res.undecided_encounters)
+                   res.undecided_encounters, res.evidence)
 
 
 def _cmd_sigma0(config, spec, arts, jobs, horizon):
@@ -352,7 +364,7 @@ def _cmd_sigma0(config, spec, arts, jobs, horizon):
     res = thresholds.sigma0(spec, zeta, v["sigma_lo"], v["sigma_hi"],
                             tol=v["tol"])
     _threshold_csv(arts, "sigma0", res.value, *res.bracket, res.evaluations,
-                   res.undecided_encounters)
+                   res.undecided_encounters, res.evidence)
 
 
 def _cmd_sweep(config, spec, arts, jobs, horizon):

@@ -287,7 +287,8 @@ def k0_fixed_point(mu, a, b, d, T, tol=1e-6, profile_kwargs=None):
             raise NoConvergence(it, math.inf,
                                 "drift iterate killed the semi-wave profile")
         periods += prof.periods
-        u_prev = prof.values[0]
+        # a copy of the one row, so the table can go before the next solve
+        u_prev = prof.values[0].copy()
         target = mu * prof.slope_at_origin()
         new = (1.0 - K0_RELAX) * kvals + K0_RELAX * target
         new = np.clip(new, 0.0, None)
@@ -306,6 +307,7 @@ def k0_fixed_point(mu, a, b, d, T, tol=1e-6, profile_kwargs=None):
                                bound=bound, profile_periods=periods)
         # a drift that met the stop test gets its next profile at ptol
         rel_change = 0.0 if converged else change / scale
+        del prof
     raise NoConvergence(MAX_K0_ITERATIONS, change)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -33,8 +34,8 @@ t_max=5
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-MU_STAR_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
-                           "mu_star.cfg")
+DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+MU_STAR_CFG = os.path.join(DEMOS, "mu_star.cfg")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
@@ -266,7 +267,7 @@ class TestRun:
         assert cli.run(cli.loads_config(text), out_dir=out) == 0
         body = read_body(os.path.join(out, "threshold.csv"))
         assert body[0].strip() == ("parameter,value,lo,hi,evaluations,"
-                                   "undecided_encounters")
+                                   "undecided_encounters,evidence")
         row = body[1].strip().split(",")
         assert row[0] == "h_star"
         value, lo, hi = (float(x) for x in row[1:4])
@@ -275,6 +276,28 @@ class TestRun:
         assert value == pytest.approx(2.4048, abs=0.01)
         assert int(row[4]) == len(solves) > 0
         assert int(row[5]) == 0
+        assert row[6] == ""
+
+    @pytest.mark.parametrize("name, evidence", [
+        ("sigma0_critical.cfg", "bisection stopped: probe sigma=2.8484375 "
+                                "stayed Undecided up to t=400"),
+        ("mu_star.cfg", "")])
+    def test_threshold_csv_carries_evidence(self, tmp_path, name, evidence):
+        out = str(tmp_path / "out")
+        cfg = cli.load_config(os.path.join(DEMOS, name))
+        assert cli.run(cfg, out_dir=out, jobs=1) == 0
+        row, = csv.DictReader(read_body(os.path.join(out, "threshold.csv")))
+        assert row["evidence"] == evidence
+
+    def test_csv_quotes_text_fields(self, tmp_path):
+        arts = cli.Artifacts(str(tmp_path), "0" * 16)
+        rows = [("a, b", 'say "c"', 1.5)]
+        arts.csv("t.csv", ("x", "y", "z"), rows)
+        arts.finalize()
+        body = read_body(str(tmp_path / "t.csv"))
+        assert body[1] == '"a, b","say ""c""",1.5\n'
+        assert [tuple(r) for r in csv.reader(body[1:])] == [
+            ("a, b", 'say "c"', "1.5")]
 
     def test_speed_reports_drift_values(self, tmp_path):
         # a constant alpha once crashed the period means; k0 must hold
@@ -574,12 +597,45 @@ class TestStartup:
                 "    'stefanlab.thresholds', 'argparse') if m in sys.modules))\n")
         assert fresh_interpreter(code).split() == ["[]"]
 
+    def test_single_process_run_loads_no_openssl(self, tmp_path):
+        # hashlib loads _hashlib (OpenSSL's libcrypto, about 3.5 MB of
+        # peak RSS); the config ID needs neither
+        code = ("import sys\n"
+                "from stefanlab import cli\n"
+                "cfg = cli.load_config(%r)\n"
+                "assert cli.run(cfg, out_dir=%r, jobs=1) == 0\n"
+                "cli.config_hash(cfg)\n"
+                "print('_hashlib' in sys.modules)\n"
+                % (MU_STAR_CFG, str(tmp_path / "out")))
+        assert fresh_interpreter(code).split() == ["False"]
+
     def test_star_import_binds_all(self):
         code = ("import stefanlab\n"
                 "from stefanlab import *\n"
                 "print(len(stefanlab.__all__),\n"
                 "      [n for n in stefanlab.__all__ if n not in globals()])\n")
         assert fresh_interpreter(code).split() == ["24", "[]"]
+
+
+class TestConfigId:
+    HSTAR_ID = "69c8afbf9cdc66ce"   # CRC-32 then Adler-32 of dump_config
+
+    def test_pinned(self):
+        cfg = cli.load_config(os.path.join(DEMOS, "hstar.cfg"))
+        assert re.fullmatch("[0-9a-f]{16}", self.HSTAR_ID)
+        assert cli.config_hash(cfg) == self.HSTAR_ID
+        again = cli.loads_config(cli.dump_config(cfg))
+        assert cli.config_hash(again) == self.HSTAR_ID
+
+    def test_artifacts_carry_it(self, tmp_path):
+        cfg = cli.loads_config(MINIMAL)
+        out = str(tmp_path / "out")
+        assert cli.run(cfg, out_dir=out) == 0
+        with open(os.path.join(out, "trajectory.csv")) as fh:
+            meta = [line.strip() for line in fh if line.startswith("#")]
+        assert "# config %s" % cli.config_hash(cfg) in meta
+        with open(os.path.join(out, "outcome.json")) as fh:
+            assert json.load(fh)["meta"]["config"] == cli.config_hash(cfg)
 
 
 class TestNonPositiveValues:
