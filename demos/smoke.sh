@@ -93,3 +93,29 @@ if not (all(math.isclose(g, w, abs_tol=1e-12) for g, w in zip(got, (2.5375, 3.15
              "named in the evidence"
              % (*got, row["undecided_encounters"], row["evidence"]))
 '
+# an eigen solve at R=0.001 asks for about 4.6e7 coarse substeps per
+# period: it must end at once with exit 3 (StepSizeTooLarge, over
+# MAX_SUBSTEPS) and write no artifact
+cat > "$scratch/eigen_tiny.cfg" <<'CFG'
+[run]
+command=eigen
+[field]
+alpha=1+0.5*sin(2*pi*t)
+gamma=0
+beta=1
+[problem]
+d=1
+mu=1
+h0=3
+[numerics]
+n=64
+[eigen]
+R=0.001
+CFG
+rc=0
+timeout 60 python -m stefanlab --config "$scratch/eigen_tiny.cfg" \
+  --out "$scratch/eigen_tiny" 2>/dev/null || rc=$?
+if [ "$rc" -ne 3 ]; then
+  echo "eigen R=0.001: exit $rc, expected 3 (MAX_SUBSTEPS)" >&2
+  exit 1
+fi

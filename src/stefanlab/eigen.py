@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketInvalid, NoConvergence, NonPositiveIterate, NoSignChange
+from .errors import (BracketInvalid, NoConvergence, NonPositiveIterate,
+                     NoSignChange, StepSizeTooLarge)
 from .radialcore import DiffusionSolver, RadialGrid
 
 log = logging.getLogger("stefanlab")
@@ -29,6 +30,7 @@ POTENTIAL_BLOCK = 64      # substeps per coefficient evaluation of a _Period
 SUBSTEP_FLOOR = 256       # fewest coarse substeps of a solve on n >= 256
 FACTOR_TABLE_BYTES = 4 * 2 ** 20   # largest potential-factor table a _Period
                                    # keeps; substeps grow as d/R**2
+MAX_SUBSTEPS = 2 ** 20    # most coarse substeps per period of a solve
 # first zero of the Bessel function J_{N/2-1}: the Dirichlet ball of radius
 # R in dimension N has principal Laplace eigenvalue (j/R)^2
 BALL_ZERO = {1: math.pi / 2, 2: 2.4048255576957724, 3: math.pi}
@@ -179,7 +181,9 @@ def principal_eigenvalue(d, field, R, T, N=2, tol=1e-7, n=512, warm=None):
     power iteration reuses.  A table is kept only while it fits in
     FACTOR_TABLE_BYTES, and the coarse period is released before the fine
     one is built, so a solve holds at most one table; a larger period
-    evaluates its coefficients again on every map.
+    evaluates its coefficients again on every map.  A solve that needs
+    more than MAX_SUBSTEPS coarse substeps raises StepSizeTooLarge before
+    it builds a period.
 
     The coarse run starts from 1 - (r/R)**2 and the fine run from the
     coarse eigenvector.  ``warm``, the EigenResult of a solve with the same
@@ -189,9 +193,13 @@ def principal_eigenvalue(d, field, R, T, N=2, tol=1e-7, n=512, warm=None):
     """
     if R <= 0 or d <= 0:
         raise ValueError("R and d must be positive")
-    grid = RadialGrid(n=n, R=float(R), N=int(N))
     substeps = default_substeps(d, field, R, T, n)
     substeps = int(np.ceil(substeps / EIGEN_PHASES)) * EIGEN_PHASES
+    if substeps > MAX_SUBSTEPS:
+        raise StepSizeTooLarge(
+            "R=%.6g needs %d coarse substeps per period, more than "
+            "MAX_SUBSTEPS = %d" % (R, substeps, MAX_SUBSTEPS))
+    grid = RadialGrid(n=n, R=float(R), N=int(N))
     psi0 = 1.0 - (grid.r / R) ** 2 if warm is None else warm.coarse
 
     # the coarse period is dropped before the fine one is built

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import eigen
-from .errors import BracketInvalid, FrontRetreat, StepSizeTooLarge
+from .errors import BracketInvalid, FrontRetreat
 from .radialcore import diffusion_bands, solve_tridiag
 
 DECAY_SUP = 1e-8          # vanishing-evidence density threshold
@@ -79,28 +79,29 @@ def initial_state(spec):
     return FreeBoundaryState(u=u, h=spec.h0, t=0.0, n=n)
 
 
-def step_free(state, spec, dt):
-    """Advance the front-fixed system by one step of size dt.
+def step_free(state, spec, dt_max):
+    """Advance the front-fixed system by one step of at most dt_max.
 
-    The front speed is evaluated from the pre-step gradient, h is updated
-    first, and the density step then runs on the fixed xi-grid.  Raises
-    FrontRetreat if the computed front speed is negative beyond rounding
-    and StepSizeTooLarge if dt violates the positivity or front-CFL bound.
+    The front speed h' is evaluated from the pre-step gradient; a speed
+    negative beyond rounding raises FrontRetreat.  The step is the spec's
+    dt, shrunk to dt_max, to the positivity bound 0.45/max(alpha2) and to
+    the front-CFL bound 0.45*dxi*h/h' (which relaxes as h grows, so a fast
+    front early in a run does not force a tiny global dt).  h is updated
+    first, and the density step then runs on the fixed xi-grid.
     """
     fld = spec.field
     n = state.n
     dxi = 1.0 / n
-    if dt * fld.alpha2_max() >= 1.0:
-        raise StepSizeTooLarge("dt*max(alpha2) >= 1")
-
-    grad = front_gradient(state)
-    h_prime = -spec.mu * grad
+    h_prime = -spec.mu * front_gradient(state)
     if h_prime < -1e-10:
         raise FrontRetreat("front speed %.3e < 0 at t=%.6g" % (h_prime, state.t))
     h_prime = max(h_prime, 0.0)
-    if dt * h_prime / state.h > 0.5 * dxi * (1.0 + 1e-12):
-        raise StepSizeTooLarge("front CFL violated: dt*h'/h = %.3e > 0.5*dxi"
-                               % (dt * h_prime / state.h))
+    dt = min(spec.numerics.dt, 0.45 / max(fld.alpha2_max(), 1e-12), dt_max)
+    bound = 0.45 * dxi * state.h
+    # with dt*h' at most half the bound, bound/h' > dt cannot bind;
+    # skipping it keeps a subnormal h' from overflowing the quotient
+    if dt * h_prime > 0.5 * bound:
+        dt = min(dt, bound / h_prime)
 
     h_new = state.h + dt * h_prime
     xi = state.xi
@@ -147,37 +148,13 @@ class Trajectory:
         return float(np.max(self.u_sup))
 
 
-class _StepSizer:
-    """Adaptive dt: the spec step shrunk to the positivity and front-CFL
-    bounds (the CFL bound relaxes as h grows).  Both stay inside
-    step_free's limits dt < 1/max(alpha2) and dt <= 0.5*dxi*h/h', with h'
-    from the same gradient, so step_free never rejects the step."""
-
-    def __init__(self, spec):
-        self.dt_spec = spec.numerics.dt
-        self.dt_react = 0.45 / max(spec.field.alpha2_max(), 1e-12)
-        self.mu = spec.mu
-        self.dxi = 1.0 / spec.numerics.n
-
-    def __call__(self, state, grad):
-        h_prime = max(-self.mu * grad, 0.0)
-        dt = min(self.dt_spec, self.dt_react)
-        bound = 0.45 * self.dxi * state.h
-        # with dt*h' at most half the bound, bound/h' > dt cannot bind;
-        # skipping it keeps a subnormal h' from overflowing the quotient
-        if dt * h_prime > 0.5 * bound:
-            dt = min(dt, bound / h_prime)
-        return dt
-
-
 def simulate(spec, t_max=None, stop=None):
     """Run the free-boundary problem from (u0, h0) to t_max.
 
     Samples (t, h, h', sup u) every ``spec.numerics.sample_every`` time
     units and keeps the state at t = 0 and at each period boundary t = k*T
-    (no step writes into a state's u).  The step size adapts to the
-    front-CFL bound so fast fronts early in a run do not force a tiny
-    global dt.
+    (no step writes into a state's u).  Each step_free step is cut to land
+    on the next sample, period end or t_max.
 
     ``stop(state, h_prime, u_sup, period_end)``, when given, is called at
     each recorded sample with the FreeBoundaryState there (``period_end``:
@@ -195,16 +172,10 @@ def simulate(spec, t_max=None, stop=None):
     snapshots = [state]
     next_sample = num.sample_every if num.sample_every > 0 else math.inf
     next_period = T
-    sizer = _StepSizer(spec)
 
     while state.t < t_max - eps:
-        grad = front_gradient(state)
-        dt = sizer(state, grad)
-        target = min(t_max, next_sample, next_period)
-        dt = min(dt, target - state.t)
-        if dt <= 0:
-            dt = eps
-        state, h_prime = step_free(state, spec, dt)
+        dt_max = min(t_max, next_sample, next_period) - state.t
+        state, h_prime = step_free(state, spec, dt_max if dt_max > 0 else eps)
         hit_sample = state.t >= next_sample - eps
         hit_period = state.t >= next_period - eps
         recorded = hit_sample or state.t >= t_max - eps

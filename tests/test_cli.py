@@ -541,6 +541,24 @@ class TestRejectedConfigs:
         self.check_exit(tmp_path, monkeypatch, capsys, text, 3, solves=True)
         assert "%s needs a finite h*, got h* = inf" % kind in caplog.text
 
+    # a tiny radius asked an eigen solve for about 4.6e7 coarse substeps
+    # per period, and the run did not end: now StepSizeTooLarge before the
+    # first period map.  N=4 has no ball zero, so the h* search solves at
+    # r_lo first
+    @pytest.mark.parametrize("text", [
+        MINIMAL.replace("command=simulate", "command=eigen")
+        .replace("alpha=1", "alpha=1+0.5*sin(2*pi*t)") + "[eigen]\nR=0.001\n",
+        MINIMAL.replace("command=simulate", "command=hstar")
+        .replace("alpha=1", "alpha=1+0.5*sin(2*pi*t)")
+        .replace("h0=3", "h0=3\nN=4")
+        + "[hstar]\nr_lo=0.001\nr_hi=10\n"], ids=["eigen", "hstar"])
+    def test_eigen_substep_bound(self, tmp_path, monkeypatch, capsys, text):
+        def no_map(*args, **kwargs):
+            raise AssertionError("unexpected period map")
+
+        monkeypatch.setattr(eigen, "period_map", no_map)
+        self.check_exit(tmp_path, monkeypatch, capsys, text, 3, solves=True)
+
     @staticmethod
     def check_exit(tmp_path, monkeypatch, capsys, text, code, *flags,
                    solves=False):

@@ -84,18 +84,17 @@ class TestCachedOperator:
             assert np.array_equal(traj.final.u, fresh.final.u)
 
 
-def allocating_step(state, spec, dt):
-    """step_free with a fresh linspace xi grid, a zeros_like advection
-    array and a full-length right-hand side: the oracle for the in-place
-    step."""
+def allocating_step(state, spec, dt_max):
+    """step_free with its step sizing written out once more, a fresh
+    linspace xi grid, a zeros_like advection array and a full-length
+    right-hand side: the oracle for the in-place step."""
     fld = spec.field
     n = state.n
     dxi = 1.0 / n
-    if dt * fld.alpha2_max() >= 1.0:
-        raise freeboundary.StepSizeTooLarge("dt*max(alpha2) >= 1")
     h_prime = max(-spec.mu * front_gradient(state), 0.0)
-    if dt * h_prime / state.h > 0.5 * dxi * (1.0 + 1e-12):
-        raise freeboundary.StepSizeTooLarge("front CFL violated")
+    dt = min(spec.numerics.dt, 0.45 / max(fld.alpha2_max(), 1e-12), dt_max)
+    if dt * h_prime > 0.5 * (0.45 * dxi * state.h):
+        dt = min(dt, 0.45 * dxi * state.h / h_prime)
     xi = np.linspace(0.0, 1.0, n + 1)
     r = state.h * xi
     u = state.u
@@ -115,8 +114,8 @@ def allocating_step(state, spec, dt):
 class TestInPlaceStep:
     @staticmethod
     def recorded(step, steps):
-        def run(state, spec, dt):
-            new, h_prime = step(state, spec, dt)
+        def run(state, spec, dt_max):
+            new, h_prime = step(state, spec, dt_max)
             steps.append((new.u, new.h, h_prime))
             return new, h_prime
         return run
@@ -154,27 +153,33 @@ class TestInPlaceStep:
         assert np.array_equal(other.r(), 5.0 * np.linspace(0.0, 1.0, 97))
 
 
-class TestStepSizer:
-    """The step that _StepSizer picks passes both guards of step_free, so
-    simulate() takes every step at the size it picked, with no retry."""
+class TestStepSizing:
+    """step_free sizes its own step: positive, at most the spec's dt and
+    dt_max, inside the positivity bound dt*max(alpha2) < 1 and the
+    front-CFL bound dt*h'/h <= 0.5*dxi."""
 
     @settings(max_examples=200, deadline=None)
     @given(h=st.floats(1e-2, 1e3),
            slope=st.just(0.0) | st.floats(0.0, 1e4, exclude_min=True),
            mu=st.floats(1e-2, 1e2), n=st.integers(8, 512),
-           dt=st.floats(1e-4, 1.0), a=st.floats(1e-2, 1e2))
-    @example(h=1.0, slope=10.0, mu=1.0, n=64, dt=0.1, a=1.0)   # CFL binds
-    @example(h=1.0, slope=0.0, mu=1.0, n=64, dt=1.0, a=50.0)   # positivity
+           dt=st.floats(1e-4, 1.0), a=st.floats(1e-2, 1e2),
+           dt_max=st.floats(1e-6, 10.0))
+    @example(h=1.0, slope=10.0, mu=1.0, n=64, dt=0.1, a=1.0,
+             dt_max=1.0)                                       # CFL binds
+    @example(h=1.0, slope=0.0, mu=1.0, n=64, dt=1.0, a=50.0,
+             dt_max=1.0)                                       # positivity
     # a subnormal front speed h' = 5e-324: bound/h' overflows
-    @example(h=1e3, slope=5e-324, mu=1.0, n=8, dt=0.1, a=1.0)
-    def test_sized_step_passes_guards(self, h, slope, mu, n, dt, a):
+    @example(h=1e3, slope=5e-324, mu=1.0, n=8, dt=0.1, a=1.0, dt_max=1.0)
+    def test_step_within_bounds(self, h, slope, mu, n, dt, a, dt_max):
         spec = ProblemSpec.build(constant_field(a), mu=mu, n=n, dt=dt)
         # the front stencil is exact on a linear profile: u_r = -slope up
         # to rounding, and h' = mu*slope
         u = slope * h * (1.0 - np.linspace(0.0, 1.0, n + 1))
         state = FreeBoundaryState(u=u, h=h, t=0.0, n=n)
-        sized = freeboundary._StepSizer(spec)(state, front_gradient(state))
-        step_free(state, spec, sized)
+        new, h_prime = step_free(state, spec, dt_max)
+        assert 0.0 < new.t <= min(dt, dt_max)
+        assert new.t * spec.field.alpha2_max() < 1.0
+        assert new.t * h_prime / h <= 0.5 / n
 
 
 class TestSimulate:
@@ -279,18 +284,14 @@ def reference_simulate(spec, t_max, sample_every):
     the oracle that pins the simulate command's trajectories."""
     T = spec.field.T
     state = initial_state(spec)
-    sizer = freeboundary._StepSizer(spec)
     ts, hs, hps, sups = [0.0], [state.h], [0.0], [state.sup()]
     snapshots = [state]
     next_sample = sample_every if sample_every > 0 else math.inf
     next_period = T
     eps = 1e-12 * max(t_max, 1.0)
     while state.t < t_max - eps:
-        dt = sizer(state, front_gradient(state))
-        dt = min(dt, min(t_max, next_sample, next_period) - state.t)
-        if dt <= 0:
-            dt = eps
-        state, h_prime = step_free(state, spec, dt)
+        dt_max = min(t_max, next_sample, next_period) - state.t
+        state, h_prime = step_free(state, spec, dt_max if dt_max > 0 else eps)
         hit_sample = state.t >= next_sample - eps
         if hit_sample or state.t >= t_max - eps:
             ts.append(state.t)
