@@ -8,11 +8,12 @@ xi = r/h(t).  In the transformed variables
 
 diffusion is implicit, advection and reaction explicit, and the front
 moves by the Stefan law h' = -mu u_r(t, h) with the gradient taken from a
-one-sided second-order stencil.  The simulate() driver records the
-trajectory and the run's states at period boundaries and can stop at a
-sample; decide() is the Spreading / Vanishing / Undecided rule for one
-sample.  classify_outcome() applies it to a trajectory's last sample; a
-threshold probe takes its verdict from the stop test that ended its run.
+one-sided second-order stencil.  step_free() steps the arrays (u, h, t);
+simulate() loops it, keeps a state at each sample and period boundary
+and can stop at a sample; decide() is the Spreading / Vanishing /
+Undecided rule for one sample.  classify_outcome() applies it to a
+trajectory's last sample; a threshold probe takes its verdict from the
+stop test that ended its run.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -45,17 +46,13 @@ def _xi_grid(n):
 
 @dataclass
 class FreeBoundaryState:
-    u: np.ndarray        # values on the fixed xi-grid, u[n] = 0
+    u: np.ndarray        # values on the fixed xi-grid, u[-1] = 0
     h: float
     t: float
-    n: int
 
     @property
     def xi(self):
-        return _xi_grid(self.n)
-
-    def sup(self):
-        return float(np.max(self.u))
+        return _xi_grid(self.u.size - 1)
 
     def r(self):
         return self.h * self.xi
@@ -64,57 +61,54 @@ class FreeBoundaryState:
         return np.interp(r, self.r(), self.u, right=0.0)
 
 
-def front_gradient(state):
-    """u_r at the front from the one-sided 3-point stencil (u_n = 0)."""
-    dxi = 1.0 / state.n
-    u = state.u
+def front_gradient(u, h):
+    """u_r at the front from the one-sided 3-point stencil (u[-1] = 0)."""
+    dxi = 1.0 / (u.size - 1)
     du_dxi = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dxi)
-    return du_dxi / state.h
+    return du_dxi / h
 
 
 def initial_state(spec):
     n = spec.numerics.n
     u = spec.u0_values(spec.h0 * _xi_grid(n))
     u[-1] = 0.0
-    return FreeBoundaryState(u=u, h=spec.h0, t=0.0, n=n)
+    return FreeBoundaryState(u=u, h=spec.h0, t=0.0)
 
 
-def step_free(state, spec, dt_max):
-    """Advance the front-fixed system by one step of at most dt_max.
+def step_free(u, h, t, spec, dt_max):
+    """One step of at most dt_max from (u, h, t): (u_new, h_new, t_new, h').
 
     The front speed h' is evaluated from the pre-step gradient; a speed
     negative beyond rounding raises FrontRetreat.  The step is the spec's
     dt, shrunk to dt_max, to the positivity bound 0.45/max(alpha2) and to
     the front-CFL bound 0.45*dxi*h/h' (which relaxes as h grows, so a fast
     front early in a run does not force a tiny global dt).  h is updated
-    first, and the density step then runs on the fixed xi-grid.
+    first; the density step then writes a new u on the fixed xi-grid.
     """
     fld = spec.field
-    n = state.n
+    n = u.size - 1
     dxi = 1.0 / n
-    h_prime = -spec.mu * front_gradient(state)
+    h_prime = -spec.mu * front_gradient(u, h)
     if h_prime < -1e-10:
-        raise FrontRetreat("front speed %.3e < 0 at t=%.6g" % (h_prime, state.t))
+        raise FrontRetreat("front speed %.3e < 0 at t=%.6g" % (h_prime, t))
     h_prime = max(h_prime, 0.0)
     dt = min(spec.numerics.dt, 0.45 / max(fld.alpha2_max(), 1e-12), dt_max)
-    bound = 0.45 * dxi * state.h
+    bound = 0.45 * dxi * h
     # with dt*h' at most half the bound, bound/h' > dt cannot bind;
     # skipping it keeps a subnormal h' from overflowing the quotient
     if dt * h_prime > 0.5 * bound:
         dt = min(dt, bound / h_prime)
 
-    h_new = state.h + dt * h_prime
-    xi = state.xi
-    r = state.h * xi
-    u = state.u
+    xi = _xi_grid(n)
+    r = h * xi
 
-    growth = fld.growth(state.t, r)[:n]
-    crowd = fld.beta(state.t, r)[:n]
+    growth = fld.growth(t, r)[:n]
+    crowd = fld.beta(t, r)[:n]
     # rhs = u + dt*(adv + u*(growth - crowd*u)) on the n unknowns (u[n] = 0),
     # built in place in two buffers.  Upwind advection: u_t = + xi (h'/h)
     # u_xi, wind >= 0 -> forward difference, adv = xi*(h'/h)*(u+ - u)/dxi
     un = u[:n]
-    rhs = np.multiply(xi[:n], h_prime / state.h)
+    rhs = np.multiply(xi[:n], h_prime / h)
     work = np.subtract(u[1:], un)
     np.multiply(rhs, work, out=rhs)
     np.divide(rhs, dxi, out=rhs)            # adv
@@ -127,12 +121,12 @@ def step_free(state, spec, dt_max):
 
     # implicit diffusion with u(1) = 0: one elimination, since s changes
     # with h at every step
-    s = dt * (spec.d / state.h ** 2) / dxi ** 2
+    s = dt * (spec.d / h ** 2) / dxi ** 2
     u_new = np.empty(n + 1)
     u_new[:n] = solve_tridiag(*diffusion_bands(n, spec.N, s), rhs)
     u_new[n] = 0.0
     u_new[(u_new > NEG_CLIP) & (u_new < 0.0)] = 0.0
-    return FreeBoundaryState(u=u_new, h=h_new, t=state.t + dt, n=n), h_prime
+    return u_new, h + dt * h_prime, t + dt, h_prime
 
 
 @dataclass
@@ -152,9 +146,10 @@ def simulate(spec, t_max=None, stop=None):
     """Run the free-boundary problem from (u0, h0) to t_max.
 
     Samples (t, h, h', sup u) every ``spec.numerics.sample_every`` time
-    units and keeps the state at t = 0 and at each period boundary t = k*T
-    (no step writes into a state's u).  Each step_free step is cut to land
-    on the next sample, period end or t_max.
+    units; each step_free step on (u, h, t) is cut to land on the next
+    sample, period end or t_max.  A FreeBoundaryState is built only at
+    t = 0, at a sample (``final`` is the last) and at each period boundary
+    t = k*T (``snapshots``); no step writes into a state's u.
 
     ``stop(state, h_prime, u_sup, period_end)``, when given, is called at
     each recorded sample with the FreeBoundaryState there (``period_end``:
@@ -168,23 +163,27 @@ def simulate(spec, t_max=None, stop=None):
     eps = 1e-12 * max(t_max, 1.0)
 
     state = initial_state(spec)
-    ts, hs, hps, sups = [0.0], [state.h], [0.0], [state.sup()]
+    u, h, t = state.u, state.h, state.t
+    ts, hs, hps, sups = [0.0], [h], [0.0], [float(np.max(u))]
     snapshots = [state]
     next_sample = num.sample_every if num.sample_every > 0 else math.inf
     next_period = T
 
-    while state.t < t_max - eps:
-        dt_max = min(t_max, next_sample, next_period) - state.t
-        state, h_prime = step_free(state, spec, dt_max if dt_max > 0 else eps)
-        hit_sample = state.t >= next_sample - eps
-        hit_period = state.t >= next_period - eps
-        recorded = hit_sample or state.t >= t_max - eps
+    while t < t_max - eps:
+        dt_max = min(t_max, next_sample, next_period) - t
+        u, h, t, h_prime = step_free(u, h, t, spec,
+                                     dt_max if dt_max > 0 else eps)
+        hit_sample = t >= next_sample - eps
+        hit_period = t >= next_period - eps
+        recorded = hit_sample or t >= t_max - eps
+        if recorded or hit_period:
+            state = FreeBoundaryState(u=u, h=h, t=t)
         if recorded:
-            ts.append(state.t)
-            hs.append(state.h)
+            ts.append(t)
+            hs.append(h)
             hps.append(h_prime)
-            sups.append(state.sup())
-            while next_sample <= state.t + eps:
+            sups.append(float(np.max(u)))
+            while next_sample <= t + eps:
                 next_sample += num.sample_every
         if hit_period:
             snapshots.append(state)

@@ -124,8 +124,7 @@ class _UpperSolution:
 
     def __init__(self, field, N):
         self.kappa, self.phi = _ball_eigenpair(BALL_N, N)
-        self.slope = -freeboundary.front_gradient(
-            freeboundary.FreeBoundaryState(self.phi, 1.0, 0.0, BALL_N))
+        self.slope = -freeboundary.front_gradient(self.phi, 1.0)
         t = np.arange(GROWTH_PHASES + 1) * (field.T / GROWTH_PHASES)
         a = field.growth(t, 0.0)
         self.mean = float(np.mean(a[:-1]))
