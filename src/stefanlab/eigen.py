@@ -390,6 +390,14 @@ def _h_star_bracket(d, field, T, r_lo, r_hi, tol=1e-3, N=2, n=512):
             # period map underflowed to zero: decay far too strong to
             # represent, so lambda1 is certainly positive at this radius
             f_R = math.inf
+        except StepSizeTooLarge:
+            # too small to solve: on the ball (its zero j grows with N),
+            # lambda1 >= d*(j/R)**2 - max(alpha2 - gamma1) by comparison
+            t = np.arange(ENVELOPE_PHASES) * (field.T / ENVELOPE_PHASES)
+            if not d * (BALL_ZERO[min(N, 3)] / R) ** 2 > np.max(
+                    field.alpha2(t, 0.0) - field.gamma1(t, 0.0)):
+                raise
+            f_R = math.inf
         if f_R > 0:
             lo, f_lo = R, f_R
         else:

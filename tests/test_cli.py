@@ -252,6 +252,33 @@ class TestRun:
         assert row[0] == "h_star"
         assert float(row[1]) == pytest.approx(2.4048, abs=2e-3)
 
+    # N >= 4 has no tabulated ball zero, so the h* search solves at r_lo
+    # first: at R = 0.001 that solve needs about 4.6e7 substeps and the
+    # command exited 3.  The ball comparison bound now shows lambda1 > 0
+    # there without a solve; h* is the Bessel zero j_{N/2-1,1} (mean a = 1)
+    @pytest.mark.parametrize("N, closed_form", [(4, 3.8317059702075125),
+                                                (5, 4.4934094579090642)])
+    def test_hstar_small_r_lo_high_dimension(self, tmp_path, monkeypatch,
+                                             N, closed_form):
+        radii = []
+        real = eigen._Period
+
+        def counted(grid, *args):
+            radii.append(grid.R)
+            return real(grid, *args)
+
+        monkeypatch.setattr(eigen, "_Period", counted)
+        text = (MINIMAL.replace("command=simulate", "command=hstar")
+                .replace("alpha=1", "alpha=1+0.5*sin(2*pi*t)")
+                .replace("h0=3", "h0=3\nN=%d" % N)
+                + "[hstar]\nr_lo=0.001\nr_hi=10\n")
+        out = str(tmp_path / "hs")
+        assert cli.run(cli.loads_config(text), out_dir=out) == 0
+        row = read_body(os.path.join(out, "threshold.csv"))[1].split(",")
+        assert row[0] == "h_star"
+        assert abs(float(row[1]) - closed_form) <= 1e-3
+        assert radii and 0.001 not in radii
+
     def test_hstar_writes_final_bracket(self, tmp_path, monkeypatch):
         solves = []
         real = eigen.principal_eigenvalue
@@ -543,15 +570,11 @@ class TestRejectedConfigs:
 
     # a tiny radius asked an eigen solve for about 4.6e7 coarse substeps
     # per period, and the run did not end: now StepSizeTooLarge before the
-    # first period map.  N=4 has no ball zero, so the h* search solves at
-    # r_lo first
+    # first period map
     @pytest.mark.parametrize("text", [
         MINIMAL.replace("command=simulate", "command=eigen")
-        .replace("alpha=1", "alpha=1+0.5*sin(2*pi*t)") + "[eigen]\nR=0.001\n",
-        MINIMAL.replace("command=simulate", "command=hstar")
-        .replace("alpha=1", "alpha=1+0.5*sin(2*pi*t)")
-        .replace("h0=3", "h0=3\nN=4")
-        + "[hstar]\nr_lo=0.001\nr_hi=10\n"], ids=["eigen", "hstar"])
+        .replace("alpha=1", "alpha=1+0.5*sin(2*pi*t)") + "[eigen]\nR=0.001\n"],
+        ids=["eigen"])
     def test_eigen_substep_bound(self, tmp_path, monkeypatch, capsys, text):
         def no_map(*args, **kwargs):
             raise AssertionError("unexpected period map")

@@ -14,7 +14,7 @@ from stefanlab.eigen import (FACTOR_TABLE_BYTES, H_STAR_INFINITE, POTENTIAL_BLOC
                              _Period, d_thresholds, default_substeps, h_star,
                              period_map, principal_eigenvalue)
 from stefanlab.errors import (BracketInvalid, NoConvergence, NonPositiveIterate,
-                              NoSignChange)
+                              NoSignChange, StepSizeTooLarge)
 from stefanlab.radialcore import DiffusionSolver, RadialGrid
 
 
@@ -357,6 +357,16 @@ class TestHStar:
     def test_bracket_invalid(self):
         with pytest.raises(BracketInvalid):
             h_star(1.0, constant_field(1.0), 1.0, r_lo=5.0, r_hi=10.0, n=128)
+
+    def test_unsolvable_probe_without_bound_raises(self, monkeypatch):
+        # alpha = 2e5 asks more than MAX_SUBSTEPS of every solve, and at
+        # r_lo = 0.5 the ball bound d*(j/R)**2 ~ 23 proves nothing
+        def no_map(*args, **kwargs):
+            raise AssertionError("unexpected period map")
+
+        monkeypatch.setattr(eigen, "period_map", no_map)
+        with pytest.raises(StepSizeTooLarge):
+            h_star(1.0, constant_field(2e5), 1.0, r_lo=0.5, r_hi=2.0, n=64)
 
 
 def counting_eigen(monkeypatch):
