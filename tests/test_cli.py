@@ -252,10 +252,10 @@ class TestRun:
         assert row[0] == "h_star"
         assert float(row[1]) == pytest.approx(2.4048, abs=2e-3)
 
-    # N >= 4 has no tabulated ball zero, so the h* search solves at r_lo
-    # first: at R = 0.001 that solve needs about 4.6e7 substeps and the
-    # command exited 3.  The ball comparison bound now shows lambda1 > 0
-    # there without a solve; h* is the Bessel zero j_{N/2-1,1} (mean a = 1)
+    # N >= 4 has no tabulated ball zero, so the h* search probes r_lo
+    # first; a solve at R = 0.001 would need about 4.6e7 substeps, so the
+    # ball comparison bound must decide that probe.  h* is the Bessel zero
+    # j_{N/2-1,1} (growth of period mean 1, d = 1)
     @pytest.mark.parametrize("N, closed_form", [(4, 3.8317059702075125),
                                                 (5, 4.4934094579090642)])
     def test_hstar_small_r_lo_high_dimension(self, tmp_path, monkeypatch,
