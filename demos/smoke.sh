@@ -119,3 +119,35 @@ if [ "$rc" -ne 3 ]; then
   echo "eigen R=0.001: exit $rc, expected 3 (MAX_SUBSTEPS)" >&2
   exit 1
 fi
+# two runs over the work caps that once did not end: mu_star.cfg sampled
+# every 1e-6 (each probe runs 400 periods cut at every sample, 4e8
+# steps) and a simulate with period 1e-7 (5e7 period-end steps, a state
+# kept at each).  Each must end at once with exit 2 (TooManySamples) and
+# write no artifact
+{ cat demos/mu_star.cfg; printf '[numerics]\nt_max=0.05\nsample_every=1e-6\n'; } \
+  > "$scratch/mu_star_samples.cfg"
+cat > "$scratch/period_tiny.cfg" <<'CFG'
+[run]
+command=simulate
+[field]
+alpha=1
+gamma=0
+beta=1
+T=1e-7
+[problem]
+d=1
+mu=1
+h0=3
+[numerics]
+n=64
+t_max=5
+CFG
+for cfg in mu_star_samples period_tiny; do
+  rc=0
+  timeout 60 python -m stefanlab --config "$scratch/$cfg.cfg" \
+    --out "$scratch/$cfg" 2>/dev/null || rc=$?
+  if [ "$rc" -ne 2 ] || [ -e "$scratch/$cfg" ]; then
+    echo "$cfg.cfg: exit $rc, expected 2 (TooManySamples) and no artifact" >&2
+    exit 1
+  fi
+done

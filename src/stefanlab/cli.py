@@ -23,14 +23,16 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 
 from . import __version__, coeffexpr, eigen, freeboundary
-from .coeffmodel import (MAX_TIME_STEPS, CoefficientField, Numerics,
-                         ProblemSpec, validate)
+from .coeffmodel import (CoefficientField, Numerics, ProblemSpec,
+                         check_radius, validate)
 from .errors import (ConfigError, ExpressionError, ExprError, MissingKey,
                      StefanLabError, TypeMismatch, UnknownKey)
 
 log = logging.getLogger("stefanlab")
 
 MAX_CONFIG_BYTES = 1 << 20
+MAX_TIME_STEPS = 10 ** 7  # largest horizon/dt that run accepts
+MAX_SAMPLES = 10 ** 5     # largest horizon/min(sample_every, T) run accepts
 
 # schema: section -> key -> (type, default); default None means required
 # when the section is active for the chosen command (run, field, problem
@@ -206,10 +208,11 @@ def config_hash(config):
 
 def build_spec(config):
     v = config.values
+    p, num = v["problem"], v["numerics"]
     field = CoefficientField.from_expressions(
         alpha=v["field"]["alpha"], gamma=v["field"]["gamma"],
-        beta=v["field"]["beta"], T=v["field"]["T"])
-    p, num = v["problem"], v["numerics"]
+        beta=v["field"]["beta"], T=v["field"]["T"],
+        r_max=check_radius(p["d"], p["h0"]))
     return ProblemSpec.build(field, N=p["N"], d=p["d"], mu=p["mu"],
                              h0=p["h0"], u0=p["u0"] or None,
                              n=num["n"], dt=num["dt"], t_max=num["t_max"],
@@ -411,7 +414,7 @@ _COMMANDS = {
     "simulate": ((), _cmd_simulate),
     "eigen": (("eigen",), _cmd_eigen),
     "hstar": (("hstar",), _cmd_hstar),
-    "speed": ((), _cmd_speed),
+    "speed": (("speed",), _cmd_speed),
     "mu-star": (("mu_star",), _cmd_mu_star),
     "sigma0": (("sigma0",), _cmd_sigma0),
     "sweep": (("sweep",), _cmd_sweep),
@@ -420,32 +423,27 @@ _COMMANDS = {
 
 
 def _section_errors(config):
-    """Command-section values the numerics cannot take (each exits 2)."""
+    """Command-section values the numerics cannot take (each exits 2):
+    every number is finite and > 0, every list has one, every bracket
+    (x_lo, x_hi) has x_lo < x_hi, and every choice is one of its options."""
     cmd, v = config.command, config.values
     bad = []
-    if cmd == "eigen" and not (v["eigen"]["R"]
-                               and all(R > 0 for R in v["eigen"]["R"])):
-        bad.append("[eigen] R must list one or more values > 0")
-    if cmd == "hstar" and not 0 < v["hstar"]["r_lo"] < v["hstar"]["r_hi"]:
-        bad.append("[hstar] needs 0 < r_lo < r_hi")
-    if cmd == "speed" and not v["speed"]["r_far"] > 0:
-        bad.append("[speed] r_far must be > 0")
-    section = cmd.replace("-", "_")
-    if (section in ("hstar", "speed", "mu_star", "sigma0")
-            and not 0 < v[section]["tol"] < math.inf):
-        # a zero tol never ends a bisection, an infinite one ends it at once
-        bad.append("[%s] tol must be finite and > 0" % section)
+    for section in _COMMANDS[cmd][0]:
+        for key, (kind, _) in _SCHEMA[section].items():
+            x = v[section][key]
+            values = (x,) if kind == "float" else x
+            if kind in ("float", "floatlist") and not (
+                    values and all(0 < y < math.inf for y in values)):
+                bad.append("[%s] %s must be finite and > 0%s, got %r"
+                           % (section, key, ", one value or more"
+                              if kind == "floatlist" else "", x))
+            if key.endswith("_lo") and not x < v[section][key[:-2] + "hi"]:
+                bad.append("[%s] needs %s < %shi" % (section, key, key[:-2]))
     if cmd == "sweep":
-        sw = v["sweep"]
-        for axis, values in ((sw["axis1"], sw["axis1_values"]),
-                             (sw["axis2"], sw["axis2_values"])):
-            if not values:
-                bad.append("[sweep] axis %r lists no values" % axis)
+        for axis in (v["sweep"]["axis1"], v["sweep"]["axis2"]):
             if axis not in SWEEP_AXES:
                 bad.append("[sweep] axis %r is not one of %s"
                            % (axis, ", ".join(SWEEP_AXES)))
-            elif not all(0 < x < math.inf for x in values):
-                bad.append("[sweep] %s values must be finite and > 0" % axis)
     if cmd == "criteria":
         from .thresholds import CRITERIA_KINDS
         if v["criteria"]["kind"] not in CRITERIA_KINDS:
@@ -455,18 +453,15 @@ def _section_errors(config):
 
 
 def _horizon(cmd, spec, horizon_scale):
-    """The longest run the command asks for.
-
-    --horizon-scale stretches t_max, and the threshold probes run up to
-    HORIZON_CAP periods whatever t_max is.  A run slowed by the front-CFL
-    bound takes more than horizon/dt steps.
-    """
+    """The longest free-boundary run the command asks for (None for eigen,
+    hstar and speed, which run none): --horizon-scale stretches t_max, and
+    the threshold probes run up to HORIZON_CAP periods whatever t_max is."""
     if cmd in ("simulate", "sweep"):
         return horizon_scale * spec.numerics.t_max
     if cmd in ("mu-star", "sigma0", "criteria"):
         from .thresholds import HORIZON_CAP
         return HORIZON_CAP * spec.field.T
-    return spec.numerics.t_max
+    return None
 
 
 def run(config, out_dir=None, jobs=None, horizon_scale=1.0):
@@ -485,18 +480,27 @@ def run(config, out_dir=None, jobs=None, horizon_scale=1.0):
             # only a RunConfig built without loads_config gets here
             raise ConfigError("unknown command %r" % cmd)
         spec = build_spec(config)
-        invalid = ["%s at %s: %s" % (viol.kind, viol.where, viol.detail)
+        invalid = ["%s at %s: %s" % (viol.kind, tuple(map(float, viol.where)),
+                                     viol.detail)
                    for viol in validate(spec).violations]
         invalid += _section_errors(config)
-        if cmd in ("simulate", "sweep") and not 0 < horizon_scale < math.inf:
-            # a horizon <= 0 or nan never stepped, an infinite one made
-            # simulate's end test nan: each wrote a verdict at t = 0
-            invalid.append("--horizon-scale must be finite and > 0, got %r"
-                           % horizon_scale)
         horizon = _horizon(cmd, spec, horizon_scale)
-        if not invalid and horizon / spec.numerics.dt > MAX_TIME_STEPS:
-            invalid.append("TooManySteps: horizon %.3g/dt must be <= %d"
-                           % (horizon, MAX_TIME_STEPS))
+        if not invalid and horizon is not None:
+            # a horizon <= 0 or nan never stepped, an infinite one made the
+            # end test nan.  A run takes horizon/dt steps or more, records a
+            # row at each sample and keeps a state at each period end
+            dt = spec.numerics.dt
+            sample = min(spec.numerics.sample_every, spec.field.T)
+            if not 0 < horizon < math.inf:
+                invalid.append("NonPositiveHorizon: --horizon-scale * t_max "
+                               "must be finite and > 0, got %r" % horizon)
+            elif horizon / dt > MAX_TIME_STEPS:
+                invalid.append("TooManySteps: horizon/dt must be <= %d, got "
+                               "%.3g/%.3g" % (MAX_TIME_STEPS, horizon, dt))
+            elif horizon / sample > MAX_SAMPLES:
+                invalid.append("TooManySamples: horizon/min(sample_every, T) "
+                               "must be <= %d, got %.3g/%.3g"
+                               % (MAX_SAMPLES, horizon, sample))
         if invalid:
             for msg in invalid:
                 log.error("validation: %s", msg)
@@ -533,9 +537,8 @@ def main(argv=None):
     try:
         config = load_config(args.config)
     except ConfigError as exc:
-        log.error("%s", exc)
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
+        log.error("%s: %s", type(exc).__name__, exc)
+        return exc.exit_code
     return run(config, out_dir=args.out, jobs=args.jobs,
                horizon_scale=args.horizon_scale)
 

@@ -1,17 +1,23 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stefanlab import cli, eigen, freeboundary, semiwave
 from stefanlab.coeffmodel import Numerics
+from stefanlab.thresholds import CRITERIA_KINDS
 from stefanlab.errors import (ConfigError, EvalDomainError, ExpressionError,
                               MissingKey, NoSignChange, NumericalError,
                               TypeMismatch, UnknownIdentifier, UnknownKey)
@@ -36,6 +42,8 @@ t_max=5
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 MU_STAR_CFG = os.path.join(DEMOS, "mu_star.cfg")
+with open(MU_STAR_CFG) as _fh:
+    MU_STAR_DEMO = _fh.read()
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
@@ -64,6 +72,34 @@ def write(tmp_path, text, name="run.cfg"):
 def read_body(path):
     with open(path) as fh:
         return [line for line in fh if not line.startswith("#")]
+
+
+def stub_handlers(monkeypatch):
+    """Replace every command's handler by one that records its arguments
+    (config, spec, arts, jobs, horizon); returns the list of calls."""
+    calls = []
+    for cmd, (sections, _) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, cmd,
+                            (sections, lambda *args: calls.append(args)))
+    return calls
+
+
+def src_env():
+    """The environment with src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def cli_stderr(tmp_path, text):
+    """Exit code and stderr lines of ``python -m stefanlab`` on ``text``,
+    in a fresh interpreter, so stderr holds every warning and log line."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "stefanlab", "--config", write(tmp_path, text),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    return proc.returncode, proc.stderr.splitlines()
 
 
 class TestLoadConfig:
@@ -366,19 +402,36 @@ class TestMain:
         assert cli.main(["--config", path]) == 2
 
     def test_infinite_period_prints_only_the_error(self, tmp_path):
-        # in a fresh interpreter, so stderr holds every warning and log line
         text = MINIMAL.replace("alpha=1", "alpha=1+0.5*sin(2*pi*t)")
-        path = write(tmp_path, text.replace("beta=1", "beta=1\nT=inf"))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [SRC, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "stefanlab", "--config", path,
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 2
-        err = proc.stderr.splitlines()
+        text = text.replace("beta=1", "beta=1\nT=inf")
+        code, err = cli_stderr(tmp_path, text)
+        assert code == 2
         assert len(err) == 1 and "T must be finite and > 0, got inf" in err[0]
+
+    def test_config_error_prints_one_line(self, tmp_path):
+        # it was logged and then printed again as "config error: ..."
+        code, err = cli_stderr(tmp_path, MINIMAL.replace("mu=1\n", ""))
+        assert code == 2
+        assert err == ["ERROR stefanlab: MissingKey: missing required key 'mu'"]
+
+    def test_violation_prints_plain_numbers(self, tmp_path, caplog):
+        # the (t, r) of a violation printed as (np.float64(...), ...)
+        text = MINIMAL.replace("alpha=1", "alpha=1+0.5*sin(3*t)")
+        assert cli.main(["--config", write(tmp_path, text)]) == 2
+        msg, = [r.getMessage() for r in caplog.records]
+        assert re.match(r"validation: PeriodicityViolation at "
+                        r"\(\d\S*, \d\S*\): ", msg), msg
+
+    def test_envelopes_cover_the_checked_radii(self, tmp_path, monkeypatch):
+        # alpha rises past r = 40, where the envelopes stopped sampling,
+        # but inside validate's r_check = 4*h0 + 50*sqrt(d) = 62: it exited
+        # 2 with an EnvelopeViolation at r = 40.5
+        calls = stub_handlers(monkeypatch)
+        text = MINIMAL.replace("alpha=1", "alpha=1+0.5*tanh(r-45)")
+        assert cli.main(["--config", write(tmp_path, text),
+                         "--out", str(tmp_path / "out")]) == 0
+        (_, spec, _, _, _), = calls
+        assert spec.field.alpha2(0.0) > 1.49
 
     def test_missing_file(self):
         assert cli.main(["--config", "/nonexistent/x.cfg"]) == 2
@@ -498,6 +551,24 @@ class TestRejectedConfigs:
         (SWEEP.replace("axis2_values=1,2", "axis2_values=0,1"), 2),
         (SWEEP.replace("axis2=mu\naxis2_values=1,2",
                        "axis2=sigma\naxis2_values=-1,1"), 2),
+        # a bracket end that is not finite and > 0, or a reversed bracket:
+        # mu_lo=nan and mu_hi=inf exited 3 after a 400-period probe,
+        # sigma_lo=-1 exited 3 and sigma_lo=nan 2 with a domain error, a
+        # reversed mu bracket exited 3 after two probes, and R=inf ran
+        # 20000 power iterations on NaN
+        (MU_STAR.replace("mu_lo=0.2", "mu_lo=nan"), 2),
+        (MU_STAR.replace("mu_hi=6", "mu_hi=inf"), 2),
+        (SIGMA0.replace("sigma_lo=0.1", "sigma_lo=-1"), 2),
+        (SIGMA0.replace("sigma_lo=0.1", "sigma_lo=nan"), 2),
+        (MU_STAR.replace("mu_lo=0.2\nmu_hi=6", "mu_lo=5\nmu_hi=4"), 2),
+        (MINIMAL.replace("command=simulate", "command=eigen")
+         + "[eigen]\nR=inf\n", 2),
+        (HSTAR.replace("r_hi=4", "r_hi=inf"), 2),
+        # runs within t_max/dt that recorded too much: each probe of the
+        # demo ran 400 periods cut at every sample (4e8 steps), and a
+        # period of 1e-7 took 5e7 period-end steps, keeping a state at each
+        (MU_STAR_DEMO + "[numerics]\nt_max=0.05\nsample_every=1e-6\n", 2),
+        (MINIMAL.replace("beta=1", "beta=1\nT=1e-7"), 2),
         # a grid that does not fit in memory ended in a MemoryError
         (MINIMAL.replace("n=64", "n=1000000000"), 2),
         # an expression nested past the parser's recursion ended in a
@@ -514,10 +585,27 @@ class TestRejectedConfigs:
              "speed-tol-negative", "hstar-tol-inf", "mu-star-tol-inf",
              "sigma0-tol-inf", "eigen-R-empty", "sweep-axis1-empty",
              "sweep-axis2-empty", "sweep-d-inf", "sweep-h0-inf",
-             "sweep-mu-zero", "sweep-sigma-negative", "n-huge",
+             "sweep-mu-zero", "sweep-sigma-negative", "mu_lo-nan",
+             "mu_hi-inf", "sigma_lo-negative", "sigma_lo-nan",
+             "mu-bracket-reversed", "eigen-R-inf", "hstar-r_hi-inf",
+             "mu-star-sample_every-1e-6", "T-1e-7", "n-huge",
              "deep-parentheses", "deep-minuses", "deep-sum"])
     def test_exit_code(self, tmp_path, monkeypatch, capsys, text, code):
         self.check_exit(tmp_path, monkeypatch, capsys, text, code)
+
+    # runs that fit the caps although t_max/dt does not: hstar runs no
+    # free boundary, and the scale cuts the run to 4e6 steps.  Both exited 2
+    @pytest.mark.parametrize("text,flags,horizon", [
+        (HSTAR.replace("t_max=5", "t_max=5\ndt=1e-9"), (), None),
+        (MINIMAL.replace("t_max=5", "t_max=20\ndt=1e-6"),
+         ("--horizon-scale", "0.2"), 4.0)],
+        ids=["hstar-dt-1e-9", "simulate-scale-0.2"])
+    def test_admitted(self, tmp_path, monkeypatch, text, flags, horizon):
+        calls = stub_handlers(monkeypatch)
+        assert cli.main(["--config", write(tmp_path, text),
+                         "--out", str(tmp_path / "out"), *flags]) == 0
+        (_, _, _, _, got), = calls
+        assert got == horizon
 
     # a horizon scale <= 0 or nan never stepped, an infinite one made the
     # end test nan: each exited 0 with the trajectory row 0,3,0,1
@@ -606,6 +694,163 @@ class TestRejectedConfigs:
         assert not os.path.exists(out) or not os.listdir(out)
 
 
+class TestWorkCaps:
+    """run bounds the run the command takes: horizon/dt by MAX_TIME_STEPS
+    and horizon/min(sample_every, T) by MAX_SAMPLES.  The handlers are
+    stubbed, so the uncapped runs cost nothing here."""
+
+    @staticmethod
+    def messages(tmp_path, caplog, text):
+        caplog.clear()
+        code = cli.main(["--config", write(tmp_path, text),
+                         "--out", str(tmp_path / "out")])
+        return code, [r.getMessage() for r in caplog.records]
+
+    @pytest.mark.parametrize("name,kind,cap", [
+        ("dt", "TooManySteps", cli.MAX_TIME_STEPS),
+        ("sample_every", "TooManySamples", cli.MAX_SAMPLES)])
+    def test_work_caps(self, tmp_path, monkeypatch, caplog, name, kind, cap):
+        calls = stub_handlers(monkeypatch)
+        t_max = 50.0
+
+        def text(value):
+            return MINIMAL.replace("t_max=5", "t_max=%r\n%s=%r"
+                                   % (t_max, name, value))
+
+        assert self.messages(tmp_path, caplog, text(t_max / cap)) == (0, [])
+        for value in (t_max / (2 * cap), 1e-9, 1e-12):
+            code, msgs = self.messages(tmp_path, caplog, text(value))
+            assert code == 2 and len(msgs) == 1
+            assert kind in msgs[0] and str(cap) in msgs[0]
+        assert len(calls) == 1
+
+    def test_work_caps_skip_bad_time_steps(self, tmp_path, monkeypatch,
+                                           caplog):
+        calls = stub_handlers(monkeypatch)
+        text = MINIMAL.replace("t_max=5", "t_max=inf\ndt=1e-9")
+        code, msgs = self.messages(tmp_path, caplog, text)
+        assert code == 2 and len(msgs) == 1 and "BadTimeStep" in msgs[0]
+        assert not calls
+
+
+# the admission contract: a drawn config is rejected with exit 2 before its
+# handler runs, or its handler sees every command-section number finite and
+# > 0, every bracket ordered and a run within the work caps.  Every key
+# takes a value that its check should pass, but for up to one key of the
+# command's section and one of the others that take any value
+_POSITIVE = st.one_of(
+    st.sampled_from([1e-9, 1e-3, 0.25, 1.0, 2.0, 4.0, 1e3, 1e9]),
+    st.floats(min_value=0.01, max_value=100.0))
+_NONPOSITIVE = st.sampled_from([0.0, -1.0, -1e-9, math.nan, math.inf,
+                                -math.inf])
+_ANY = st.one_of(_POSITIVE, _NONPOSITIVE)
+_AXES = st.sampled_from(cli.SWEEP_AXES)
+
+
+def _floats(values):
+    return ",".join(map(repr, values))
+
+
+# (section, key) or schema kind -> (passing values, any values), as text;
+# expressions are constant, t-only, r-only or in (t, r)
+_POOLS = {
+    "float": (_POSITIVE.map(repr), _ANY.map(repr)),
+    "floatlist": (st.lists(_POSITIVE, min_size=1, max_size=3).map(_floats),
+                  st.lists(_ANY, max_size=3).map(_floats)),
+    "expr": (st.sampled_from(["1", "0.5", "1+0.5*sin(2*pi*t)",
+                              "0.2+0.3*exp(-(r^2))",
+                              "1+0.5*sin(2*pi*t)*exp(-r)"]),
+             st.sampled_from(["0", "-1", "cos(pi*r/2)", "1+sin(3*t)",
+                              "2+log(t)", "1+0.5*sin(2*pi*t)"])),
+    # the t-dependent expressions have period 1
+    ("field", "T"): (st.sampled_from(["1.0", "2.0"]), _ANY.map(repr)),
+    ("problem", "N"): (st.sampled_from("123"),
+                       st.sampled_from(["-1", "0", "16"])),
+    ("problem", "u0"): (st.just(""),
+                        st.sampled_from(["1", "cos(pi*r/2)", "1-r"])),
+    ("numerics", "n"): (st.sampled_from(["16", "64"]),
+                        st.sampled_from(["-1", "0", "8", str(10 ** 9)])),
+    ("sigma0", "zeta"): (st.sampled_from(["", "cos(pi*r/2)"]),
+                         st.sampled_from(["0", "-1"])),
+    ("sweep", "axis1"): (_AXES, st.just("bogus")),
+    ("sweep", "axis2"): (_AXES, st.just("bogus")),
+    ("criteria", "kind"): (st.sampled_from(CRITERIA_KINDS),
+                           st.just("Bogus")),
+}
+_KEYS = [(section, key, kind) for section, keys in cli._SCHEMA.items()
+         for key, (kind, _) in keys.items() if (section, key) != ("run", "out")]
+# the keys of run, field, problem and numerics come first
+_BASE_KEYS = sum(1 for k in _KEYS
+                 if k[0] in ("run", "field", "problem", "numerics"))
+_STEPLESS = ("eigen", "hstar", "speed")
+
+
+@st.composite
+def _configs(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    own = [k for k in _KEYS if k[0] == command.replace("-", "_")]
+    anything = draw(st.sets(st.sampled_from(_KEYS[:_BASE_KEYS]), max_size=1))
+    if own:
+        anything |= draw(st.sets(st.sampled_from(own), max_size=1))
+    lines = []
+    for section, key, kind in _KEYS:
+        if "[%s]" % section not in lines:
+            lines.append("[%s]" % section)
+        if (section, key) == ("run", "command"):
+            pools = (st.just(command), st.just("bogus"))
+        elif (section, key) in _POOLS:
+            pools = _POOLS[(section, key)]
+        else:
+            pools = _POOLS[kind]
+        value = draw(pools[(section, key, kind) in anything])
+        lines.append("%s=%s" % (key, value))
+    return "\n".join(lines) + "\n"
+
+
+class TestAdmissionContract:
+    @settings(max_examples=500, deadline=None)
+    @given(text=_configs(), scale=st.one_of(st.just(1.0), _ANY))
+    def test_rejected_or_admitted_sound(self, text, scale):
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            calls = stub_handlers(mp)
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as fh:
+                fh.write(text)
+            out = os.path.join(tmp, "out")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["--config", path, "--out", out, "--jobs", "1",
+                                 "--horizon-scale=%r" % scale])
+            wrote = os.path.exists(out)
+        assert "Traceback" not in err.getvalue()
+        if not calls:
+            assert code == 2 and not wrote
+            return
+        assert code == 0
+        (config, spec, _, _, horizon), = calls
+        cmd, v = config.command, config.values
+        section = cmd.replace("-", "_")
+        for key, (kind, _) in cli._SCHEMA.get(section, {}).items():
+            x = v[section][key]
+            if kind == "float":
+                assert 0 < x < math.inf, (key, x)
+            elif kind == "floatlist":
+                assert x and all(0 < y < math.inf for y in x), (key, x)
+        for lo, hi in (("r_lo", "r_hi"), ("mu_lo", "mu_hi"),
+                       ("sigma_lo", "sigma_hi")):
+            if lo in v.get(section, {}):
+                assert v[section][lo] < v[section][hi]
+        if cmd in _STEPLESS:
+            assert horizon is None
+        else:
+            num = spec.numerics
+            assert 0 < horizon < math.inf
+            assert horizon / num.dt <= cli.MAX_TIME_STEPS
+            assert (horizon / min(num.sample_every, spec.field.T)
+                    <= cli.MAX_SAMPLES)
+
+
 class TestStalledSolve:
     def test_slow_diffusion_stall_exits_quickly(self, tmp_path):
         # the d scan's solve at d=0.01, R=100 contracts its drift by about
@@ -622,10 +867,7 @@ class TestStalledSolve:
 
 def fresh_interpreter(code):
     """Run ``code`` in a new interpreter with src on its path; its stdout."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=src_env(),
                           capture_output=True, text=True, check=True,
                           timeout=120).stdout
 

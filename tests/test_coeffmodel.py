@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from stefanlab.coeffexpr import ExprFunction
-from stefanlab.coeffmodel import (MAX_GRID_N, MAX_SAMPLES, MAX_TIME_STEPS,
-                                  CoefficientField, Numerics,
-                                  ProblemSpec, classify_habitat,
+from stefanlab.coeffmodel import (MAX_GRID_N, CoefficientField, Numerics,
+                                  ProblemSpec, check_radius, classify_habitat,
                                   constant_field, r_independent, validate)
 
 
@@ -145,21 +144,11 @@ class TestValidate:
             assert report.kinds() == {"GridTooFine"}
             assert str(MAX_GRID_N) in report.violations[0].detail
 
-    @pytest.mark.parametrize("name,kind,cap", [
-        ("dt", "TooManySteps", MAX_TIME_STEPS),
-        ("sample_every", "TooManySamples", MAX_SAMPLES)])
-    def test_work_caps(self, name, kind, cap):
-        # validate never steps, so the uncapped runs cost nothing here
-        t_max = 50.0
-        assert validate(make_spec(t_max=t_max, **{name: t_max / cap})).ok
-        for value in (t_max / (2 * cap), 1e-9, 1e-12):
-            report = validate(make_spec(t_max=t_max, **{name: value}))
-            assert report.kinds() == {kind}
-            assert str(cap) in report.violations[0].detail
-
-    def test_work_caps_skip_bad_time_steps(self):
-        report = validate(make_spec(t_max=float("inf"), dt=1e-9))
-        assert report.kinds() == {"BadTimeStep"}
+    def test_no_work_caps(self):
+        # the work of a run depends on the horizon its command runs, which
+        # the CLI bounds (tests/test_cli.py::TestWorkCaps)
+        assert validate(make_spec(t_max=50.0, dt=1e-12,
+                                  sample_every=1e-12)).ok
 
     # dt <= 0 is covered by test_bad_numerics
     @pytest.mark.parametrize("name,value", [
@@ -171,8 +160,16 @@ class TestValidate:
         assert report.violations[0].detail.startswith(name + " must be")
 
     def test_r_check_reported(self):
-        report = validate(make_spec())
-        assert report.r_check >= 4.0 * 1.0
+        report = validate(make_spec(d=4.0, h0=2.0))
+        assert report.r_check == check_radius(4.0, 2.0) == 108.0
+
+    @pytest.mark.parametrize("d,h0", [
+        (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+        (1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_check_radius_of_bad_parameters(self, d, h0):
+        # no sqrt of a negative d (a RuntimeWarning fails the test), and a
+        # finite radius to sample
+        assert check_radius(d, h0) == 0.0
 
     def test_lattice_phase_offset_invariance(self):
         fld = CoefficientField.from_expressions(
