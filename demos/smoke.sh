@@ -25,6 +25,12 @@ python -m stefanlab --config demos/phase_sweep.cfg \
 for f in phase.csv overlay.json; do
   diff <(grep -v '^#' "$scratch/serial/$f") <(grep -v '^#' "$scratch/pooled/$f")
 done
+# each cell stops at its decision (the threshold probes' stop test), so
+# every cell of the demo sweep is decided: no Undecided and no Error row
+if grep -v '^#' "$scratch/serial/phase.csv" | grep -E ',(Undecided|Error),'; then
+  echo "phase_sweep.cfg: a cell is Undecided or Error at --horizon-scale 0.2" >&2
+  exit 1
+fi
 # the overlay's h* on the constant field (growth 1, d=1): J01 within tol/2
 grep -v '^#' "$scratch/serial/overlay.json" | python -c '
 import json, sys

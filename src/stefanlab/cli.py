@@ -276,11 +276,12 @@ def _threshold_csv(arts, parameter, value, lo, hi, evaluations, undecided,
 # --- worker functions (top-level for pickling) ---
 
 def _sweep_cell(args):
-    spec, t_max, v1, v2 = args
+    prober, spec, horizon, v1, v2 = args
+    if prober is None:          # h* failed at the cell's d
+        return (v1, v2, "Error", math.nan)
     try:
-        traj = freeboundary.simulate(spec, t_max=t_max)
-        out = freeboundary.classify_outcome(traj, spec)
-        return (v1, v2, out.verdict, out.t_decided)
+        verdict, _, t = prober.run(spec, horizon)
+        return (v1, v2, verdict, t)
     except StefanLabError as exc:
         log.warning("sweep cell (%g, %g) failed: %s", v1, v2, exc)
         return (v1, v2, "Error", math.nan)
@@ -374,21 +375,25 @@ def _cmd_sweep(config, spec, arts, jobs, horizon):
     from . import thresholds
     v = config.values["sweep"]
     a1, a2 = v["axis1"], v["axis2"]
-    work = []
-    for v1 in v["axis1_values"]:
-        for v2 in v["axis2_values"]:
-            cell = thresholds.spec_at(thresholds.spec_at(spec, a1, v1), a2, v2)
-            work.append((cell, horizon, v1, v2))
+    cells = [(v1, v2, thresholds.spec_at(thresholds.spec_at(spec, a1, v1), a2, v2))
+             for v1 in v["axis1_values"] for v2 in v["axis2_values"]]
+    # h* depends on the field, d and N alone: one prober per distinct d,
+    # each on the base spec's h* bracket, the base d first
+    probers = {}
+    for d in [spec.d] + [cell.d for _, _, cell in cells]:
+        if d not in probers:
+            try:
+                probers[d] = thresholds._Prober(spec.with_(d=d))
+            except StefanLabError as exc:
+                log.warning("sweep h* at d=%g failed: %s", d, exc)
+                probers[d] = None
+    work = [(probers[cell.d], cell, horizon, v1, v2) for v1, v2, cell in cells]
     rows = _map(_sweep_cell, work, jobs)
     arts.csv("phase.csv", ("axis1", "axis2", "verdict", "t_decided"), rows)
 
-    overlay = {"axis1": a1, "axis2": a2}
-    try:
-        # the h* that a base-spec cell compared against, unless that cell
-        # ended beyond 2*h0 and so widened its bracket (within h*'s tol)
-        overlay["h_star"] = freeboundary.spec_h_star(spec)
-    except StefanLabError:
-        overlay["h_star"] = None
+    base = probers[spec.d]
+    overlay = {"axis1": a1, "axis2": a2,
+               "h_star": None if base is None else base.h_star_value}
     try:
         dth = freeboundary.spec_d_thresholds(spec)
         overlay["d_star"], overlay["d_upper"] = dth.d_star, dth.d_upper

@@ -12,8 +12,8 @@ one-sided second-order stencil.  step_free() steps the arrays (u, h, t);
 simulate() loops it, keeps a state at each sample and period boundary
 and can stop at a sample; decide() is the Spreading / Vanishing /
 Undecided rule for one sample.  classify_outcome() applies it to a
-trajectory's last sample; a threshold probe takes its verdict from the
-stop test that ended its run.
+trajectory's last sample; a threshold probe or a sweep cell takes its
+verdict from the stop test that ended its run (thresholds._Prober).
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -236,18 +236,16 @@ _CRITERION = {"Spreading": "eigenvalue", "Vanishing": "decay",
               "Undecided": "nearest-miss"}
 
 
-def spec_h_star(spec, h_final=0.0):
+def spec_h_star(spec):
     """h* of a spec's field, d and N at eigen resolution EIGEN_N.
 
-    The caller bracket is [0.05*h0, max(8*h0, 4*h_final)], so a run's
-    classification and the threshold finders that pass no h_final search
-    the same bracket unless the run ended beyond 2*h0.  A threshold below
+    The caller bracket is [0.05*h0, 8*h0] (the search starts between the
+    envelope radii when they apply, see eigen.h_star).  A threshold below
     0.05*h0 (lambda1 already nonpositive there) is reported as 0.05*h0.
     """
     try:
         return eigen.h_star(spec.d, spec.field, spec.field.T,
-                            r_lo=0.05 * spec.h0,
-                            r_hi=max(8.0 * spec.h0, 4.0 * h_final),
+                            r_lo=0.05 * spec.h0, r_hi=8.0 * spec.h0,
                             N=spec.N, n=EIGEN_N)
     except BracketInvalid:
         return 0.05 * spec.h0
@@ -269,7 +267,7 @@ def classify_outcome(traj, spec, h_star_value=None):
     """
     h_final = float(traj.h[-1])
     if h_star_value is None:
-        h_star_value = spec_h_star(spec, h_final)
+        h_star_value = spec_h_star(spec)
     sup_final = float(traj.u_sup[-1])
     verdict = decide(h_final, float(traj.h_prime[-1]), sup_final,
                      h_star_value)

@@ -5,11 +5,11 @@ sigma, with verdicts from the free-boundary decision rule.  Monotonicity
 of the verdict in mu and sigma comes from the comparison principle;
 ladder audits detect violations instead of silently bisecting a
 non-monotone function.  A probe is one run of up to HORIZON_CAP periods
-that its stop test ends once the verdict is certain; the probe's verdict
-is the stop test's, and one still Undecided at the cap raises
-TooManyUndecided.  When the growth rate does not depend on r, a probe is
-also certified Vanishing at a period end where an upper solution lies
-above it.
+(a sweep cell: up to the sweep's horizon) that its stop test ends once
+the verdict is certain, with the stop test's verdict; a probe still
+Undecided at the cap raises TooManyUndecided.  When the growth rate does
+not depend on r, a run is also certified Vanishing at a period end where
+an upper solution lies above it.
 """
 
 import logging
@@ -154,18 +154,20 @@ class _UpperSolution:
 
 
 class _Prober:
-    """Verdicts of probe simulations, one ``simulate`` call per evaluation.
+    """Verdicts of runs against one h* (spec_h_star unless given).
 
-    A run goes up to HORIZON_CAP periods and stops at the first sample
-    whose verdict is certain: past the threshold for Spreading, and at a
-    period end for Vanishing, by the decay test or, for a growth rate
-    that does not depend on r, by the upper-solution certificate
-    (_UpperSolution).  The verdict is the one that stopped the run; a
-    run that reaches the cap (a period end) without stopping is
-    Undecided and raises TooManyUndecided.
+    ``run`` is one ``simulate`` call that stops at the first sample whose
+    verdict is certain: past h* for Spreading, and at a period end for
+    Vanishing, by the decay test or, for a growth rate that does not
+    depend on r, by the upper-solution certificate (_UpperSolution).  A
+    run that reaches its horizon without stopping is Undecided.
+    ``verdict`` runs a probe to HORIZON_CAP periods and raises
+    TooManyUndecided for an Undecided one.
     """
 
-    def __init__(self, spec, h_star_value):
+    def __init__(self, spec, h_star_value=None):
+        if h_star_value is None:
+            h_star_value = freeboundary.spec_h_star(spec)
         self.spec = spec
         self.h_star_value = h_star_value
         self.evaluations = 0
@@ -176,12 +178,12 @@ class _Prober:
                 and r_independent(fld.gamma)):
             self.upper = _UpperSolution(fld, spec.N)
 
-    def verdict(self, **overrides):
-        spec = self.spec
-        for param, value in overrides.items():
-            spec = spec_at(spec, param, value)
-        probe = ", ".join("%s=%.10g" % kv for kv in overrides.items())
+    def run(self, spec, horizon):
+        """(verdict, criterion, stop time) of ``spec`` run up to ``horizon``;
+        one that starts past h* is Spreading at t = 0 without a run."""
         hs = self.h_star_value
+        if spec.h0 > hs + freeboundary._tol_h(hs):
+            return "Spreading", "eigenvalue", 0.0
         H = hs - freeboundary._tol_h(hs)
         stopped = None          # (verdict, criterion) of the deciding sample
 
@@ -199,12 +201,20 @@ class _Prober:
                 stopped = "Vanishing", "certified"
             return stopped is not None
 
-        horizon = HORIZON_CAP * spec.field.T
-        self.evaluations += 1
         traj = freeboundary.simulate(spec, t_max=horizon, stop=decided)
         verdict, criterion = stopped or ("Undecided", "nearest-miss")
+        return verdict, criterion, float(traj.t[-1])
+
+    def verdict(self, **overrides):
+        spec = self.spec
+        for param, value in overrides.items():
+            spec = spec_at(spec, param, value)
+        probe = ", ".join("%s=%.10g" % kv for kv in overrides.items())
+        horizon = HORIZON_CAP * spec.field.T
+        self.evaluations += 1
+        verdict, criterion, t = self.run(spec, horizon)
         log.debug("probe %s: horizon %.6g, stopped at t=%.6g: %s (%s)",
-                  probe, horizon, traj.t[-1], verdict, criterion)
+                  probe, horizon, t, verdict, criterion)
         if verdict == "Undecided":
             self.undecided += 1
             raise TooManyUndecided("probe %s stayed Undecided up to t=%.3g"
@@ -225,15 +235,13 @@ def _sharp_threshold(spec, param, lo, hi, tol, h_star_value,
     verified bracket still holds the threshold, and it is returned with
     the Undecided probe named in the evidence.
     """
-    if h_star_value is None:
-        h_star_value = freeboundary.spec_h_star(spec)
-    if math.isfinite(h_star_value) and spec.h0 >= h_star_value:
+    prober = _Prober(spec, h_star_value)
+    if math.isfinite(prober.h_star_value) and spec.h0 >= prober.h_star_value:
         return ThresholdResult(value=0.0, bracket=(0.0, 0.0),
                                verdict_lo="Spreading", verdict_hi="Spreading",
                                evaluations=0, undecided_encounters=0,
                                evidence="lambda1(h0) <= 0 => spreading for all %s"
                                % param)
-    prober = _Prober(spec, h_star_value)
 
     def verdict(value):
         return prober.verdict(**{param: value})
@@ -307,8 +315,6 @@ def verdict_ladder(spec, param, values, zeta=None, h_star_value=None):
     """
     if zeta is not None:
         spec = spec.with_(u0=zeta)
-    if h_star_value is None:
-        h_star_value = freeboundary.spec_h_star(spec)
     prober = _Prober(spec, h_star_value)
     return [prober.verdict(**{param: v}) for v in values]
 
@@ -377,20 +383,15 @@ def criteria_experiment(kind, spec):
             prediction = "Vanishing for small, Spreading for large"
 
     probe_spec = spec_at(spec, param, value)
-    hs = freeboundary.spec_h_star(probe_spec)
-    prober = _Prober(probe_spec, hs)
-    verdicts = []
-    for amp in CRITERIA_AMPLITUDES:
-        try:
-            verdicts.append(prober.verdict(sigma=amp))
-        except TooManyUndecided:
-            verdicts.append("Undecided")
-    verdicts = tuple(verdicts)
+    prober = _Prober(probe_spec)
+    horizon = HORIZON_CAP * spec.field.T
+    verdicts = tuple(prober.run(spec_at(probe_spec, "sigma", amp), horizon)[0]
+                     for amp in CRITERIA_AMPLITUDES)
     if prediction == "all Spreading":
         matches = all(v == "Spreading" for v in verdicts)
     else:
         matches = verdicts[0] == "Vanishing" and verdicts[-1] == "Spreading"
-    return CriteriaReport(kind=kind, h_star_value=hs, d_star=d_star,
-                          d_upper=d_upper, chosen={param: value},
+    return CriteriaReport(kind=kind, h_star_value=prober.h_star_value,
+                          d_star=d_star, d_upper=d_upper, chosen={param: value},
                           verdicts=verdicts,
                           prediction=prediction, matches=matches)

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import logging
 import math
 import os
 import re
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stefanlab import cli, eigen, freeboundary, semiwave
+from stefanlab import cli, eigen, freeboundary, semiwave, thresholds
 from stefanlab.coeffmodel import Numerics
 from stefanlab.thresholds import CRITERIA_KINDS
 from stefanlab.errors import (ConfigError, EvalDomainError, ExpressionError,
@@ -248,11 +249,12 @@ class TestRun:
         assert cli.run(cfg, out_dir=out, jobs=1) == 0
         with open(os.path.join(out, "overlay.json")) as fh:
             overlay = json.load(fh)
-        # the (mu=1, h0=3) cell is the base spec
+        # the (mu=1, h0=3) cell is the base spec: its sweep h* is the one
+        # simulate compares against
         spec = cli.build_spec(cfg)
         traj = freeboundary.simulate(spec, t_max=spec.numerics.t_max)
         cell_hstar = freeboundary.classify_outcome(traj, spec).evidence.h_star
-        assert abs(overlay["h_star"] - cell_hstar) <= 1e-3
+        assert overlay["h_star"] == cell_hstar
 
     def test_sweep_overlay_hstar_without_envelopes(self, tmp_path):
         # N = 5 has no envelope radii, so h* depends on the caller's
@@ -270,6 +272,84 @@ class TestRun:
         traj = freeboundary.simulate(spec, t_max=spec.numerics.t_max)
         cell_hstar = freeboundary.classify_outcome(traj, spec).evidence.h_star
         assert overlay["h_star"] == cell_hstar
+
+    SWEEP_D_MU = (MINIMAL.replace("command=simulate", "command=sweep")
+                  + "[sweep]\naxis1=d\naxis1_values=1,2\naxis2=mu\n"
+                  "axis2_values=1,2\n")
+
+    @staticmethod
+    def sweep_rows(tmp_path, text):
+        """Exit code, phase.csv rows and overlay of a serial sweep."""
+        out = str(tmp_path / "sw")
+        code = cli.run(cli.loads_config(text), out_dir=out, jobs=1)
+        rows = list(csv.DictReader(read_body(os.path.join(out, "phase.csv"))))
+        with open(os.path.join(out, "overlay.json")) as fh:
+            return code, rows, json.load(fh)
+
+    def test_sweep_one_h_star_per_d(self, tmp_path, monkeypatch):
+        # h* depends on the field, d and N alone: a 2x2 (d, mu) sweep
+        # solves it at d = 1 and 2, where each cell and the overlay
+        # solved it once (5 calls)
+        calls = []
+        real = eigen.h_star
+
+        def counted(d, *args, **kwargs):
+            calls.append(d)
+            return real(d, *args, **kwargs)
+
+        monkeypatch.setattr(eigen, "h_star", counted)
+        code, rows, overlay = self.sweep_rows(tmp_path, self.SWEEP_D_MU)
+        assert code == 0 and calls == [1.0, 2.0]
+        assert len(rows) == 4 and {r["verdict"] for r in rows} <= {
+            "Spreading", "Vanishing"}
+        assert overlay["h_star"] == pytest.approx(2.4048, abs=1e-3)
+
+    def test_sweep_overlay_hstar_off_the_d_axis(self, tmp_path):
+        # the overlay's h* is the base spec's even when no cell has its d
+        text = self.SWEEP_D_MU.replace("axis1_values=1,2", "axis1_values=2")
+        code, rows, overlay = self.sweep_rows(tmp_path, text)
+        assert code == 0 and [r["axis1"] for r in rows] == ["2", "2"]
+        spec = cli.build_spec(cli.loads_config(text))
+        assert overlay["h_star"] == freeboundary.spec_h_star(spec)
+
+    def test_sweep_h_star_failure_errors_its_d(self, tmp_path, monkeypatch,
+                                               caplog):
+        real = freeboundary.spec_h_star
+
+        def failing(spec):
+            if spec.d == 2.0:
+                raise forced(NumericalError)
+            return real(spec)
+
+        monkeypatch.setattr(freeboundary, "spec_h_star", failing)
+        code, rows, overlay = self.sweep_rows(tmp_path, self.SWEEP_D_MU)
+        assert code == 0
+        verdicts = {(r["axis1"], r["axis2"]): r["verdict"] for r in rows}
+        assert verdicts[("2", "1")] == verdicts[("2", "2")] == "Error"
+        assert {verdicts[("1", "1")], verdicts[("1", "2")]} <= {
+            "Spreading", "Vanishing"}
+        assert all(r["t_decided"] == "nan" for r in rows if r["axis1"] == "2")
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert warnings == ["sweep h* at d=2 failed: forced"]
+        assert overlay["h_star"] is not None
+
+    def test_sweep_cell_is_a_probe_run(self, tmp_path):
+        # each row is the (verdict, stop time) of _Prober.run on the cell
+        text = (MINIMAL.replace("command=simulate", "command=sweep")
+                + "[sweep]\naxis1=mu\naxis1_values=0.1\naxis2=h0\n"
+                "axis2_values=1,2,3\n")
+        code, rows, _ = self.sweep_rows(tmp_path, text)
+        assert code == 0
+        spec = cli.build_spec(cli.loads_config(text))
+        prober = thresholds._Prober(spec)
+        for row in rows:
+            cell = thresholds.spec_at(thresholds.spec_at(
+                spec, "mu", float(row["axis1"])), "h0", float(row["axis2"]))
+            verdict, _, t = prober.run(cell, spec.numerics.t_max)
+            assert (row["verdict"], float(row["t_decided"])) == (verdict, t)
+        assert [r["verdict"] for r in rows] == [
+            "Vanishing", "Vanishing", "Spreading"]
 
     def test_sweep_bad_axis(self, tmp_path):
         text = MINIMAL.replace("command=simulate", "command=sweep")
@@ -594,12 +674,18 @@ class TestRejectedConfigs:
         self.check_exit(tmp_path, monkeypatch, capsys, text, code)
 
     # runs that fit the caps although t_max/dt does not: hstar runs no
-    # free boundary, and the scale cuts the run to 4e6 steps.  Both exited 2
+    # free boundary, and the scale cuts the run to 4e6 steps.  Both exited
+    # 2, as did the default (flat) profile on a habitat of radius 1e-6 or
+    # less, whose rounding read as a slope at the origin
     @pytest.mark.parametrize("text,flags,horizon", [
         (HSTAR.replace("t_max=5", "t_max=5\ndt=1e-9"), (), None),
         (MINIMAL.replace("t_max=5", "t_max=20\ndt=1e-6"),
-         ("--horizon-scale", "0.2"), 4.0)],
-        ids=["hstar-dt-1e-9", "simulate-scale-0.2"])
+         ("--horizon-scale", "0.2"), 4.0)] + [
+        (MINIMAL.replace("command=simulate", "command=eigen")
+         .replace("h0=3", "h0=%s" % h0) + "[eigen]\nR=1\n", (), None)
+        for h0 in ("1e-9", "1e-8", "1e-7", "1e-6")],
+        ids=["hstar-dt-1e-9", "simulate-scale-0.2", "eigen-h0-1e-9",
+             "eigen-h0-1e-8", "eigen-h0-1e-7", "eigen-h0-1e-6"])
     def test_admitted(self, tmp_path, monkeypatch, text, flags, horizon):
         calls = stub_handlers(monkeypatch)
         assert cli.main(["--config", write(tmp_path, text),
@@ -849,6 +935,59 @@ class TestAdmissionContract:
             assert horizon / num.dt <= cli.MAX_TIME_STEPS
             assert (horizon / min(num.sample_every, spec.field.T)
                     <= cli.MAX_SAMPLES)
+
+
+# demos/phase_sweep.cfg (n=64, --jobs 1) when each cell ran its whole
+# horizon and was classified at the end: (mu, h0) -> (verdict, t_decided)
+# at --horizon-scale 0.2 and 1.0
+_FULL_HORIZON_SWEEP = {
+    0.2: {(0.1, 1): ("Vanishing", "10"), (0.1, 1.5): ("Undecided", "10"),
+          (0.1, 2): ("Undecided", "10"), (0.1, 3): ("Spreading", "0"),
+          (0.5, 1): ("Vanishing", "10"), (0.5, 1.5): ("Undecided", "10"),
+          (0.5, 2): ("Spreading", "4.7499999999999201"),
+          (0.5, 3): ("Spreading", "0"), (2, 1): ("Undecided", "10"),
+          (2, 1.5): ("Spreading", "3.249999999999952"),
+          (2, 2): ("Spreading", "0.75"), (2, 3): ("Spreading", "0"),
+          (8, 1): ("Spreading", "1.749999999999984"),
+          (8, 1.5): ("Spreading", "0.75"), (8, 2): ("Spreading", "0.25"),
+          (8, 3): ("Spreading", "0")}}
+# at 1.0 the Spreading rows are the same, and the rest end at t = 50
+_FULL_HORIZON_SWEEP[1.0] = {
+    cell: row if row[0] == "Spreading" else (
+        "Undecided" if cell == (0.1, 2) else "Vanishing", "50")
+    for cell, row in _FULL_HORIZON_SWEEP[0.2].items()}
+
+
+class TestDemoSweep:
+    """A sweep cell stops at its decision: the demo sweep keeps every
+    Spreading row, stops each Vanishing cell no later than its horizon,
+    and certifies the cells a full-horizon run left Undecided."""
+
+    @pytest.mark.parametrize("scale, stops", [
+        (0.2, {(0.1, 1.5): 1.0, (0.1, 2): 5.0, (0.5, 1.5): 2.0, (2, 1): 2.0}),
+        (1.0, {(0.1, 2): 5.0})])
+    def test_rows(self, tmp_path, scale, stops):
+        out = str(tmp_path / "sw")
+        cfg = cli.load_config(os.path.join(DEMOS, "phase_sweep.cfg"))
+        assert cli.run(cfg, out_dir=out, jobs=1, horizon_scale=scale) == 0
+        rows = {(float(r["axis1"]), float(r["axis2"])): (r["verdict"],
+                                                        r["t_decided"])
+                for r in csv.DictReader(read_body(
+                    os.path.join(out, "phase.csv")))}
+        full = _FULL_HORIZON_SWEEP[scale]
+        assert rows.keys() == full.keys()
+        for cell, (verdict, t) in full.items():
+            got_verdict, got_t = rows[cell]
+            if verdict == "Spreading":
+                assert rows[cell] == (verdict, t), cell
+            elif verdict == "Vanishing":
+                assert got_verdict == "Vanishing"
+                assert float(got_t) <= float(t), cell
+            else:
+                assert got_verdict == "Vanishing", cell
+                assert float(got_t) == pytest.approx(stops[cell], abs=1e-9)
+        assert set(stops) == {c for c, (v, _) in full.items()
+                              if v == "Undecided"}
 
 
 class TestStalledSolve:

@@ -102,6 +102,15 @@ class TestValidate:
         report = validate(spec)
         assert "ProfileSlopeAtOrigin" in report.kinds()
 
+    def test_u0_slope_scales_with_the_habitat(self):
+        # the slope is checked as h0*u0'(0): a flat profile passes and a
+        # cone fails on a habitat of any size
+        for h0 in (1e-9, 1e-6, 1.0, 1e3):
+            flat = validate(make_spec(h0=h0)).kinds()
+            cone = validate(make_spec(h0=h0, u0="1 - r/%r" % h0)).kinds()
+            assert "ProfileSlopeAtOrigin" not in flat, h0
+            assert "ProfileSlopeAtOrigin" in cone, h0
+
     def test_u0_not_positive(self):
         spec = make_spec(u0="cos(pi*r/2) - 0.5")
         report = validate(spec)

@@ -117,8 +117,9 @@ class TestCriteriaExperiment:
     def _stub_probes(monkeypatch, d_thresholds):
         monkeypatch.setattr(eigen, "d_thresholds", d_thresholds)
         monkeypatch.setattr(freeboundary, "spec_h_star", lambda spec: J01)
-        monkeypatch.setattr(thresholds._Prober, "verdict",
-                            lambda self, **kw: "Spreading")
+        monkeypatch.setattr(thresholds._Prober, "run",
+                            lambda self, spec, horizon:
+                            ("Spreading", "eigenvalue", 0.0))
 
     def test_no_sign_change_gives_nan_thresholds(self, monkeypatch):
         def one_signed(*args, **kwargs):
@@ -134,11 +135,11 @@ class TestCriteriaExperiment:
         def one_signed(*args, **kwargs):
             raise NoSignChange(+1)
 
-        def no_probe(self, **overrides):
-            raise AssertionError("probe at %r" % (overrides,))
+        def no_probe(self, spec, horizon):
+            raise AssertionError("probe at d=%r" % spec.d)
 
         self._stub_probes(monkeypatch, one_signed)
-        monkeypatch.setattr(thresholds._Prober, "verdict", no_probe)
+        monkeypatch.setattr(thresholds._Prober, "run", no_probe)
         with pytest.raises(NoSignChange):
             criteria_experiment(kind, favorable_spec())
 
@@ -366,6 +367,41 @@ class TestEarlyStopping:
         # Undecided at 50 periods
         assert (res.evaluations, res.undecided_encounters) == (4, 0)
         assert len(calls) == res.evaluations
+
+    def test_run_reports_its_stop(self):
+        # run returns what stopped the run, Undecided when nothing did
+        # before the horizon; it counts no evaluation and raises nothing
+        spec = mu_star_spec()
+        prober = thresholds._Prober(spec, J01 * math.sqrt(2.0))
+        probe = spec_at(spec, "mu", 1.3)
+        assert prober.run(probe, 5.0) == ("Undecided", "nearest-miss", 5.0)
+        assert prober.run(probe, 10.0) == ("Vanishing", "certified", 6.0)
+        assert prober.run(spec_at(spec, "mu", 4.0), 400.0) == (
+            "Spreading", "eigenvalue", 3.25)
+        assert prober.evaluations == prober.undecided == 0
+
+    def test_run_past_h_star_is_spreading_at_zero(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("unexpected run")
+
+        monkeypatch.setattr(freeboundary, "simulate", no_run)
+        spec = mu_star_spec()
+        prober = thresholds._Prober(spec, 2.0)     # h* + tol_h = 2.03
+        assert prober.run(spec_at(spec, "h0", 2.1), 400.0) == (
+            "Spreading", "eigenvalue", 0.0)
+
+    def test_h_star_solved_once_when_not_given(self, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec.d)
+            return J01
+
+        monkeypatch.setattr(freeboundary, "spec_h_star", counted)
+        prober = thresholds._Prober(favorable_spec())
+        assert prober.h_star_value == J01 and calls == [1.0]
+        assert thresholds._Prober(favorable_spec(), 3.0).h_star_value == 3.0
+        assert calls == [1.0]
 
     def test_one_debug_line_per_evaluation(self, caplog):
         spec = mu_star_spec()
