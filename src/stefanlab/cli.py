@@ -280,7 +280,7 @@ def _sweep_cell(args):
     if prober is None:          # h* failed at the cell's d
         return (v1, v2, "Error", math.nan)
     try:
-        verdict, _, t = prober.run(spec, horizon)
+        verdict, _, t = prober.run(spec, horizon, "cell (%g, %g)" % (v1, v2))
         return (v1, v2, verdict, t)
     except StefanLabError as exc:
         log.warning("sweep cell (%g, %g) failed: %s", v1, v2, exc)
@@ -378,12 +378,15 @@ def _cmd_sweep(config, spec, arts, jobs, horizon):
     cells = [(v1, v2, thresholds.spec_at(thresholds.spec_at(spec, a1, v1), a2, v2))
              for v1 in v["axis1_values"] for v2 in v["axis2_values"]]
     # h* depends on the field, d and N alone: one prober per distinct d,
-    # each on the base spec's h* bracket, the base d first
+    # the base d first, on a bracket that spans every h0
+    h0s = [spec.h0] + [cell.h0 for _, _, cell in cells]
     probers = {}
     for d in [spec.d] + [cell.d for _, _, cell in cells]:
         if d not in probers:
             try:
-                probers[d] = thresholds._Prober(spec.with_(d=d))
+                at_d = spec.with_(d=d)
+                probers[d] = thresholds._Prober(at_d, freeboundary.spec_h_star(
+                    at_d, 0.05 * min(h0s), 8.0 * max(h0s)))
             except StefanLabError as exc:
                 log.warning("sweep h* at d=%g failed: %s", d, exc)
                 probers[d] = None

@@ -236,19 +236,20 @@ _CRITERION = {"Spreading": "eigenvalue", "Vanishing": "decay",
               "Undecided": "nearest-miss"}
 
 
-def spec_h_star(spec):
+def spec_h_star(spec, r_lo=None, r_hi=None):
     """h* of a spec's field, d and N at eigen resolution EIGEN_N.
 
-    The caller bracket is [0.05*h0, 8*h0] (the search starts between the
-    envelope radii when they apply, see eigen.h_star).  A threshold below
-    0.05*h0 (lambda1 already nonpositive there) is reported as 0.05*h0.
+    The caller bracket is [r_lo, r_hi], by default [0.05*h0, 8*h0] (the
+    search starts between the envelope radii when they apply, see
+    eigen.h_star).  A threshold below r_lo (lambda1 already nonpositive
+    there) is reported as r_lo.
     """
+    r_lo = r_lo or 0.05 * spec.h0
     try:
-        return eigen.h_star(spec.d, spec.field, spec.field.T,
-                            r_lo=0.05 * spec.h0, r_hi=8.0 * spec.h0,
-                            N=spec.N, n=EIGEN_N)
+        return eigen.h_star(spec.d, spec.field, spec.field.T, r_lo=r_lo,
+                            r_hi=r_hi or 8.0 * spec.h0, N=spec.N, n=EIGEN_N)
     except BracketInvalid:
-        return 0.05 * spec.h0
+        return r_lo
 
 
 def spec_d_thresholds(spec):
@@ -261,13 +262,15 @@ def spec_d_thresholds(spec):
 def classify_outcome(traj, spec, h_star_value=None):
     """Classify a trajectory per the spreading-vanishing dichotomy.
 
-    The verdict is decide() at the final sample; Undecided is a valid
-    return for borderline runs.  A Spreading run is decided at the first
-    sample past the threshold, the others at the final sample.
+    The verdict is decide() at the final sample, against an h* searched
+    out to 4 times the final radius; Undecided is a valid return for
+    borderline runs.  A Spreading run is decided at the first sample past
+    the threshold, the others at the final sample.
     """
     h_final = float(traj.h[-1])
     if h_star_value is None:
-        h_star_value = spec_h_star(spec)
+        h_star_value = spec_h_star(spec,
+                                   r_hi=max(8.0 * spec.h0, 4.0 * h_final))
     sup_final = float(traj.u_sup[-1])
     verdict = decide(h_final, float(traj.h_prime[-1]), sup_final,
                      h_star_value)

@@ -160,9 +160,10 @@ class _Prober:
     verdict is certain: past h* for Spreading, and at a period end for
     Vanishing, by the decay test or, for a growth rate that does not
     depend on r, by the upper-solution certificate (_UpperSolution).  A
-    run that reaches its horizon without stopping is Undecided.
-    ``verdict`` runs a probe to HORIZON_CAP periods and raises
-    TooManyUndecided for an Undecided one.
+    run that reaches its horizon without stopping is Undecided, unless h*
+    lay beyond its bracket (infinite) and the front passed the h* searched
+    out to 4 times the final radius.  ``verdict`` runs a probe to
+    HORIZON_CAP periods and raises TooManyUndecided for an Undecided one.
     """
 
     def __init__(self, spec, h_star_value=None):
@@ -178,12 +179,11 @@ class _Prober:
                 and r_independent(fld.gamma)):
             self.upper = _UpperSolution(fld, spec.N)
 
-    def run(self, spec, horizon):
-        """(verdict, criterion, stop time) of ``spec`` run up to ``horizon``;
-        one that starts past h* is Spreading at t = 0 without a run."""
+    def run(self, spec, horizon, probe):
+        """(verdict, criterion, stop time) of ``spec`` run up to ``horizon``,
+        logged under the label ``probe``; one that starts past h* is
+        Spreading at t = 0 without a run."""
         hs = self.h_star_value
-        if spec.h0 > hs + freeboundary._tol_h(hs):
-            return "Spreading", "eigenvalue", 0.0
         H = hs - freeboundary._tol_h(hs)
         stopped = None          # (verdict, criterion) of the deciding sample
 
@@ -201,9 +201,21 @@ class _Prober:
                 stopped = "Vanishing", "certified"
             return stopped is not None
 
-        traj = freeboundary.simulate(spec, t_max=horizon, stop=decided)
-        verdict, criterion = stopped or ("Undecided", "nearest-miss")
-        return verdict, criterion, float(traj.t[-1])
+        if spec.h0 > hs + freeboundary._tol_h(hs):
+            verdict, criterion, t = "Spreading", "eigenvalue", 0.0
+        else:
+            traj = freeboundary.simulate(spec, t_max=horizon, stop=decided)
+            verdict, criterion = stopped or ("Undecided", "nearest-miss")
+            t = traj.t[-1]
+            if stopped is None and not math.isfinite(hs):
+                # lambda1 > 0 at 4*r_hi: search h* out to the final radius
+                far = freeboundary.spec_h_star(spec, r_hi=4.0 * traj.h[-1])
+                crossed = traj.t[traj.h > far + freeboundary._tol_h(far)]
+                if crossed.size:
+                    verdict, criterion, t = "Spreading", "eigenvalue", crossed[0]
+        log.debug("probe %s: horizon %.6g, stopped at t=%.6g: %s (%s)",
+                  probe, horizon, t, verdict, criterion)
+        return verdict, criterion, float(t)
 
     def verdict(self, **overrides):
         spec = self.spec
@@ -212,9 +224,7 @@ class _Prober:
         probe = ", ".join("%s=%.10g" % kv for kv in overrides.items())
         horizon = HORIZON_CAP * spec.field.T
         self.evaluations += 1
-        verdict, criterion, t = self.run(spec, horizon)
-        log.debug("probe %s: horizon %.6g, stopped at t=%.6g: %s (%s)",
-                  probe, horizon, t, verdict, criterion)
+        verdict, _, _ = self.run(spec, horizon, probe)
         if verdict == "Undecided":
             self.undecided += 1
             raise TooManyUndecided("probe %s stayed Undecided up to t=%.3g"
@@ -235,13 +245,15 @@ def _sharp_threshold(spec, param, lo, hi, tol, h_star_value,
     verified bracket still holds the threshold, and it is returned with
     the Undecided probe named in the evidence.
     """
-    prober = _Prober(spec, h_star_value)
-    if math.isfinite(prober.h_star_value) and spec.h0 >= prober.h_star_value:
+    if h_star_value is None:
+        h_star_value = freeboundary.spec_h_star(spec)
+    if math.isfinite(h_star_value) and spec.h0 >= h_star_value:
         return ThresholdResult(value=0.0, bracket=(0.0, 0.0),
                                verdict_lo="Spreading", verdict_hi="Spreading",
                                evaluations=0, undecided_encounters=0,
                                evidence="lambda1(h0) <= 0 => spreading for all %s"
                                % param)
+    prober = _Prober(spec, h_star_value)
 
     def verdict(value):
         return prober.verdict(**{param: value})
@@ -385,7 +397,8 @@ def criteria_experiment(kind, spec):
     probe_spec = spec_at(spec, param, value)
     prober = _Prober(probe_spec)
     horizon = HORIZON_CAP * spec.field.T
-    verdicts = tuple(prober.run(spec_at(probe_spec, "sigma", amp), horizon)[0]
+    verdicts = tuple(prober.run(spec_at(probe_spec, "sigma", amp), horizon,
+                                "sigma=%.10g" % amp)[0]
                      for amp in CRITERIA_AMPLITUDES)
     if prediction == "all Spreading":
         matches = all(v == "Spreading" for v in verdicts)

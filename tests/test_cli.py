@@ -316,10 +316,10 @@ class TestRun:
                                                caplog):
         real = freeboundary.spec_h_star
 
-        def failing(spec):
+        def failing(spec, *bracket):
             if spec.d == 2.0:
                 raise forced(NumericalError)
-            return real(spec)
+            return real(spec, *bracket)
 
         monkeypatch.setattr(freeboundary, "spec_h_star", failing)
         code, rows, overlay = self.sweep_rows(tmp_path, self.SWEEP_D_MU)
@@ -334,22 +334,59 @@ class TestRun:
         assert warnings == ["sweep h* at d=2 failed: forced"]
         assert overlay["h_star"] is not None
 
-    def test_sweep_cell_is_a_probe_run(self, tmp_path):
-        # each row is the (verdict, stop time) of _Prober.run on the cell
+    def test_sweep_cell_is_a_probe_run(self, tmp_path, caplog):
+        # each row is the (verdict, stop time) of _Prober.run on the cell,
+        # and each cell logs one probe line
         text = (MINIMAL.replace("command=simulate", "command=sweep")
                 + "[sweep]\naxis1=mu\naxis1_values=0.1\naxis2=h0\n"
                 "axis2_values=1,2,3\n")
-        code, rows, _ = self.sweep_rows(tmp_path, text)
+        with caplog.at_level(logging.DEBUG, logger="stefanlab"):
+            code, rows, _ = self.sweep_rows(tmp_path, text)
         assert code == 0
+        assert [r.getMessage().split(":")[0] for r in caplog.records
+                if r.getMessage().startswith("probe ")] == [
+            "probe cell (0.1, 1)", "probe cell (0.1, 2)", "probe cell (0.1, 3)"]
         spec = cli.build_spec(cli.loads_config(text))
         prober = thresholds._Prober(spec)
         for row in rows:
             cell = thresholds.spec_at(thresholds.spec_at(
                 spec, "mu", float(row["axis1"])), "h0", float(row["axis2"]))
-            verdict, _, t = prober.run(cell, spec.numerics.t_max)
+            verdict, _, t = prober.run(cell, spec.numerics.t_max, "cell")
             assert (row["verdict"], float(row["t_decided"])) == (verdict, t)
         assert [r["verdict"] for r in rows] == [
             "Vanishing", "Vanishing", "Spreading"]
+
+    # (verdict, t_decided) of mu = 2 and h0 = 1.5, 2, 3 on the demo field
+    # (h* 2.4048) with t_max = 20, each cell's h* on its own bracket
+    H0_CELLS = [("Spreading", "3.2499999999998623"), ("Spreading", "0.75"),
+                ("Spreading", "0")]
+
+    @pytest.mark.parametrize("base_h0", ["100", "0.05"])
+    def test_sweep_h_star_brackets_every_h0(self, tmp_path, base_h0):
+        # a base h0 above 20*h* clipped h* to 0.05*h0, and one below
+        # h*/32 put it beyond 8*h0: the bracket spans the cells' h0 too
+        text = (MINIMAL.replace("command=simulate", "command=sweep")
+                .replace("h0=3", "h0=" + base_h0)
+                .replace("mu=1", "mu=2").replace("t_max=5", "t_max=20")
+                + "[sweep]\naxis1=mu\naxis1_values=2\naxis2=h0\n"
+                "axis2_values=1.5,2,3\n")
+        code, rows, overlay = self.sweep_rows(tmp_path, text)
+        assert code == 0
+        assert [(r["verdict"], r["t_decided"]) for r in rows] == self.H0_CELLS
+        assert overlay["h_star"] == pytest.approx(2.4048, abs=1e-3)
+
+    def test_sweep_spreads_from_far_below_h_star(self, tmp_path):
+        # every h0 is below h*/32, so the sweep's h* is infinite: a cell
+        # that nothing stopped searches h* out to its final radius
+        text = (MINIMAL.replace("command=simulate", "command=sweep")
+                .replace("h0=3", "h0=0.05\nu0=100*cos(pi*r/0.1)")
+                .replace("t_max=5", "t_max=4")
+                + "[sweep]\naxis1=mu\naxis1_values=2,40\naxis2=d\n"
+                "axis2_values=1\n")
+        code, rows, _ = self.sweep_rows(tmp_path, text)
+        assert code == 0
+        assert [(r["verdict"], r["t_decided"]) for r in rows] == [
+            ("Vanishing", "1"), ("Spreading", "1.5")]
 
     def test_sweep_bad_axis(self, tmp_path):
         text = MINIMAL.replace("command=simulate", "command=sweep")

@@ -280,6 +280,15 @@ class TestClassify:
         # Lemma-style consistency: final radius under the threshold
         assert out.evidence.h_final <= out.evidence.h_star * 1.05
 
+    def test_spreading_from_far_below_h_star(self):
+        # h0 = 0.05 < h*/32: lambda1 > 0 on [0.05*h0, 32*h0], so h* is
+        # searched out to 4 times the final radius, where it lies
+        spec = favorable_spec(h0=0.05, mu=40.0, n=64,
+                              u0="100*cos(pi*r/0.1)")
+        out = classify_outcome(simulate(spec, t_max=3.0), spec)
+        assert out.verdict == "Spreading" and out.t_decided == 1.5
+        assert out.evidence.h_star == pytest.approx(J01, abs=1e-3)
+
     def test_undecided_midway(self):
         # barely-started run: density still large, front below threshold
         spec = favorable_spec(h0=1.0, mu=0.2, n=96, u0="0.5*cos(pi*r/2)")

@@ -56,7 +56,10 @@ class TestLadder:
 
 
 class TestMuStar:
-    def test_zero_when_h0_above_threshold(self):
+    def test_zero_when_h0_above_threshold(self, monkeypatch):
+        # no prober, so no upper solution, is built for an answer
+        # that needs no probe
+        monkeypatch.setattr(thresholds, "_Prober", None)
         res = mu_star(favorable_spec(h0=3.0), 0.1, 5.0)
         assert res.value == 0.0
         assert res.evaluations == 0
@@ -102,8 +105,14 @@ class TestSigma0:
 
 
 class TestCriteriaExperiment:
-    def test_large_habitat_all_spreading(self):
-        rep = criteria_experiment("LargeHabitat", favorable_spec())
+    def test_large_habitat_all_spreading(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="stefanlab"):
+            rep = criteria_experiment("LargeHabitat", favorable_spec())
+        # each amplitude's run logs one probe line
+        probes = [r.getMessage().split(":")[0] for r in caplog.records
+                  if r.getMessage().startswith("probe ")]
+        assert probes == ["probe sigma=0.05", "probe sigma=0.5",
+                          "probe sigma=5"]
         assert rep.kind == "LargeHabitat"
         assert rep.chosen["h0"] == pytest.approx(1.2 * J01, rel=0.01)
         assert rep.verdicts == ("Spreading", "Spreading", "Spreading")
@@ -118,7 +127,7 @@ class TestCriteriaExperiment:
         monkeypatch.setattr(eigen, "d_thresholds", d_thresholds)
         monkeypatch.setattr(freeboundary, "spec_h_star", lambda spec: J01)
         monkeypatch.setattr(thresholds._Prober, "run",
-                            lambda self, spec, horizon:
+                            lambda self, spec, horizon, probe:
                             ("Spreading", "eigenvalue", 0.0))
 
     def test_no_sign_change_gives_nan_thresholds(self, monkeypatch):
@@ -135,7 +144,7 @@ class TestCriteriaExperiment:
         def one_signed(*args, **kwargs):
             raise NoSignChange(+1)
 
-        def no_probe(self, spec, horizon):
+        def no_probe(self, spec, horizon, probe):
             raise AssertionError("probe at d=%r" % spec.d)
 
         self._stub_probes(monkeypatch, one_signed)
@@ -374,9 +383,11 @@ class TestEarlyStopping:
         spec = mu_star_spec()
         prober = thresholds._Prober(spec, J01 * math.sqrt(2.0))
         probe = spec_at(spec, "mu", 1.3)
-        assert prober.run(probe, 5.0) == ("Undecided", "nearest-miss", 5.0)
-        assert prober.run(probe, 10.0) == ("Vanishing", "certified", 6.0)
-        assert prober.run(spec_at(spec, "mu", 4.0), 400.0) == (
+        assert prober.run(probe, 5.0, "mu=1.3") == (
+            "Undecided", "nearest-miss", 5.0)
+        assert prober.run(probe, 10.0, "mu=1.3") == (
+            "Vanishing", "certified", 6.0)
+        assert prober.run(spec_at(spec, "mu", 4.0), 400.0, "mu=4") == (
             "Spreading", "eigenvalue", 3.25)
         assert prober.evaluations == prober.undecided == 0
 
@@ -387,7 +398,7 @@ class TestEarlyStopping:
         monkeypatch.setattr(freeboundary, "simulate", no_run)
         spec = mu_star_spec()
         prober = thresholds._Prober(spec, 2.0)     # h* + tol_h = 2.03
-        assert prober.run(spec_at(spec, "h0", 2.1), 400.0) == (
+        assert prober.run(spec_at(spec, "h0", 2.1), 400.0, "h0=2.1") == (
             "Spreading", "eigenvalue", 0.0)
 
     def test_h_star_solved_once_when_not_given(self, monkeypatch):
